@@ -183,10 +183,18 @@ def _default_t(n: int) -> int:
     return max(1, n // 3)
 
 
+def _crash_bound(cfg: dict, n: int) -> int:
+    """The config's t (default n // 3); a t above n is a config error."""
+    t = cfg.get("t", _default_t(n))
+    if t > n:
+        raise ConfigError(f"t must be at most n (got t={t}, n={n})")
+    return t
+
+
 def _one_run(cfg: dict) -> dict:
     n = cfg["n"]
     seed = cfg["seed"]
-    t = cfg.get("t", _default_t(n))
+    t = _crash_bound(cfg, n)
     params = _params_for(cfg["preset"], n, cfg.get("epsilon", 0.5))
     adv_cfg = cfg.get("adversary", {"name": "none"})
     adversary = make_adversary(adv_cfg["name"], **adv_cfg.get("params", {}))
@@ -289,7 +297,7 @@ def _coin_cell(job: tuple) -> tuple[int, int, bool]:
 def cmd_coin_stats(args) -> int:
     cfg = _load_config(args.config, _COIN_SCHEMA)
     n = cfg["n"]
-    t = cfg.get("t", _default_t(n))
+    t = _crash_bound(cfg, n)
     adv_cfg = cfg.get("adversary", {"name": "none"})
     base = cfg.get("seed", 0)
     jobs = [(n, t, cfg.get("d"), cfg.get("alpha"), adv_cfg, base + i)

@@ -90,8 +90,10 @@ def fast_counting(ctx: SimContext, a: np.ndarray, params: CountingParams,
     gossip_levels = [[list(range(n))]] + levels[:-1]
     for lvl_idx in range(len(gossip_levels) - 1, -1, -1):
         groups = [np.array(g) for g in gossip_levels[lvl_idx]]
-        r1 = np.full((n, x), -1, dtype=np.int64)
-        r0 = np.full((n, x), -1, dtype=np.int64)
+        # ones and zeros subtotals share one array, so one gather per merge
+        # serves both counts; r1 and r0 are views of its column halves
+        rumors = np.full((n, 2 * x), -1, dtype=np.int64)
+        r1, r0 = rumors[:, :x], rumors[:, x:]
         for g in groups:
             children = partition(g.tolist(), x)
             for ci, child in enumerate(children):
@@ -105,7 +107,7 @@ def fast_counting(ctx: SimContext, a: np.ndarray, params: CountingParams,
             max_steps=window.epochs * window.iterations)
         bits = rumor_response_bits(x, clog2(n + 1), int(k_caps.max(initial=0)),
                                    instances=2)
-        carrier = RumorCarrier([r1, r0], bits)
+        carrier = RumorCarrier([rumors], bits)
         run_relay(ctx, layers, k_caps, window, carrier, state=state)
         ones = np.where(r1 >= 0, r1, 0).sum(axis=1)
         zeros = np.where(r0 >= 0, r0, 0).sum(axis=1)

@@ -24,7 +24,8 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Iterator, Optional
+from types import MappingProxyType
+from typing import Any, Callable, Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -52,7 +53,7 @@ class MessageIntent:
     payload: Any = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class CrashDecision:
     """Adversary output for one round.
 
@@ -63,10 +64,22 @@ class CrashDecision:
     """
 
     newly_crashed: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    partial_delivery: dict[int, np.ndarray] = field(default_factory=dict)
+    partial_delivery: Mapping[int, np.ndarray] = field(default_factory=dict)
 
 
-EMPTY_DECISION = CrashDecision()
+def _empty_decision() -> CrashDecision:
+    """The no-crash decision, shared by every adversary that passes a round.
+
+    Its array is read-only and its mapping a read-only proxy, so an
+    adversary that mutates the shared instance fails at once instead of
+    leaking crashes into every later round that returns it.
+    """
+    nobody = np.zeros(0, dtype=np.int64).view()  # a view cannot be resized
+    nobody.flags.writeable = False
+    return CrashDecision(nobody, MappingProxyType({}))
+
+
+EMPTY_DECISION = _empty_decision()
 
 
 class AdversaryView:

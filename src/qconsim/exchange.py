@@ -21,6 +21,13 @@ the next epoch starts.
 Several disjoint groups can run the pattern in lock-step: each process uses
 the layer caps of its own group while the epoch/iteration counts come from
 the window parameters (derived from the largest group).
+
+Payloads are max-merged by a carrier after each response round.  The rumor
+carrier (gossip and counting) merges on the delivered edges: it lists them
+once per round, sorted by recipient, skips every edge whose sender row
+already equals its recipient row, and max-reduces the rest per recipient
+segment.  The key carrier (coin) has one column per process, so an edge
+list saves it nothing over a dense masked max and stays dense.
 """
 
 from __future__ import annotations
@@ -92,7 +99,12 @@ def _adapt_vec(ad: np.ndarray, delivered: np.ndarray, delta: int,
 
 
 class KeyCarrier:
-    """Payload for the coin: one hidden max-mergeable key per process."""
+    """Payload for the coin: one hidden max-mergeable key per process.
+
+    ``merge`` stays a dense masked max over the (n, n) delivered matrix.
+    With a single key column the edge-list gather and segment reduce used by
+    ``RumorCarrier`` cost more than they save.
+    """
 
     def __init__(self, keys: np.ndarray, bits: int, qubits: int):
         self.keys = keys.astype(np.int64)
@@ -114,6 +126,15 @@ class RumorCarrier:
 
     Each matrix is (n, n_keys) with -1 marking an absent rumor; all matrices
     ride in the same message (one classical payload).
+
+    ``merge`` works on the delivered edges, not on an (n, n, n_keys)
+    temporary.  It lists the edges once, sorted by recipient.  Then, per
+    matrix, it labels rows by exact byte equality and drops every edge whose
+    sender row equals its recipient row: the max of two equal rows is that
+    row, so such an edge cannot change anything.  Once the rumors have
+    spread, almost every delivered edge is of this kind.  The surviving
+    sender rows are gathered and max-reduced per recipient segment, and the
+    result is written back in place.
     """
 
     def __init__(self, matrices: list[np.ndarray], bits: int):
@@ -128,12 +149,26 @@ class RumorCarrier:
         return classical, None
 
     def merge(self, delivered: np.ndarray) -> None:
-        if not delivered.any():
+        dst, src = np.nonzero(delivered.T)  # edges sorted by recipient
+        if dst.size == 0:
             return
-        mask = delivered[:, :, None]
         for m in self.matrices:
-            incoming = np.where(mask, m[:, None, :], -1).max(axis=0)
-            np.maximum(m, incoming, out=m)
+            labels = _row_labels(m)
+            keep = labels[src] != labels[dst]
+            if not keep.any():
+                continue
+            s, d = src[keep], dst[keep]
+            starts = np.flatnonzero(np.r_[True, d[1:] != d[:-1]])
+            rcpt = d[starts]
+            incoming = np.maximum.reduceat(m[s], starts, axis=0)
+            m[rcpt] = np.maximum(m[rcpt], incoming)
+
+
+def _row_labels(m: np.ndarray) -> np.ndarray:
+    """Integer label per row of a 2-D array; equal labels iff equal bytes."""
+    rows = np.ascontiguousarray(m)
+    void = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))
+    return np.unique(void.ravel(), return_inverse=True)[1]
 
 
 @dataclass

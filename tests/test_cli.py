@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +45,25 @@ def test_config_error_exit_code(tmp_path):
     assert main(["run", "--config", cfg2]) == 2
     missing = str(tmp_path / "missing.json")
     assert main(["run", "--config", missing]) == 2
+
+
+def test_t_above_n_is_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "r.json",
+                    {"n": 8, "t": 20, "seed": 1, "preset": "polylog"})
+    assert main(["run", "--config", cfg]) == 2
+    coin = write_cfg(tmp_path, "c.json", {"n": 8, "t": 20, "seeds": 2})
+    assert main(["coin-stats", "--config", coin]) == 2
+    assert "t must be at most n" in capsys.readouterr().err
+
+
+def test_readme_run_example_is_accepted(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"Example `run.json`:\s*```json\n(.*?)```", readme,
+                      re.S)
+    cfg = write_cfg(tmp_path, "run.json", json.loads(block.group(1)))
+    out = tmp_path / "out.json"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["adversary"] == "random_crasher"
 
 
 def test_qsim_seed_env_overrides(tmp_path):

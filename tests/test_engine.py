@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from qconsim.adversaries import Adversary
-from qconsim.engine import (AdversaryViolation, CrashDecision, MessageIntent,
-                            RoundCapExceeded, SimContext, deliver_round,
-                            run_simulation)
+from qconsim.engine import (EMPTY_DECISION, AdversaryViolation, CrashDecision,
+                            MessageIntent, RoundCapExceeded, SimContext,
+                            deliver_round, run_simulation)
 from qconsim.rng import substream
 
 
@@ -187,3 +187,17 @@ def test_intents_materialization():
     ctx.exchange(targets, bits=4, qubits=2)
     assert {(m.sender, m.recipient) for m in captured} == {(0, 1), (2, 0)}
     assert all(m.classical_bits == 4 and m.qubit_count == 2 for m in captured)
+
+
+def test_empty_decision_is_immutable():
+    """The shared no-crash decision cannot be changed by an adversary."""
+    with pytest.raises(ValueError):
+        EMPTY_DECISION.newly_crashed.resize(1, refcheck=False)
+    with pytest.raises(ValueError):
+        EMPTY_DECISION.newly_crashed[...] = 0
+    with pytest.raises(TypeError):
+        EMPTY_DECISION.partial_delivery[0] = np.ones(3, dtype=bool)
+    with pytest.raises(AttributeError):
+        EMPTY_DECISION.newly_crashed = np.array([0])
+    assert EMPTY_DECISION.newly_crashed.size == 0
+    assert len(EMPTY_DECISION.partial_delivery) == 0

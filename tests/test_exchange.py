@@ -1,12 +1,12 @@
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qconsim.adversaries import Adversary
 from qconsim.engine import SimContext
-from qconsim.exchange import (KeyCarrier, Window, _adapt_vec, adapt_degree,
-                              clog2, end_epoch_update, gamma_of, run_relay,
-                              shared_group_layers, private_layers)
+from qconsim.exchange import (KeyCarrier, RumorCarrier, Window, _adapt_vec,
+                              adapt_degree, clog2, end_epoch_update, gamma_of,
+                              run_relay, shared_group_layers, private_layers)
 from qconsim.rng import substream
 
 
@@ -62,6 +62,68 @@ def test_vectorized_adapt_matches_reference(levels, current, delta):
     delivered[:-1, -1] = True  # everyone else responded to the last process
     out = _adapt_vec(ad, delivered, delta, k_max=4)
     assert out[-1] == adapt_degree(levels, current, delta)
+
+
+# -- rumor merge: per-edge reference ---------------------------------------
+
+def reference_rumor_merge(matrices, delivered):
+    """Per-edge max-merge: every delivered sender row, as it was before the
+    round, is max-merged into its recipient's row."""
+    before = [m.copy() for m in matrices]
+    out = [m.copy() for m in matrices]
+    n = delivered.shape[0]
+    for p in range(n):
+        for q in range(n):
+            if delivered[p, q]:
+                for b, o in zip(before, out):
+                    o[q] = np.maximum(o[q], b[p])
+    return out
+
+
+@st.composite
+def rumor_matrix(draw, n):
+    """An (n, width) rumor matrix whose rows come from a small pool, so many
+    rows are byte-equal and the equal-row skip has edges to drop."""
+    width = draw(st.integers(1, 6))
+    pool = draw(st.lists(st.lists(st.integers(-1, 3), min_size=width,
+                                  max_size=width), min_size=1, max_size=3))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n,
+                          max_size=n))
+    return np.array([pool[i] for i in picks], dtype=np.int64).reshape(n, width)
+
+
+@st.composite
+def merge_case(draw):
+    n = draw(st.integers(1, 12))
+    matrices = draw(st.lists(rumor_matrix(n), min_size=1, max_size=3))
+    kind = draw(st.sampled_from(["empty", "full", "random"]))
+    if kind == "empty":
+        delivered = np.zeros((n, n), dtype=bool)
+    elif kind == "full":
+        delivered = ~np.eye(n, dtype=bool)
+    else:
+        cells = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+        delivered = np.array(cells, dtype=bool).reshape(n, n)
+    return matrices, delivered
+
+
+@settings(max_examples=400, deadline=None)
+@given(merge_case())
+# rows 0 and 1 are equal in the first matrix only, so the edge 0 -> 1 may be
+# skipped for that matrix but must still carry the second one's 5
+@example(([np.array([[1, 2], [1, 2], [0, 0]], dtype=np.int64),
+           np.array([[5], [-1], [5]], dtype=np.int64)],
+          np.array([[0, 1, 0], [0, 0, 0], [0, 1, 0]], dtype=bool)))
+def test_rumor_merge_matches_per_edge_reference(case):
+    matrices, delivered = case
+    expected = reference_rumor_merge(matrices, delivered)
+    carrier = RumorCarrier([m.copy() for m in matrices], bits=1)
+    kept = list(carrier.matrices)
+    carrier.merge(delivered)
+    for got, ref, alias in zip(carrier.matrices, expected, kept):
+        assert got is alias  # merged in place
+        assert (got == ref).all()
+
 
 
 # -- layers -------------------------------------------------------------
