@@ -4,14 +4,12 @@ from .adversaries import (Adversary, DegreeTargeter, RandomCrasher,
                           SplitAttacker, make_adversary)
 from .coin import CoinParams, HiddenRegister, init_register, merge_registers, run_coin
 from .consensus import (ConsensusParams, ConsensusResult, PhaseAction,
-                        phase_decision, run_consensus, should_stop)
+                        phase_rule, run_consensus, should_stop)
 from .counting import CountingParams, fast_counting, partition, partition_levels
-from .engine import (CostLedger, CrashDecision, MessageIntent, SimContext,
-                     Transcript, deliver_round, run_simulation)
-from .gossip import RumorSet, merge_rumors, run_gossip
-from .graphs import (PropertyReport, delta_core, dense_neighborhood,
-                     is_compact, is_edge_dense, is_expanding, sample_gnp,
-                     sample_layers)
+from .engine import (CostLedger, CrashDecision, SimContext, Transcript,
+                     run_simulation)
+from .graphs import (PropertyReport, delta_core, is_compact, is_edge_dense,
+                     is_expanding, sample_gnp)
 from .rng import split_rng, substream
 
 __version__ = "0.1.0"

@@ -24,6 +24,8 @@ class Adversary:
         self.params = params
 
     def reset(self, n: int, t: int, seed: int) -> None:
+        """Prepare for a run on n processes; ValueError if the strategy's
+        params do not fit n."""
         self.n = n
         self.t = t
         self.rng = adversary_rng(seed, self.name)
@@ -109,6 +111,8 @@ class SplitAttacker(Adversary):
     def reset(self, n: int, t: int, seed: int) -> None:
         super().reset(n, t, seed)
         a, b = self.pair if self.pair is not None else (0, n - 1)
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValueError(f"pair ({a}, {b}) must lie in [0, {n})")
         self.side_a = np.zeros(n, dtype=bool)
         self.side_b = np.zeros(n, dtype=bool)
         self.side_a[a] = True

@@ -9,7 +9,8 @@ Subcommands:
 All commands take --config (JSON, validated against a schema), --out,
 --format and --jobs.  The QSIM_SEED environment variable overrides the
 config seed.  Exit codes: 0 success, 2 bad configuration, 3 a protocol
-invariant (agreement/validity) was violated.
+invariant (agreement/validity) was violated, 4 a run hit its phase or round
+cap without terminating (liveness failure).
 """
 
 from __future__ import annotations
@@ -28,13 +29,14 @@ import numpy as np
 
 from .adversaries import ADVERSARY_NAMES, make_adversary
 from .coin import CoinParams, run_coin
-from .consensus import ConsensusParams, run_consensus
-from .engine import SimContext, SimulationError
+from .consensus import ConsensusParams, PhaseCapExceeded, run_consensus
+from .engine import RoundCapExceeded, SimContext, SimulationError
 from .graphs import (is_compact, is_edge_dense, is_expanding, sample_gnp)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INVARIANT = 3
+EXIT_LIVENESS = 4
 
 _ADVERSARY_SCHEMA = {
     "type": "object",
@@ -191,13 +193,24 @@ def _crash_bound(cfg: dict, n: int) -> int:
     return t
 
 
+def _adversary(adv_cfg: dict, n: int, t: int, seed: int):
+    """The configured adversary, checked against n; bad params are a config
+    error."""
+    try:
+        adversary = make_adversary(adv_cfg["name"],
+                                   **adv_cfg.get("params", {}))
+        adversary.reset(n, t, seed)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad adversary params: {exc}") from None
+    return adversary
+
+
 def _one_run(cfg: dict) -> dict:
     n = cfg["n"]
     seed = cfg["seed"]
     t = _crash_bound(cfg, n)
     params = _params_for(cfg["preset"], n, cfg.get("epsilon", 0.5))
-    adv_cfg = cfg.get("adversary", {"name": "none"})
-    adversary = make_adversary(adv_cfg["name"], **adv_cfg.get("params", {}))
+    adversary = _adversary(cfg.get("adversary", {"name": "none"}), n, t, seed)
     inputs = _make_inputs(cfg.get("inputs", "random"), n, seed)
     result = run_consensus(inputs, params, t, adversary, seed,
                            record_rounds=cfg.get("record_rounds", False))
@@ -225,7 +238,7 @@ _SWEEP_COLUMNS = ["n", "t", "preset", "adversary", "seed", "phases", "rounds",
 def _sweep_cell(job: tuple) -> dict:
     n, t, preset, epsilon, adv_cfg, seed, inputs_spec = job
     params = _params_for(preset, n, epsilon)
-    adversary = make_adversary(adv_cfg["name"], **adv_cfg.get("params", {}))
+    adversary = _adversary(adv_cfg, n, t, seed)
     inputs = _make_inputs(inputs_spec, n, seed)
     result = run_consensus(inputs, params, t, adversary, seed)
     led = result.transcript.ledger
@@ -284,7 +297,7 @@ def wilson_lower(successes: int, trials: int, z: float = 1.96) -> float:
 
 def _coin_cell(job: tuple) -> tuple[int, int, bool]:
     n, t, d, alpha, adv_cfg, seed = job
-    adversary = make_adversary(adv_cfg["name"], **adv_cfg.get("params", {}))
+    adversary = _adversary(adv_cfg, n, t, seed)
     ctx = SimContext(n, t, adversary, seed)
     params = CoinParams.make(n, d=d, alpha=alpha)
     bits = run_coin(ctx, params)
@@ -383,6 +396,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except (PhaseCapExceeded, RoundCapExceeded) as exc:
+        print(f"liveness failure: {exc}", file=sys.stderr)
+        return EXIT_LIVENESS
     except SimulationError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

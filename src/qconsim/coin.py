@@ -7,9 +7,10 @@ the lexicographically larger (leader_value, origin) pair, so the tie-break is
 exact and the surviving register is the max over every relay path.  The final
 output of a process is the coin bit of the register it holds.
 
-Register contents are hidden payloads: the adversary schedules crashes with
-full classical information but never observes leader values or coin bits, so
-it cannot target the eventual leader except by luck.
+Register contents are hidden: the relay hands only the adaptive degrees to
+the engine, so the adversary schedules crashes with full classical
+information but never observes leader values or coin bits, and it cannot
+target the eventual leader except by luck.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import SimContext
-from .exchange import KeyCarrier, Window, clog2, gamma_of, private_layers, run_relay
-from .graphs import layer_count
+from .exchange import KeyCarrier, Window, clog2, private_layers, run_relay
 from .rng import split_rng
 
 
@@ -48,39 +48,28 @@ def merge_registers(a: HiddenRegister, b: HiddenRegister) -> HiddenRegister:
 
 @dataclass(frozen=True)
 class CoinParams:
-    """Derived schedule constants for one coin invocation on n processes."""
+    """Schedule for one coin invocation on n processes."""
 
     n: int
     d: int
     alpha: int
-    k: int
-    gamma: int
-    delta: int
-    epochs: int
-    iterations: int
+    window: Window
 
     @classmethod
-    def make(cls, n: int, d: int | None = None, alpha: int | None = None,
-             delta: int | None = None, validate_scale: bool = False
+    def make(cls, n: int, d: int | None = None, alpha: int | None = None
              ) -> "CoinParams":
+        """d and alpha default to max(2, ceil(log2 n))."""
         base = max(2, clog2(n))
         d = base if d is None else d
         alpha = base if alpha is None else alpha
         if d < 1 or alpha < 2:
             raise ValueError("need d >= 1 and alpha >= 2")
-        if validate_scale and (d < clog2(n) or alpha < clog2(n)):
-            raise ValueError("d and alpha must be at least ceil(log2 n)")
-        k = layer_count(n, d, alpha)
-        gamma = gamma_of(n, alpha)
-        if delta is None:
-            delta = -(-2 * alpha // 3)
-        return cls(n=n, d=d, alpha=alpha, k=k, gamma=gamma, delta=delta,
-                   epochs=(k + 2) ** 2, iterations=gamma + 1)
+        return cls(n=n, d=d, alpha=alpha, window=Window.for_size(n, d, alpha))
 
     @property
     def rounds(self) -> int:
         """Exact number of engine rounds one invocation consumes."""
-        return self.epochs * self.iterations * 2
+        return self.window.rounds
 
     @property
     def register_qubits(self) -> int:
@@ -88,10 +77,7 @@ class CoinParams:
 
     @property
     def response_bits(self) -> int:
-        return clog2(self.n) + clog2(self.k + 1)
-
-    def window(self) -> Window:
-        return Window(self.epochs, self.iterations, self.delta)
+        return clog2(self.n) + clog2(self.window.k + 1)
 
 
 def run_coin(ctx: SimContext, params: CoinParams, tag="coin",
@@ -112,6 +98,6 @@ def run_coin(ctx: SimContext, params: CoinParams, tag="coin",
     keys = leaders * n + np.arange(n)
     layers, k_caps = private_layers(n, params.d, params.alpha, ctx.seed, tag)
     carrier = KeyCarrier(keys, params.response_bits, params.register_qubits)
-    run_relay(ctx, layers, k_caps, params.window(), carrier, state=state)
+    run_relay(ctx, layers, k_caps, params.window, carrier, state=state)
     origin = carrier.keys % n
     return coin_bits[origin]

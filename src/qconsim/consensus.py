@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
+from enum import IntEnum
 
 import numpy as np
 
@@ -29,37 +29,40 @@ from .engine import SimContext, SimulationError, Transcript, run_simulation
 from .exchange import clog2
 
 
-class PhaseAction(Enum):
-    DECIDE1 = "decide1"
-    LEAN1 = "lean1"
-    DECIDE0 = "decide0"
-    LEAN0 = "lean0"
-    FLIP = "flip"
+class PhaseAction(IntEnum):
+    """Outcome of the phase rule for one process; phase_rule returns these."""
+
+    DECIDE1 = 0
+    LEAN1 = 1
+    DECIDE0 = 2
+    LEAN0 = 3
+    FLIP = 4
 
 
-def phase_decision(ones: int, total: int) -> PhaseAction:
-    """Threshold rule on the fuzzy counts, in exact integer arithmetic.
+def phase_rule(ones, totals) -> np.ndarray:
+    """Threshold rule on the fuzzy counts, per process, as PhaseAction codes.
 
-    Equivalent to comparing ones against (7N-1)/10, (6N-1)/10, (4N-1)/10 and
-    (5N-1)/10 without rationals.
+    The first of these holds: 10*O > 7N-1 decides 1, 10*O > 6N-1 leans 1,
+    10*O < 4N-1 decides 0, 10*O < 5N-1 leans 0; otherwise the process
+    flips.  That is O compared against (7N-1)/10, (6N-1)/10, (4N-1)/10 and
+    (5N-1)/10 in exact integer arithmetic.
     """
-    if not 0 <= ones <= total:
+    ones = np.asarray(ones, dtype=np.int64)
+    totals = np.asarray(totals, dtype=np.int64)
+    if ((ones < 0) | (ones > totals)).any():
         raise ValueError("need 0 <= ones <= total")
     o10 = 10 * ones
-    if o10 > 7 * total - 1:
-        return PhaseAction.DECIDE1
-    if o10 > 6 * total - 1:
-        return PhaseAction.LEAN1
-    if o10 < 4 * total - 1:
-        return PhaseAction.DECIDE0
-    if o10 < 5 * total - 1:
-        return PhaseAction.LEAN0
-    return PhaseAction.FLIP
+    return np.select(
+        [o10 > 7 * totals - 1, o10 > 6 * totals - 1,
+         o10 < 4 * totals - 1, o10 < 5 * totals - 1],
+        [PhaseAction.DECIDE1, PhaseAction.LEAN1,
+         PhaseAction.DECIDE0, PhaseAction.LEAN0], PhaseAction.FLIP)
 
 
-def should_stop(n_minus3: int, n_minus2: int, n_now: int) -> bool:
+def should_stop(n_minus3, n_minus2, n_now):
     """Decided processes halt when the running set shrank by at most a tenth
-    of its recent size over the last three phases."""
+    of its recent size over the last three phases.  Works per process on
+    arrays of survivor counts."""
     return 10 * (n_minus3 - n_now) <= n_minus2
 
 
@@ -195,33 +198,27 @@ def _consensus_protocol(ctx: SimContext, inputs: np.ndarray,
             n3 = totals_history[-4]
             n2 = totals_history[-3]
             check = decided & ctx.active
-            stopped = check & (10 * (n3 - totals) <= n2)
+            stopped = check & should_stop(n3, n2, totals)
             decisions[stopped] = b[stopped]
             ctx.halt(stopped)
             decided &= ~check  # survivors of the check start over undecided
 
-        act_ones = ones
-        act_tot = totals
         running = ctx.active
-        o10 = 10 * act_ones
-        decide1 = running & (o10 > 7 * act_tot - 1)
-        lean1 = running & ~decide1 & (o10 > 6 * act_tot - 1)
-        decide0 = running & ~decide1 & ~lean1 & (o10 < 4 * act_tot - 1)
-        lean0 = (running & ~decide1 & ~lean1 & ~decide0
-                 & (o10 < 5 * act_tot - 1))
-        flip = running & ~(decide1 | lean1 | decide0 | lean0)
-        decided = decided | decide1 | decide0
-        decided &= running
-        b[decide1 | lean1] = 1
-        b[decide0 | lean0] = 0
+        action = np.where(running, phase_rule(ones, totals), -1)
+        decide1 = action == PhaseAction.DECIDE1
+        decide0 = action == PhaseAction.DECIDE0
+        flip = action == PhaseAction.FLIP
+        decided = (decided | decide1 | decide0) & running
+        b[decide1 | (action == PhaseAction.LEAN1)] = 1
+        b[decide0 | (action == PhaseAction.LEAN0)] = 0
 
         coin_bits = run_coin(ctx, coin, tag=("coin", phase), state=state)
         b[flip] = coin_bits[flip]
 
         stats_out.append(PhaseStats(
             phase=phase,
-            max_ones=int(act_ones[running].max(initial=0)),
-            max_total=int(act_tot[running].max(initial=0)),
+            max_ones=int(ones[running].max(initial=0)),
+            max_total=int(totals[running].max(initial=0)),
             flips=int(flip.sum()),
             decided=int(decided.sum()),
             stopped=int(stopped.sum()),

@@ -18,7 +18,6 @@ import numpy as np
 
 from .engine import SimContext
 from .exchange import RumorCarrier, Window, clog2, run_relay, shared_group_layers
-from .gossip import rumor_response_bits
 
 
 def partition(members: list[int], x: int) -> list[list[int]]:
@@ -63,8 +62,11 @@ class CountingParams:
     d: int
     alpha: int
 
-    def depth(self, n: int) -> int:
-        return len(partition_levels(n, self.x)) if n > 1 else 0
+
+def rumor_response_bits(n_keys: int, value_bits: int, k: int,
+                        instances: int) -> int:
+    """Bits per response: the encoded rumor sets plus the adaptive degree."""
+    return n_keys * value_bits * instances + clog2(k + 1)
 
 
 def fast_counting(ctx: SimContext, a: np.ndarray, params: CountingParams,

@@ -2,13 +2,14 @@
 
 Execution proceeds in lock-step rounds.  Each round the protocol hands the
 engine an intent batch: a boolean (n, n) matrix of sender->recipient targets
-plus per-sender cost in classical bits and qubits, an optional classical
-payload (dict of per-sender arrays), and an optional hidden payload.  The
-adversary is consulted with a view of everything classical -- targets, costs,
-classical payloads, protocol state, the full crash/halt picture -- but never
-the hidden payload.  It may crash senders mid-multicast, choosing which
-subset of their messages is still delivered, subject to a strict total budget
-of fewer than t crashes.
+plus per-sender cost in classical bits and qubits and an optional classical
+payload (dict of per-sender arrays).  The adversary is consulted with a view
+of everything the engine holds -- targets, costs, classical payloads,
+protocol state, the full crash/halt picture.  Hidden state (the coin's
+registers) is never handed to the engine, so no view can reach it.  The
+adversary may crash senders mid-multicast, choosing which subset of their
+messages is still delivered, subject to a strict total budget of fewer than
+t crashes.
 
 Cost accounting: an alive sender pays for every message it attempts; a sender
 crashed in the very round of its multicast pays only for the delivered
@@ -25,7 +26,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Any, Callable, Iterator, Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -40,17 +41,6 @@ class RoundCapExceeded(SimulationError):
 
 class AdversaryViolation(SimulationError):
     """The adversary returned an illegal crash decision."""
-
-
-@dataclass(frozen=True)
-class MessageIntent:
-    """One attempted message.  Ids are 0-based engine indices."""
-
-    sender: int
-    recipient: int
-    classical_bits: int
-    qubit_count: int
-    payload: Any = None
 
 
 @dataclass(frozen=True)
@@ -86,7 +76,7 @@ class AdversaryView:
     """Read-only classical snapshot handed to the adversary each round.
 
     Holds references to live engine arrays for speed; adversaries must not
-    mutate them.  Hidden payloads are not reachable from a view.
+    mutate them.  Hidden state is not reachable from a view.
     """
 
     __slots__ = (
@@ -120,16 +110,6 @@ class AdversaryView:
     @property
     def crash_budget_left(self) -> int:
         return max(0, self.t - 1 - self.crashes_used)
-
-    def intents(self) -> Iterator[MessageIntent]:
-        """Materialize the intent batch as individual messages."""
-        senders, recipients = np.nonzero(self.targets)
-        for s, r in zip(senders.tolist(), recipients.tolist()):
-            pl = None
-            if self.payload:
-                pl = {k: v[s] for k, v in self.payload.items()}
-            yield MessageIntent(s, r, int(self.bits_per_message[s]),
-                                int(self.qubits_per_message[s]), pl)
 
 
 @dataclass
@@ -229,7 +209,6 @@ class SimContext:
         self._hash = hashlib.sha256(f"{n}|{t}|{seed}".encode())
         self.record_rounds = record_rounds
         self.round_records: list = [] if record_rounds else None
-        self._no_targets = np.zeros((n, n), dtype=bool)
 
     # -- state queries -------------------------------------------------
 
@@ -245,13 +224,13 @@ class SimContext:
     # -- the one communication primitive --------------------------------
 
     def exchange(self, targets: np.ndarray, bits, qubits=0,
-                 payload: Optional[dict] = None, hidden: Optional[dict] = None,
+                 payload: Optional[dict] = None,
                  state: Optional[dict] = None) -> np.ndarray:
         """Run one synchronous round; return the delivered (n, n) bool matrix.
 
         ``bits``/``qubits`` are per-message costs, scalar or per-sender
-        arrays.  ``payload`` (classical) is shown to the adversary; ``hidden``
-        never is.  ``state`` is extra classical protocol state for the view.
+        arrays.  ``payload`` (classical) is shown to the adversary.
+        ``state`` is extra classical protocol state for the view.
         """
         if self.round >= self.round_cap:
             raise RoundCapExceeded(f"round cap {self.round_cap} reached")
@@ -313,10 +292,6 @@ class SimContext:
         self.round += 1
         return delivered
 
-    def idle_round(self, state: Optional[dict] = None) -> None:
-        """A round in which nobody sends (keeps the schedule in lock-step)."""
-        self.exchange(self._no_targets, 0, state=state)
-
     # -- wrap-up ---------------------------------------------------------
 
     def finish(self, outputs: dict, adversary_name: str) -> Transcript:
@@ -331,32 +306,6 @@ class SimContext:
             digest=self._hash.hexdigest(),
             round_records=self.round_records,
         )
-
-
-def deliver_round(intents: list[MessageIntent], decision: CrashDecision,
-                  alive: np.ndarray) -> dict[int, list[MessageIntent]]:
-    """Reference per-message delivery semantics.
-
-    Given an intent list, a crash decision, and the alive mask *before* the
-    round, return recipient -> delivered messages.  The vectorized engine is
-    tested against this function.
-    """
-    newly = set(int(p) for p in np.asarray(decision.newly_crashed).tolist())
-    alive_after = alive.copy()
-    for p in newly:
-        alive_after[p] = False
-    inbox: dict[int, list[MessageIntent]] = {}
-    for m in intents:
-        if not alive[m.sender]:
-            continue
-        if m.sender in newly:
-            keep = decision.partial_delivery.get(m.sender)
-            if keep is None or not keep[m.recipient]:
-                continue
-        if not alive_after[m.recipient]:
-            continue
-        inbox.setdefault(m.recipient, []).append(m)
-    return inbox
 
 
 def run_simulation(protocol: Callable[[SimContext], dict], n: int, t: int,

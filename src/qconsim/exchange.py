@@ -1,8 +1,8 @@
 """Adaptive inquiry/response relay.
 
-This is the communication pattern shared by the weak coin, gossip, and the
-per-group exchanges inside fuzzy counting.  Time is organized into epochs,
-each consisting of testing iterations of two strict rounds:
+This is the communication pattern shared by the weak coin and the
+per-group gossip exchanges inside fuzzy counting.  Time is organized into
+epochs, each consisting of testing iterations of two strict rounds:
 
   round A -- every participant sends a 1-bit inquiry to its current
              neighborhood layer N_p(d * alpha^degree_level);
@@ -22,12 +22,14 @@ Several disjoint groups can run the pattern in lock-step: each process uses
 the layer caps of its own group while the epoch/iteration counts come from
 the window parameters (derived from the largest group).
 
-Payloads are max-merged by a carrier after each response round.  The rumor
-carrier (gossip and counting) merges on the delivered edges: it lists them
-once per round, sorted by recipient, skips every edge whose sender row
-already equals its recipient row, and max-reduces the rest per recipient
-segment.  The key carrier (coin) has one column per process, so an edge
-list saves it nothing over a dense masked max and stays dense.
+Payloads are max-merged by a carrier after each response round.  Only the
+carrier's classical payload is handed to the engine, and so to the
+adversary; the coin's register keys never leave the carrier.  The rumor
+carrier (counting) merges on the delivered edges: it lists them once per
+round, sorted by recipient, skips every edge whose sender row already
+equals its recipient row, and max-reduces the rest per recipient segment.
+The key carrier (coin) has one column per process, so an edge list saves it
+nothing over a dense masked max and stays dense.
 """
 
 from __future__ import annotations
@@ -56,35 +58,25 @@ def gamma_of(m: int, alpha: int) -> int:
     return g
 
 
-def adapt_degree(responder_levels: list[int], current: int, delta: int) -> int:
-    """New adaptive-degree level after one response round (reference version).
-
-    ``responder_levels`` are the adaptive-degree levels reported by the
-    processes that responded this iteration; levels encode degrees d*alpha^x,
-    with level -1 standing for the underflow value d/alpha.  Loop-exact: while
-    fewer than ``delta`` responders report a level >= the current one and the
-    current level is still >= 0 (degree >= d), the level drops by one.  The
-    terminal level -1 is what makes the degree grow at the end of the epoch.
-    """
-    x = current
-    while x >= 0 and sum(1 for r in responder_levels if r >= x) < delta:
-        x -= 1
-    return x
-
-
-def end_epoch_update(degree_level: int, adaptive_level: int, k: int) -> int:
-    """Degree level for the next epoch: grow one layer iff adaptation fell."""
-    if adaptive_level < degree_level:
-        return min(degree_level + 1, k)
-    return degree_level
+def end_epoch_update(degree_level: np.ndarray, adaptive_level: np.ndarray,
+                     k_caps: np.ndarray) -> np.ndarray:
+    """Degree levels for the next epoch: a process grows one layer, up to its
+    cap, iff its adaptive degree fell below its degree level."""
+    return np.where(adaptive_level < degree_level,
+                    np.minimum(degree_level + 1, k_caps), degree_level)
 
 
 def _adapt_vec(ad: np.ndarray, delivered: np.ndarray, delta: int,
                k_max: int) -> np.ndarray:
-    """Vectorized adapt_degree over all recipients at once.
+    """New adaptive-degree level of every recipient after one response round.
 
     delivered[p, q] means responder p's payload reached q; responder p
-    reported level ad[p].
+    reported level ad[p].  Levels encode degrees d*alpha^x, with level -1
+    standing for the underflow value d/alpha.  Per recipient this equals the
+    loop: while fewer than ``delta`` responders report a level >= the
+    current one and the current level is still >= 0 (degree >= d), the
+    level drops by one.  The terminal level -1 is what makes the degree grow
+    at the end of the epoch.
     """
     counts = np.zeros((k_max + 1, ad.size), dtype=np.int64)
     for lv in range(k_max + 1):
@@ -111,8 +103,8 @@ class KeyCarrier:
         self.bits = bits
         self.qubits = qubits
 
-    def payloads(self, ad: np.ndarray):
-        return {"adaptive_degree": ad}, {"register_key": self.keys}
+    def payloads(self, ad: np.ndarray) -> dict:
+        return {"adaptive_degree": ad}
 
     def merge(self, delivered: np.ndarray) -> None:
         if not delivered.any():
@@ -122,7 +114,7 @@ class KeyCarrier:
 
 
 class RumorCarrier:
-    """Payload for gossip/counting: per-key max-mergeable rumor matrices.
+    """Payload for counting: per-key max-mergeable rumor matrices.
 
     Each matrix is (n, n_keys) with -1 marking an absent rumor; all matrices
     ride in the same message (one classical payload).
@@ -142,11 +134,11 @@ class RumorCarrier:
         self.bits = bits
         self.qubits = 0
 
-    def payloads(self, ad: np.ndarray):
+    def payloads(self, ad: np.ndarray) -> dict:
         classical = {"adaptive_degree": ad}
         for i, m in enumerate(self.matrices):
             classical[f"rumors{i}"] = m
-        return classical, None
+        return classical
 
     def merge(self, delivered: np.ndarray) -> None:
         dst, src = np.nonzero(delivered.T)  # edges sorted by recipient
@@ -171,20 +163,33 @@ def _row_labels(m: np.ndarray) -> np.ndarray:
     return np.unique(void.ravel(), return_inverse=True)[1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Window:
-    """Lock-step schedule parameters for one adaptive-relay window."""
+    """Lock-step schedule of one adaptive-relay window.
 
-    epochs: int
-    iterations: int
+    ``k`` is the top layer level and ``gamma`` the iteration exponent of the
+    largest participating group; ``delta`` is the responder threshold of
+    degree adaptation.  The epoch and iteration counts follow from k and
+    gamma; every iteration takes two rounds.
+    """
+
+    k: int
+    gamma: int
     delta: int
 
     @classmethod
     def for_size(cls, m: int, d: int, alpha: int) -> "Window":
-        k = layer_count(m, d, alpha)
-        gamma = gamma_of(m, alpha)
-        return cls(epochs=(k + 2) ** 2, iterations=gamma + 1,
+        """The window for groups of at most m processes."""
+        return cls(k=layer_count(m, d, alpha), gamma=gamma_of(m, alpha),
                    delta=-(-2 * alpha // 3))
+
+    @property
+    def epochs(self) -> int:
+        return (self.k + 2) ** 2
+
+    @property
+    def iterations(self) -> int:
+        return self.gamma + 1
 
     @property
     def rounds(self) -> int:
@@ -208,15 +213,11 @@ def run_relay(ctx: SimContext, layers: np.ndarray, k_caps: np.ndarray,
         for _ in range(window.iterations):
             inq = layers[np.minimum(lvl, k_caps), rows, :]
             got_inq = ctx.exchange(inq, 1, state=state)
-            resp = got_inq.T
-            classical, hidden = carrier.payloads(ad)
-            got_resp = ctx.exchange(resp, carrier.bits, carrier.qubits,
-                                    payload=classical, hidden=hidden,
-                                    state=state)
-            ad_sent = ad
+            got_resp = ctx.exchange(got_inq.T, carrier.bits, carrier.qubits,
+                                    payload=carrier.payloads(ad), state=state)
             carrier.merge(got_resp)
-            ad = _adapt_vec(ad_sent, got_resp, window.delta, k_max)
-        lvl = np.where(ad < lvl, np.minimum(lvl + 1, k_caps), lvl)
+            ad = _adapt_vec(ad, got_resp, window.delta, k_max)
+        lvl = end_epoch_update(lvl, ad, k_caps)
 
 
 def _diameter_within(adj: np.ndarray, limit: int) -> bool:

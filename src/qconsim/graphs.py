@@ -10,7 +10,7 @@ always a valid witness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
@@ -50,21 +50,6 @@ def sample_gnp(n: int, y: float, seed: int) -> np.ndarray:
     return adj
 
 
-@dataclass
-class LayeredNeighborhoods:
-    """Per-process directed neighbor sets N_p(d*alpha^i) for i in [0, k]."""
-
-    n: int
-    d: int
-    alpha: int
-    k: int
-    masks: np.ndarray  # (k+1, n, n) bool; masks[i][p] = membership of N_p(d*alpha^i)
-    clamped: bool = False
-
-    def neighbors(self, p: int, i: int) -> np.ndarray:
-        return np.nonzero(self.masks[i][p])[0]
-
-
 def layer_count(m: int, d: int, alpha: int) -> int:
     """Smallest k with d*alpha^k >= m (equals ceil(log(m/d)/log alpha), floored at 0)."""
     k = 0
@@ -73,23 +58,6 @@ def layer_count(m: int, d: int, alpha: int) -> int:
         cap *= alpha
         k += 1
     return k
-
-
-def sample_layers(n: int, d: int, alpha: int, seed: int) -> LayeredNeighborhoods:
-    """Draw the layered neighborhoods used by the adaptive coin exchange."""
-    if d < 1 or alpha < 2:
-        raise ValueError("need d >= 1 and alpha >= 2")
-    k = layer_count(n, d, alpha)
-    masks = np.zeros((k + 1, n, n), dtype=bool)
-    clamped = d > n
-    for p in range(n):
-        rng = substream(seed, "layers", p)
-        for i in range(k + 1):
-            prob = min(1.0, d * alpha ** i / n)
-            row = rng.random(n) < prob
-            row[p] = False
-            masks[i, p] = row
-    return LayeredNeighborhoods(n, d, alpha, k, masks, clamped)
 
 
 def _internal_edges(adj: np.ndarray, nodes: np.ndarray) -> int:
@@ -224,34 +192,3 @@ def is_compact(adj: np.ndarray, ell: int, eps: float, delta: int,
                                   {"B": sorted(np.nonzero(members)[0].tolist()),
                                    "core_size": int(core.sum())})
     return PropertyReport("compact", params, True, f"randomized({trials})")
-
-
-def _ball(adj: np.ndarray, v: int, radius: int, alive: np.ndarray) -> np.ndarray:
-    """Nodes within graph distance ``radius`` of v inside the alive set."""
-    reach = np.zeros(adj.shape[0], dtype=bool)
-    reach[v] = True
-    for _ in range(radius):
-        grown = reach | ((adj & reach[None, :]).any(axis=1) & alive)
-        if (grown == reach).all():
-            break
-        reach = grown
-    return reach & alive
-
-
-def dense_neighborhood(adj: np.ndarray, v: int, gamma: int, delta: int,
-                       alive: np.ndarray) -> Optional[np.ndarray]:
-    """Maximal S within N^gamma(v) whose inner nodes (those within distance
-    gamma-1 of v) each have >= delta neighbors in S; None if v gets pruned."""
-    if not alive[v]:
-        raise ValueError("v must be alive")
-    s = _ball(adj, v, gamma, alive)
-    inner = _ball(adj, v, max(gamma - 1, 0), alive)
-    while True:
-        deg = (adj & s[None, :]).sum(axis=1)
-        bad = s & inner & (deg < delta)
-        if not bad.any():
-            break
-        s &= ~bad
-    if not s[v]:
-        return None
-    return s

@@ -7,17 +7,16 @@ run; the safety batch (criterion 1) dominates.
 """
 
 import math
-from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from oracles import phase_action_rational
 from qconsim.adversaries import Adversary, RandomCrasher, make_adversary
 from qconsim.cli import main as cli_main, wilson_lower
 from qconsim.coin import CoinParams, HiddenRegister, merge_registers, run_coin
-from qconsim.consensus import ConsensusParams, PhaseAction, phase_decision, \
-    run_consensus
+from qconsim.consensus import ConsensusParams, phase_rule, run_consensus
 from qconsim.counting import CountingParams, fast_counting, partition_levels
 from qconsim.engine import SimContext
 from qconsim.graphs import (delta_core, is_compact, is_edge_dense,
@@ -169,7 +168,8 @@ def test_criterion_5_structural_counts():
         params = CoinParams.make(n, d=d, alpha=alpha)
         ctx = SimContext(n, max(1, n // 3), Adversary(), seed=1)
         run_coin(ctx, params)
-        expected = (params.k + 2) ** 2 * (params.gamma + 1) * 2
+        w = params.window
+        expected = (w.k + 2) ** 2 * (w.gamma + 1) * 2
         coin_ok &= ctx.round == expected
 
     depth_ok = True
@@ -345,24 +345,13 @@ def test_criterion_8_oracle_equivalence():
         brute = max(regs, key=lambda r: (r.leader_value, r.origin))
         merge_ok &= folded == brute
 
-    def oracle(o, n_):
-        of = Fraction(o)
-        if of > Fraction(7 * n_ - 1, 10):
-            return PhaseAction.DECIDE1
-        if of > Fraction(6 * n_ - 1, 10):
-            return PhaseAction.LEAN1
-        if of < Fraction(4 * n_ - 1, 10):
-            return PhaseAction.DECIDE0
-        if of < Fraction(5 * n_ - 1, 10):
-            return PhaseAction.LEAN0
-        return PhaseAction.FLIP
-
-    phase_ok = all(phase_decision(o, n_) is oracle(o, n_)
-                   for n_ in range(0, 201) for o in range(0, n_ + 1))
+    totals, ones = np.nonzero(np.tri(201, dtype=bool))  # all O <= N <= 200
+    phase_ok = phase_rule(ones, totals).tolist() == [
+        phase_action_rational(o, n_) for o, n_ in zip(ones, totals)]
     _report(8, core_ok and merge_ok and phase_ok,
             f"delta-core vs exhaustive (200 graphs): {core_ok}; "
             f"merge vs brute max (10^4 triples): {merge_ok}; "
-            f"phase_decision vs rationals (all O<=N<=200): {phase_ok}")
+            f"phase_rule vs rationals (all O<=N<=200): {phase_ok}")
 
 
 # -- 9: determinism ----------------------------------------------------------------

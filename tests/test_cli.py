@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from qconsim.cli import main, wilson_lower
+from qconsim import cli
+from qconsim.cli import build_parser, main, wilson_lower
+from qconsim.consensus import PhaseCapExceeded
 
 
 def run_cli(args, env=None):
@@ -54,6 +56,53 @@ def test_t_above_n_is_config_error(tmp_path, capsys):
     coin = write_cfg(tmp_path, "c.json", {"n": 8, "t": 20, "seeds": 2})
     assert main(["coin-stats", "--config", coin]) == 2
     assert "t must be at most n" in capsys.readouterr().err
+
+
+BAD_ADVERSARIES = {
+    "unknown-param": {"name": "random_crasher", "params": {"bogus": 1}},
+    "pair-out-of-range": {"name": "split_attacker",
+                          "params": {"pair": [0, 99]}},
+}
+
+
+@pytest.mark.parametrize("bad", BAD_ADVERSARIES)
+def test_bad_adversary_params_are_config_errors(tmp_path, capsys, bad):
+    adversary = BAD_ADVERSARIES[bad]
+    configs = {
+        "run": {"n": 8, "seed": 1, "preset": "polylog"},
+        "sweep": {"n_list": [8], "seeds": 1, "presets": ["polylog"]},
+        "coin-stats": {"n": 8, "seeds": 1},
+    }
+    for command, cfg in configs.items():
+        path = write_cfg(tmp_path, "c.json", {**cfg, "adversary": adversary})
+        assert main([command, "--config", path,
+                     "--out", str(tmp_path / "o")]) == 2, command
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), (command, err)
+
+
+def test_liveness_failure_exit_code(tmp_path, monkeypatch, capsys):
+    def no_termination(*args, **kwargs):
+        raise PhaseCapExceeded("no termination within 120 phases")
+
+    monkeypatch.setattr(cli, "run_consensus", no_termination)
+    cfg = write_cfg(tmp_path, "r.json",
+                    {"n": 8, "seed": 1, "preset": "polylog"})
+    assert main(["run", "--config", cfg]) == cli.EXIT_LIVENESS == 4
+    assert "liveness failure" in capsys.readouterr().err
+
+
+def test_readme_cli_flags_parse():
+    """Every invocation in the README's CLI block parses; upper-case
+    metavariables such as N or K stand for numbers."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\s*```sh\n(.*?)```", readme, re.S).group(1)
+    lines = [ln for ln in block.splitlines() if ln.startswith("qconsim ")]
+    assert lines
+    for line in lines:
+        words = re.sub(r"[\[\]]", "", line).split()[1:]
+        argv = ["1" if w.isupper() else w for w in words]
+        build_parser().parse_args(argv)  # SystemExit on an unknown flag
 
 
 def test_readme_run_example_is_accepted(tmp_path):

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,23 +11,17 @@ from qconsim.rng import split_rng, substream
 
 def test_params_n16_d2_alpha2():
     p = CoinParams.make(16, d=2, alpha=2)
-    assert (p.k, p.gamma) == (3, 4)
-    assert (p.epochs, p.iterations) == (25, 5)
+    assert (p.window.k, p.window.gamma) == (3, 4)
+    assert (p.window.epochs, p.window.iterations) == (25, 5)
     assert p.rounds == 250
-    assert p.delta == 2  # ceil(2/3 * 2)
+    assert p.window.delta == 2  # ceil(2/3 * 2)
 
 
 def test_params_defaults_log_n():
     p = CoinParams.make(64)
     assert p.d == p.alpha == 6
-    assert p.delta == 4
+    assert p.window.delta == 4
     assert p.register_qubits == 3 * 6 + 1
-
-
-def test_params_scale_validation():
-    with pytest.raises(ValueError):
-        CoinParams.make(64, d=2, validate_scale=True)
-    CoinParams.make(64, d=2)  # desk-scale override is the default
 
 
 def test_init_register_uniform_leader_bits():
@@ -67,8 +60,9 @@ def test_coin_rounds_exact():
         params = CoinParams.make(n, d=d, alpha=alpha)
         ctx = SimContext(n, max(1, n // 3), Adversary(), seed=2)
         run_coin(ctx, params)
-        assert ctx.round == params.rounds == (params.k + 2) ** 2 \
-            * (params.gamma + 1) * 2
+        w = params.window
+        assert ctx.round == params.rounds == (w.k + 2) ** 2 \
+            * (w.gamma + 1) * 2
 
 
 def test_coin_crash_free_agreement():

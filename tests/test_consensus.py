@@ -1,51 +1,44 @@
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
+from oracles import phase_action_rational
 from qconsim.adversaries import (Adversary, DegreeTargeter, RandomCrasher,
                                  SplitAttacker, make_adversary)
 from qconsim.consensus import (ConsensusParams, PhaseAction, fallback_rounds,
-                               fallback_threshold, phase_decision,
-                               run_consensus, should_stop)
-
-
-def oracle_phase_decision(ones: int, total: int) -> PhaseAction:
-    """Same thresholds evaluated with exact rationals."""
-    o = Fraction(ones)
-    if o > Fraction(7 * total - 1, 10):
-        return PhaseAction.DECIDE1
-    if o > Fraction(6 * total - 1, 10):
-        return PhaseAction.LEAN1
-    if o < Fraction(4 * total - 1, 10):
-        return PhaseAction.DECIDE0
-    if o < Fraction(5 * total - 1, 10):
-        return PhaseAction.LEAN0
-    return PhaseAction.FLIP
+                               fallback_threshold, phase_rule, run_consensus,
+                               should_stop)
 
 
 def test_phase_decision_examples():
-    assert phase_decision(8, 10) is PhaseAction.DECIDE1
-    assert phase_decision(0, 1) is PhaseAction.DECIDE0
-    assert phase_decision(5, 10) is PhaseAction.FLIP
+    assert phase_rule(8, 10) == PhaseAction.DECIDE1
+    assert phase_rule(0, 1) == PhaseAction.DECIDE0
+    assert phase_rule(5, 10) == PhaseAction.FLIP
+    codes = phase_rule(np.array([8, 0, 5]), np.array([10, 1, 10]))
+    assert codes.tolist() == [PhaseAction.DECIDE1, PhaseAction.DECIDE0,
+                              PhaseAction.FLIP]
 
 
 def test_phase_decision_rejects_bad_input():
     with pytest.raises(ValueError):
-        phase_decision(5, 4)
+        phase_rule(5, 4)
+    with pytest.raises(ValueError):
+        phase_rule(np.array([1, -1]), np.array([2, 2]))
 
 
 def test_phase_decision_matches_rational_oracle_small_grid():
-    for total in range(0, 60):
-        for ones in range(0, total + 1):
-            assert phase_decision(ones, total) is \
-                oracle_phase_decision(ones, total)
+    totals, ones = np.nonzero(np.tri(60, dtype=bool))  # all 0 <= O <= N < 60
+    got = phase_rule(ones, totals)
+    want = [phase_action_rational(o, n) for o, n in zip(ones, totals)]
+    assert got.tolist() == want
 
 
 def test_should_stop_examples():
     assert not should_stop(100, 95, 80)   # shrank by 20 > 9.5
     assert should_stop(100, 98, 95)       # shrank by 5 <= 9.8
     assert should_stop(10, 10, 10)        # no shrink at all
+    stop = should_stop(np.array([100, 100, 10]), np.array([95, 98, 10]),
+                       np.array([80, 95, 10]))
+    assert stop.tolist() == [False, True, True]
 
 
 def test_fallback_threshold_shape():

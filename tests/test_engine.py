@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from oracles import MessageIntent, deliver_round
 from qconsim.adversaries import Adversary
 from qconsim.engine import (EMPTY_DECISION, AdversaryViolation, CrashDecision,
-                            MessageIntent, RoundCapExceeded, SimContext,
-                            deliver_round, run_simulation)
+                            RoundCapExceeded, SimContext, run_simulation)
 from qconsim.rng import substream
 
 
@@ -95,10 +95,11 @@ def test_cannot_crash_dead_process():
 
 def test_round_cap():
     ctx = SimContext(2, 1, Adversary(), seed=0, round_cap=3)
+    nobody = np.zeros((2, 2), dtype=bool)
     for _ in range(3):
-        ctx.idle_round()
+        ctx.exchange(nobody, 0)
     with pytest.raises(RoundCapExceeded):
-        ctx.idle_round()
+        ctx.exchange(nobody, 0)
 
 
 def test_vectorized_engine_matches_reference_delivery():
@@ -164,29 +165,9 @@ def test_view_exposes_classical_but_not_hidden():
             return CrashDecision()
 
     ctx = SimContext(3, 1, Spy(), seed=0)
-    secret = np.array([10, 20, 30])
-    ctx.exchange(_full_targets(3), bits=1,
-                 payload={"level": np.zeros(3)}, hidden={"reg": secret})
+    ctx.exchange(_full_targets(3), bits=1, payload={"level": np.zeros(3)})
     assert "level" in seen["payload"]
     assert not seen["has_hidden"]
-
-
-def test_intents_materialization():
-    captured = []
-
-    class Spy(Adversary):
-        name = "spy"
-
-        def decide(self, view):
-            captured.extend(view.intents())
-            return CrashDecision()
-
-    ctx = SimContext(3, 1, Spy(), seed=0)
-    targets = np.zeros((3, 3), dtype=bool)
-    targets[0, 1] = targets[2, 0] = True
-    ctx.exchange(targets, bits=4, qubits=2)
-    assert {(m.sender, m.recipient) for m in captured} == {(0, 1), (2, 0)}
-    assert all(m.classical_bits == 4 and m.qubit_count == 2 for m in captured)
 
 
 def test_empty_decision_is_immutable():

@@ -2,11 +2,12 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import adapt_degree
 from qconsim.adversaries import Adversary
 from qconsim.engine import SimContext
 from qconsim.exchange import (KeyCarrier, RumorCarrier, Window, _adapt_vec,
-                              adapt_degree, clog2, end_epoch_update, gamma_of,
-                              run_relay, shared_group_layers, private_layers)
+                              clog2, end_epoch_update, gamma_of, run_relay,
+                              shared_group_layers, private_layers)
 from qconsim.rng import substream
 
 
@@ -46,10 +47,11 @@ def test_adapt_stays_at_underflow():
 
 
 def test_end_epoch_update():
-    assert end_epoch_update(degree_level=1, adaptive_level=1, k=3) == 1
-    assert end_epoch_update(degree_level=1, adaptive_level=0, k=3) == 2
-    assert end_epoch_update(degree_level=0, adaptive_level=-1, k=3) == 1
-    assert end_epoch_update(degree_level=3, adaptive_level=-1, k=3) == 3  # cap
+    degree = np.array([1, 1, 0, 3, 1])
+    adaptive = np.array([1, 0, -1, -1, 0])
+    caps = np.array([3, 3, 3, 3, 1])
+    # unchanged, grow, grow from underflow, capped at 3, capped at own cap 1
+    assert end_epoch_update(degree, adaptive, caps).tolist() == [1, 2, 1, 3, 1]
 
 
 @settings(max_examples=200, deadline=None)
@@ -170,7 +172,8 @@ def test_shared_layers_deterministic():
 # -- relay schedule ---------------------------------------------------------
 
 def test_window_round_count():
-    w = Window.for_size(16, 2, 2)  # k=3, gamma=4
+    w = Window.for_size(16, 2, 2)
+    assert (w.k, w.gamma, w.delta) == (3, 4, 2)
     assert (w.epochs, w.iterations) == (25, 5)
     assert w.rounds == 250
 
@@ -192,7 +195,8 @@ def test_relay_charges_inquiry_and_response_costs():
     ctx = SimContext(n, 2, Adversary(), seed=1)
     layers, k_caps = private_layers(n, 2, 2, ctx.seed, "t")
     carrier = KeyCarrier(np.zeros(n, dtype=np.int64), bits=7, qubits=13)
-    run_relay(ctx, layers, k_caps, Window(1, 1, 2), carrier)
+    one_iteration = Window(k=-1, gamma=0, delta=2)  # 1 epoch of 1 iteration
+    run_relay(ctx, layers, k_caps, one_iteration, carrier)
     inquiries = int(layers[0].sum())
     assert ctx.ledger.bits.sum() == inquiries * (1 + 7)
     assert ctx.ledger.qubits.sum() == inquiries * 13

@@ -57,6 +57,53 @@ GOLDEN = [
       "fallback_triggers": 0,
       "digest": "fb38a4356b1a4b44e86e5cdd1c4b474ca40112d9b"
                 "c972f83fc50122a5d3f499b"}),
+    # n = 1 takes the early return: no phase, no round
+    ("n1-polylog-none", 1, 0, "polylog", "none", {}, 4, "1",
+     {"decisions": [1], "phases": 0, "rounds": 0,
+      "total_bits": 0, "total_qubits": 0, "crashed": [],
+      "fallback_triggers": 0,
+      "digest": "20d2ac23a3f0432d262473b015b02d5d34bd930c0"
+                "26d501bca502be2ad644f62"}),
+    ("n2-constant-random_crasher", 2, 2, "constant", "random_crasher",
+     {"rate": 0.01}, 9, "01",
+     {"decisions": [-1, 0], "phases": 2, "rounds": 72,
+      "total_bits": 175, "total_qubits": 28, "crashed": [0],
+      "fallback_triggers": 1,
+      "digest": "6f42bd32fc370d53359aecdb80d03553a04813733"
+                "aa97a00356911003e3454bf"}),
+    ("n8-polylog-split_attacker", 8, 2, "polylog", "split_attacker",
+     {}, 6, "01101001",
+     {"decisions": [-1, 0, 0, 0, 0, 0, 0, 0], "phases": 5, "rounds": 910,
+      "total_bits": 125548, "total_qubits": 27780, "crashed": [0],
+      "fallback_triggers": 0,
+      "digest": "ed413784821ef55e6deabcd5502f92c79cd3857f7"
+                "29652ff9c6a2d6747a9b722"}),
+    # unanimous inputs: every process decides by the phase rule in phase 1
+    ("n16-constant-none-all-zero", 16, 5, "constant", "none", {}, 8,
+     "0" * 16,
+     {"decisions": [0] * 16, "phases": 4, "rounds": 512,
+      "total_bits": 794928, "total_qubits": 179946, "crashed": [],
+      "fallback_triggers": 0,
+      "digest": "67bade5dab42a05c4a36ad3b3740c2fdc5ec7a2988"
+                "d9bc77433197339c81f4e7"}),
+    ("n16-polylog-random_crasher-all-one", 16, 5, "polylog",
+     "random_crasher", {"rate": 0.01}, 12, "1" * 16,
+     {"decisions": [1, -1, 1, 1, -1, 1, 1, 1, -1, 1, 1, 1, 1, 1, 1, -1],
+      "phases": 5, "rounds": 990,
+      "total_bits": 556916, "total_qubits": 169650,
+      "crashed": [1, 4, 8, 15],
+      "fallback_triggers": 0,
+      "digest": "66b8255e717eb1cce168c5f74ff93a081105ed8d5c"
+                "cffcae0f0b57934ca13323"}),
+    ("n32-constant-degree_targeter", 32, 10, "constant", "degree_targeter",
+     {}, 17, "11000110000010110100100100111100",
+     {"decisions": [-1] * 8 + [0] * 4 + [-1] + [0] * 19,
+      "phases": 5, "rounds": 1165,
+      "total_bits": 9345220, "total_qubits": 1376496,
+      "crashed": [0, 1, 2, 3, 4, 5, 6, 7, 12],
+      "fallback_triggers": 0,
+      "digest": "bd948d6ca16922421ad319cbbfc52296a55850a8c2"
+                "5df1f167eeb54dece03cfe"}),
 ]
 
 

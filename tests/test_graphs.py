@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qconsim.graphs import (delta_core, dense_neighborhood, is_compact,
-                            is_edge_dense, is_expanding, layer_count,
-                            sample_gnp, sample_layers)
+from qconsim.exchange import private_layers
+from qconsim.graphs import (delta_core, is_compact, is_edge_dense,
+                            is_expanding, layer_count, sample_gnp)
 from qconsim.rng import substream
 
 
@@ -60,26 +60,26 @@ def test_gnp_deterministic_and_symmetric():
 
 
 def test_layers_single_when_d_equals_n():
-    ln = sample_layers(8, 8, 2, seed=0)
-    assert ln.k == 0
-    full = ln.masks[0]
+    layers, k_caps = private_layers(8, 8, 2, seed=0, tag="t")
+    assert layers.shape[0] == 1 and (k_caps == 0).all()
+    full = layers[0]
     assert (full.sum(axis=1) == 7).all()  # probability 1, no self
 
 
 def test_layers_k_formula_n16_d2_alpha2():
-    ln = sample_layers(16, 2, 2, seed=0)
-    assert ln.k == 3  # probabilities 1/8, 1/4, 1/2, 1
-    assert (ln.masks[3].sum(axis=1) == 15).all()
+    layers, k_caps = private_layers(16, 2, 2, seed=0, tag="t")
+    assert layers.shape[0] == 4 and (k_caps == 3).all()  # 1/8, 1/4, 1/2, 1
+    assert (layers[3].sum(axis=1) == 15).all()
 
 
 def test_layer_degree_within_4_sigma():
     n, d, alpha = 2000, 16, 4
-    ln = sample_layers(n, d, alpha, seed=3)
-    for i in range(ln.k):
+    layers, k_caps = private_layers(n, d, alpha, seed=3, tag="t")
+    for i in range(int(k_caps[0])):
         p_edge = d * alpha ** i / n
         mean = p_edge * (n - 1)
         sigma = math.sqrt(mean * (1 - p_edge))
-        avg = ln.masks[i].sum(axis=1).mean()
+        avg = layers[i].sum(axis=1).mean()
         assert abs(avg - mean) < 4 * sigma / math.sqrt(n)
 
 
@@ -205,35 +205,6 @@ def test_compact_randomized_finds_no_false_counterexample():
     adj = _complete(30)
     rep = is_compact(adj, ell=5, eps=1.0, delta=4, budget=10, trials=100)
     assert rep.verdict and "randomized" in rep.method
-
-
-# -- dense neighborhoods ----------------------------------------------------
-
-def test_dense_neighborhood_k5():
-    alive = np.ones(5, dtype=bool)
-    s = dense_neighborhood(_complete(5), 0, gamma=1, delta=3, alive=alive)
-    assert s is not None and s.sum() == 5
-
-
-def test_dense_neighborhood_isolated_none():
-    adj = np.zeros((4, 4), dtype=bool)
-    s = dense_neighborhood(adj, 0, gamma=2, delta=1,
-                           alive=np.ones(4, dtype=bool))
-    assert s is None
-
-
-def test_dense_neighborhood_delta_zero_is_ball():
-    adj = _path(5)
-    alive = np.ones(5, dtype=bool)
-    s = dense_neighborhood(adj, 0, gamma=2, delta=0, alive=alive)
-    assert set(np.nonzero(s)[0].tolist()) == {0, 1, 2}
-
-
-def test_dense_neighborhood_respects_alive():
-    adj = _complete(5)
-    alive = np.array([True, True, False, False, False])
-    s = dense_neighborhood(adj, 0, gamma=1, delta=1, alive=alive)
-    assert s is not None and set(np.nonzero(s)[0].tolist()) == {0, 1}
 
 
 # -- property-based ---------------------------------------------------------
