@@ -2,7 +2,7 @@
 
 from .adversaries import (Adversary, DegreeTargeter, RandomCrasher,
                           SplitAttacker, make_adversary)
-from .coin import CoinParams, HiddenRegister, init_register, merge_registers, run_coin
+from .coin import CoinParams, HiddenRegister, init_register, run_coin
 from .consensus import (ConsensusParams, ConsensusResult, PhaseAction,
                         phase_rule, run_consensus, should_stop)
 from .counting import CountingParams, fast_counting, partition, partition_levels

@@ -9,10 +9,25 @@ substream disjoint from every process stream.
 
 from __future__ import annotations
 
+import math
+from numbers import Integral, Real
+
 import numpy as np
 
 from .engine import CrashDecision, EMPTY_DECISION, AdversaryView
 from .rng import adversary_rng
+
+
+_KIND_NAMES = {Integral: "an integer", Real: "a real number"}
+
+
+def _check_param(name: str, value, kind: type, low, high=math.inf) -> None:
+    """TypeError unless ``value`` is a ``kind`` number (a bool is not one),
+    ValueError unless low <= value <= high."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise TypeError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
+    if not low <= value <= high:
+        raise ValueError(f"{name} must lie in [{low}, {high}], got {value!r}")
 
 
 class Adversary:
@@ -44,6 +59,7 @@ class RandomCrasher(Adversary):
     name = "random_crasher"
 
     def __init__(self, rate: float = 0.002):
+        _check_param("rate", rate, Real, 0, 1)
         super().__init__(rate=rate)
         self.rate = rate
 
@@ -75,6 +91,8 @@ class DegreeTargeter(Adversary):
     name = "degree_targeter"
 
     def __init__(self, per_round: int = 1, min_degree: int = 1):
+        _check_param("per_round", per_round, Integral, 1)
+        _check_param("min_degree", min_degree, Integral, 0)
         super().__init__(per_round=per_round, min_degree=min_degree)
         self.per_round = per_round
         self.min_degree = min_degree

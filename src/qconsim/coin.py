@@ -41,11 +41,6 @@ def init_register(p: int, n: int, rng) -> HiddenRegister:
     return HiddenRegister(leader, coin, p)
 
 
-def merge_registers(a: HiddenRegister, b: HiddenRegister) -> HiddenRegister:
-    """Keep the lexicographically larger (leader_value, origin) register."""
-    return a if (a.leader_value, a.origin) >= (b.leader_value, b.origin) else b
-
-
 @dataclass(frozen=True)
 class CoinParams:
     """Schedule for one coin invocation on n processes."""

@@ -235,11 +235,11 @@ class SimContext:
         if self.round >= self.round_cap:
             raise RoundCapExceeded(f"round cap {self.round_cap} reached")
         n = self.n
-        bits_arr = np.broadcast_to(np.asarray(bits, dtype=np.int64), (n,))
-        qubits_arr = np.broadcast_to(np.asarray(qubits, dtype=np.int64), (n,))
+        bits_arr = np.full(n, bits, dtype=np.int64)
+        qubits_arr = np.full(n, qubits, dtype=np.int64)
 
-        sendable = self.active
-        targets = targets & sendable[:, None]
+        # one pass that also turns a transposed (F-ordered) matrix into C order
+        targets = np.logical_and(targets, self.active[:, None], order="C")
         np.fill_diagonal(targets, False)
 
         view = AdversaryView(self.round, n, self.t, self.alive, self.halted,
@@ -255,18 +255,19 @@ class SimContext:
             self.crashes_used += int(newly.size)
             self.alive[newly] = False
 
-        delivered = targets.copy()
+        # recipients crashed or halted (including crashed this round) get
+        # nothing; a sender crashed this round delivers its kept subset only
+        delivered = targets & self.active[None, :]
         for s in newly.tolist():
             keep = decision.partial_delivery.get(s)
             if keep is None:
                 delivered[s] = False
             else:
                 delivered[s] &= keep
-        # recipients crashed or halted (including crashed this round) get nothing
-        delivered &= self.active[None, :]
 
-        # cost: survivors pay for attempts, crash-round senders for deliveries
-        sent = targets.sum(axis=1)
+        # cost: survivors pay for attempts, crash-round senders for
+        # deliveries; a row holds at most n - 1 messages
+        sent = np.add.reduce(targets, axis=1, dtype=np.min_scalar_type(n))
         if newly.size:
             sent[newly] = delivered[newly].sum(axis=1)
         self.ledger.bits += bits_arr * sent
@@ -275,7 +276,7 @@ class SimContext:
 
         h = self._hash
         h.update(self.round.to_bytes(4, "little"))
-        h.update(delivered.tobytes())
+        h.update(delivered)  # C-contiguous, hashed without a copy
         h.update(newly.tobytes())
         h.update(bits_arr.tobytes())
         h.update(qubits_arr.tobytes())

@@ -24,12 +24,20 @@ the window parameters (derived from the largest group).
 
 Payloads are max-merged by a carrier after each response round.  Only the
 carrier's classical payload is handed to the engine, and so to the
-adversary; the coin's register keys never leave the carrier.  The rumor
-carrier (counting) merges on the delivered edges: it lists them once per
-round, sorted by recipient, skips every edge whose sender row already
-equals its recipient row, and max-reduces the rest per recipient segment.
-The key carrier (coin) has one column per process, so an edge list saves it
-nothing over a dense masked max and stays dense.
+adversary; the coin's register keys never leave the carrier.  Both carriers
+first mask, on the dense delivered matrix, the edges that can change their
+recipient: for rumors (counting) an edge whose sender row differs from the
+recipient row, for keys (coin) an edge whose sender key is the larger.  Once
+the payloads have spread that mask is empty and the merge ends there;
+otherwise only the masked edges are listed and max-merged.  Responder counts
+for degree adaptation and the diameter certificate of the shared layers are
+float32 BLAS products, exact below 2**24 processes.
+
+The relay's matrices stay dense (n, n) bool on purpose.  At the sizes the
+protocol runs, the top layers it climbs to are dense: at n = 384 under the
+constant preset, layer 1 has edge probability 180/384, about 47%, so an edge
+list would be about as large as the matrix.  The kernels instead read each
+matrix a small, fixed number of times.
 """
 
 from __future__ import annotations
@@ -78,9 +86,10 @@ def _adapt_vec(ad: np.ndarray, delivered: np.ndarray, delta: int,
     level drops by one.  The terminal level -1 is what makes the degree grow
     at the end of the epoch.
     """
-    counts = np.zeros((k_max + 1, ad.size), dtype=np.int64)
-    for lv in range(k_max + 1):
-        counts[lv] = delivered[ad >= lv].sum(axis=0)
+    # counts[lv, q]: responders to q that report a level >= lv; one float32
+    # product for all levels, exact while n < 2**24
+    levels = np.arange(k_max + 1)[:, None]
+    counts = (ad >= levels).astype(np.float32) @ delivered
     new = np.full_like(ad, -1)
     unset = np.ones(ad.size, dtype=bool)
     for lv in range(k_max, -1, -1):
@@ -93,9 +102,10 @@ def _adapt_vec(ad: np.ndarray, delivered: np.ndarray, delta: int,
 class KeyCarrier:
     """Payload for the coin: one hidden max-mergeable key per process.
 
-    ``merge`` stays a dense masked max over the (n, n) delivered matrix.
-    With a single key column the edge-list gather and segment reduce used by
-    ``RumorCarrier`` cost more than they save.
+    An edge p -> q can change q's key only if keys[p] > keys[q].  ``merge``
+    masks those edges on the delivered matrix, comparing narrow dense ranks
+    of the keys instead of the int64 keys, and returns at once when there is
+    none.  Otherwise it max-scatters the senders' keys into their recipients.
     """
 
     def __init__(self, keys: np.ndarray, bits: int, qubits: int):
@@ -107,10 +117,14 @@ class KeyCarrier:
         return {"adaptive_degree": ad}
 
     def merge(self, delivered: np.ndarray) -> None:
-        if not delivered.any():
+        n = self.keys.size
+        ranks = np.unique(self.keys, return_inverse=True)[1].astype(
+            np.min_scalar_type(n))
+        useful = delivered & (ranks[:, None] > ranks[None, :])
+        if not useful.any():
             return
-        incoming = np.where(delivered, self.keys[:, None], -1).max(axis=0)
-        np.maximum(self.keys, incoming, out=self.keys)
+        src, dst = np.divmod(np.flatnonzero(useful), n)
+        np.maximum.at(self.keys, dst, self.keys[src])
 
 
 class RumorCarrier:
@@ -120,13 +134,14 @@ class RumorCarrier:
     ride in the same message (one classical payload).
 
     ``merge`` works on the delivered edges, not on an (n, n, n_keys)
-    temporary.  It lists the edges once, sorted by recipient.  Then, per
-    matrix, it labels rows by exact byte equality and drops every edge whose
-    sender row equals its recipient row: the max of two equal rows is that
-    row, so such an edge cannot change anything.  Once the rumors have
-    spread, almost every delivered edge is of this kind.  The surviving
-    sender rows are gathered and max-reduced per recipient segment, and the
-    result is written back in place.
+    temporary.  Per matrix it labels rows by exact byte equality and masks,
+    on the dense delivered matrix, the edges whose sender row differs from
+    the recipient row: the max of two equal rows is that row, so no other
+    edge can change anything.  Once the rumors have spread almost no edge is
+    left, and the matrix is done after the mask.  The edges that are left
+    are listed, sorted by recipient, their sender rows gathered and
+    max-reduced per recipient segment, and the result is written back in
+    place.
     """
 
     def __init__(self, matrices: list[np.ndarray], bits: int):
@@ -141,15 +156,14 @@ class RumorCarrier:
         return classical
 
     def merge(self, delivered: np.ndarray) -> None:
-        dst, src = np.nonzero(delivered.T)  # edges sorted by recipient
-        if dst.size == 0:
-            return
         for m in self.matrices:
             labels = _row_labels(m)
-            keep = labels[src] != labels[dst]
-            if not keep.any():
+            useful = delivered & (labels[:, None] != labels[None, :])
+            if not useful.any():
                 continue
-            s, d = src[keep], dst[keep]
+            src, dst = np.divmod(np.flatnonzero(useful), useful.shape[1])
+            order = np.argsort(dst)  # edges by recipient
+            s, d = src[order], dst[order]
             starts = np.flatnonzero(np.r_[True, d[1:] != d[:-1]])
             rcpt = d[starts]
             incoming = np.maximum.reduceat(m[s], starts, axis=0)
@@ -157,10 +171,18 @@ class RumorCarrier:
 
 
 def _row_labels(m: np.ndarray) -> np.ndarray:
-    """Integer label per row of a 2-D array; equal labels iff equal bytes."""
+    """Integer label per row of a 2-D integer array; equal labels iff equal
+    rows.  Sorting the rows as opaque byte strings puts equal rows next to
+    each other, which is all a label needs (np.unique on the same view
+    costs about twice as much)."""
     rows = np.ascontiguousarray(m)
     void = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))
-    return np.unique(void.ravel(), return_inverse=True)[1]
+    order = np.argsort(void.ravel())
+    ranked = rows[order]
+    starts = np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)]
+    labels = np.empty(order.size, dtype=np.min_scalar_type(order.size))
+    labels[order] = np.cumsum(starts) - 1
+    return labels
 
 
 @dataclass(frozen=True)
@@ -221,12 +243,19 @@ def run_relay(ctx: SimContext, layers: np.ndarray, k_caps: np.ndarray,
 
 
 def _diameter_within(adj: np.ndarray, limit: int) -> bool:
-    """True iff the graph is connected with diameter <= limit."""
+    """True iff the graph is connected with diameter <= the first power of
+    two >= limit (the radius doubles, so it can overshoot limit).
+
+    Each step squares the reachability matrix as a float32 BLAS product
+    clipped back to 0/1, which is exact while m < 2**24.
+    """
     m = adj.shape[0]
-    reach = adj | np.eye(m, dtype=bool)
+    reach = (adj | np.eye(m, dtype=bool)).astype(np.float32)
+    square = np.empty_like(reach)
     steps = 1
     while steps < limit and not reach.all():
-        reach = reach @ reach  # doubles the radius
+        np.matmul(reach, reach, out=square)
+        np.minimum(square, 1, out=reach)
         steps *= 2
     return bool(reach.all())
 
@@ -258,21 +287,24 @@ def shared_group_layers(n: int, groups: list[np.ndarray], d: int, alpha: int,
         if m <= 1:
             continue
         k_g = layer_count(m, d, alpha)
-        iu = np.triu_indices(m, k=1)
+        # a boolean mask fills the pairs in the row-major order of
+        # np.triu_indices at an eighth of its memory
+        upper = np.triu(np.ones((m, m), dtype=bool), k=1)
+        pairs = m * (m - 1) // 2
         for attempt in range(1000):
             rng = substream(seed, "shared-layers", tag, d, alpha,
                             int(g[0]), attempt)
-            edges = np.zeros(iu[0].size, dtype=bool)
+            edges = np.zeros(pairs, dtype=bool)
             blocks = []
             prev_prob = 0.0
             for i in range(k_g + 1):
                 prob = min(1.0, d * alpha ** i / m)
                 top_up = ((prob - prev_prob) / (1.0 - prev_prob)
                           if prev_prob < 1.0 else 0.0)
-                edges |= rng.random(iu[0].size) < top_up
+                edges |= rng.random(pairs) < top_up
                 prev_prob = prob
                 block = np.zeros((m, m), dtype=bool)
-                block[iu] = edges
+                block[upper] = edges
                 blocks.append(block | block.T)
             if max_steps is None or _diameter_within(blocks[0], max_steps):
                 break

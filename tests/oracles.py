@@ -10,6 +10,7 @@ from typing import Any
 
 import numpy as np
 
+from qconsim.coin import HiddenRegister
 from qconsim.consensus import PhaseAction
 from qconsim.engine import CrashDecision
 
@@ -26,6 +27,11 @@ def phase_action_rational(ones: int, total: int) -> PhaseAction:
     if o < Fraction(5 * total - 1, 10):
         return PhaseAction.LEAN0
     return PhaseAction.FLIP
+
+
+def merge_registers(a: HiddenRegister, b: HiddenRegister) -> HiddenRegister:
+    """Keep the lexicographically larger (leader_value, origin) register."""
+    return a if (a.leader_value, a.origin) >= (b.leader_value, b.origin) else b
 
 
 def adapt_degree(responder_levels: list[int], current: int, delta: int) -> int:

@@ -12,13 +12,14 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from oracles import phase_action_rational
+from oracles import merge_registers, phase_action_rational
 from qconsim.adversaries import Adversary, RandomCrasher, make_adversary
 from qconsim.cli import main as cli_main, wilson_lower
-from qconsim.coin import CoinParams, HiddenRegister, merge_registers, run_coin
+from qconsim.coin import CoinParams, HiddenRegister, run_coin
 from qconsim.consensus import ConsensusParams, phase_rule, run_consensus
 from qconsim.counting import CountingParams, fast_counting, partition_levels
 from qconsim.engine import SimContext
+from qconsim.exchange import KeyCarrier
 from qconsim.graphs import (delta_core, is_compact, is_edge_dense,
                             is_expanding, sample_gnp)
 from qconsim.rng import substream
@@ -336,21 +337,29 @@ def test_criterion_8_oracle_equivalence():
         core_ok &= int(delta_core(adj, delta).sum()) == \
             _brute_max_core(adj, delta)
 
+    # the coin's register merge as it runs: leader*n + origin keys merged by
+    # KeyCarrier along the chain 0 -> 1 -> 2, against the register fold
     merge_ok = True
     rng2 = substream(0, "acc8-merge")
+    chain = [np.zeros((3, 3), dtype=bool) for _ in range(2)]
+    chain[0][0, 1] = chain[1][1, 2] = True
     for _ in range(10 ** 4):
         regs = [HiddenRegister(int(rng2.integers(0, 64)), int(rng2.integers(0, 2)),
                                int(rng2.integers(0, 16))) for _ in range(3)]
         folded = merge_registers(merge_registers(regs[0], regs[1]), regs[2])
-        brute = max(regs, key=lambda r: (r.leader_value, r.origin))
-        merge_ok &= folded == brute
+        carrier = KeyCarrier(np.array([r.leader_value * 16 + r.origin
+                                       for r in regs]), bits=0, qubits=0)
+        for delivered in chain:
+            carrier.merge(delivered)
+        merge_ok &= divmod(int(carrier.keys[2]), 16) == (folded.leader_value,
+                                                         folded.origin)
 
     totals, ones = np.nonzero(np.tri(201, dtype=bool))  # all O <= N <= 200
     phase_ok = phase_rule(ones, totals).tolist() == [
         phase_action_rational(o, n_) for o, n_ in zip(ones, totals)]
     _report(8, core_ok and merge_ok and phase_ok,
             f"delta-core vs exhaustive (200 graphs): {core_ok}; "
-            f"merge vs brute max (10^4 triples): {merge_ok}; "
+            f"KeyCarrier.merge vs register fold (10^4 triples): {merge_ok}; "
             f"phase_rule vs rationals (all O<=N<=200): {phase_ok}")
 
 

@@ -84,3 +84,26 @@ def test_split_attacker_gives_up_when_budget_spent():
     assert ctx.alive[2] and delivered.sum() == 2
     ctx.exchange(targets2, bits=1)  # given up: no further interference
     assert ctx.crashes_used == 1
+
+
+@pytest.mark.parametrize("make,error", [
+    (lambda: RandomCrasher("x"), TypeError),
+    (lambda: RandomCrasher(True), TypeError),
+    (lambda: RandomCrasher(-0.1), ValueError),
+    (lambda: RandomCrasher(1.5), ValueError),
+    (lambda: RandomCrasher(float("nan")), ValueError),
+    (lambda: DegreeTargeter(per_round=0), ValueError),
+    (lambda: DegreeTargeter(per_round=-1), ValueError),
+    (lambda: DegreeTargeter(per_round=2.0), TypeError),
+    (lambda: DegreeTargeter(min_degree=-1), ValueError),
+    (lambda: DegreeTargeter(min_degree="1"), TypeError),
+])
+def test_bad_params_rejected_at_construction(make, error):
+    with pytest.raises(error):
+        make()
+
+
+def test_boundary_params_accepted():
+    assert RandomCrasher(0).rate == 0 and RandomCrasher(1).rate == 1
+    targeter = DegreeTargeter(per_round=np.int64(3), min_degree=0)
+    assert (targeter.per_round, targeter.min_degree) == (3, 0)

@@ -62,6 +62,9 @@ BAD_ADVERSARIES = {
     "unknown-param": {"name": "random_crasher", "params": {"bogus": 1}},
     "pair-out-of-range": {"name": "split_attacker",
                           "params": {"pair": [0, 99]}},
+    "rate-not-a-number": {"name": "random_crasher", "params": {"rate": "x"}},
+    "per-round-negative": {"name": "degree_targeter",
+                           "params": {"per_round": -1}},
 }
 
 

@@ -2,9 +2,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import merge_registers
 from qconsim.adversaries import Adversary, RandomCrasher
-from qconsim.coin import (CoinParams, HiddenRegister, init_register,
-                          merge_registers, run_coin)
+from qconsim.coin import CoinParams, HiddenRegister, init_register, run_coin
 from qconsim.engine import CrashDecision, SimContext
 from qconsim.rng import split_rng, substream
 

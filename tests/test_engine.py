@@ -128,6 +128,35 @@ def test_vectorized_engine_matches_reference_delivery():
         assert (delivered == ref).all(), trial
 
 
+def test_transposed_targets_match_contiguous_copy():
+    """An F-ordered targets view (the relay's response round passes the
+    transpose of the inquiry matrix) gives the same delivered matrix, ledger
+    and digest as its C-contiguous copy, also when a crash delivers part of
+    a multicast."""
+    n = 7
+    rng = substream(5, "engine-layout")
+    inquiries = [rng.random((n, n)) < 0.5 for _ in range(3)]
+    keep = rng.random(n) < 0.5
+    runs = []
+    for layout in (lambda m: m.T, lambda m: np.ascontiguousarray(m.T)):
+        script = [CrashDecision(np.array([2, 4]), {2: keep.copy()}),
+                  CrashDecision(), CrashDecision(np.array([0]))]
+        ctx = SimContext(n, 5, ScriptedAdversary(script), seed=8)
+        ctx.halt(np.arange(n) == 6)
+        targets = [layout(m) for m in inquiries]
+        assert targets[0].flags.f_contiguous != targets[0].flags.c_contiguous
+        delivered = [ctx.exchange(t, bits=np.arange(n) + 1, qubits=2)
+                     for t in targets]
+        runs.append((delivered, ctx.ledger, ctx.finish({}, "scripted")))
+    (d_view, ledger_view, tr_view), (d_copy, ledger_copy, tr_copy) = runs
+    assert delivered[0][2].any() and not delivered[0][2].all()  # partial
+    for a, b in zip(d_view, d_copy):
+        assert a.flags.c_contiguous and (a == b).all()
+    for field in ("bits", "qubits", "rounds_active"):
+        assert (getattr(ledger_view, field) == getattr(ledger_copy, field)).all()
+    assert tr_view.digest == tr_copy.digest
+
+
 def test_transcript_digest_replay_identical():
     def protocol(ctx):
         for i in range(5):

@@ -2,12 +2,14 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import adapt_degree
+from oracles import adapt_degree, merge_registers
 from qconsim.adversaries import Adversary
+from qconsim.coin import HiddenRegister
 from qconsim.engine import SimContext
 from qconsim.exchange import (KeyCarrier, RumorCarrier, Window, _adapt_vec,
-                              clog2, end_epoch_update, gamma_of, run_relay,
-                              shared_group_layers, private_layers)
+                              _diameter_within, clog2, end_epoch_update,
+                              gamma_of, run_relay, shared_group_layers,
+                              private_layers)
 from qconsim.rng import substream
 
 
@@ -66,6 +68,121 @@ def test_vectorized_adapt_matches_reference(levels, current, delta):
     assert out[-1] == adapt_degree(levels, current, delta)
 
 
+@st.composite
+def delivered_matrix(draw, n):
+    """An (n, n) delivered matrix: empty, full (no self-loops) or random."""
+    kind = draw(st.sampled_from(["empty", "full", "random"]))
+    if kind == "empty":
+        return np.zeros((n, n), dtype=bool)
+    if kind == "full":
+        return ~np.eye(n, dtype=bool)
+    cells = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    return np.array(cells, dtype=bool).reshape(n, n)
+
+
+@st.composite
+def adapt_case(draw):
+    n = draw(st.integers(1, 12))
+    k_max = draw(st.integers(0, 4))
+    ad = np.array(draw(st.lists(st.integers(-1, k_max), min_size=n,
+                                max_size=n)), dtype=np.int64)
+    return ad, draw(delivered_matrix(n)), draw(st.integers(1, 5)), k_max
+
+
+@settings(max_examples=300, deadline=None)
+@given(adapt_case())
+def test_vectorized_adapt_matches_reference_on_every_recipient(case):
+    ad, delivered, delta, k_max = case
+    out = _adapt_vec(ad, delivered, delta, k_max)
+    for q in range(ad.size):
+        levels = ad[delivered[:, q]].tolist()  # q's own responders
+        assert out[q] == adapt_degree(levels, int(ad[q]), delta)
+
+
+# -- diameter certificate: BFS reference -------------------------------------
+
+def bfs_diameter(adj):
+    """Largest shortest-path distance, or None if the graph is disconnected."""
+    m = adj.shape[0]
+    worst = 0
+    for start in range(m):
+        dist = {start: 0}
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for p in frontier:
+                for q in np.flatnonzero(adj[p]).tolist():
+                    if q not in dist:
+                        dist[q] = dist[p] + 1
+                        nxt.append(q)
+            frontier = nxt
+        if len(dist) < m:
+            return None
+        worst = max(worst, max(dist.values()))
+    return worst
+
+
+@st.composite
+def undirected_graph(draw):
+    m = draw(st.integers(1, 24))
+    kind = draw(st.sampled_from(["random", "complete", "path", "split"]))
+    adj = np.zeros((m, m), dtype=bool)
+    if kind == "random":
+        iu = np.triu_indices(m, k=1)
+        adj[iu] = draw(st.lists(st.booleans(), min_size=iu[0].size,
+                                max_size=iu[0].size))
+    elif kind == "complete":
+        adj[:] = True
+    elif kind == "path":
+        adj[np.arange(m - 1), np.arange(1, m)] = True
+    else:  # two cliques with no edge between them
+        cut = draw(st.integers(0, m))
+        adj[:cut, :cut] = adj[cut:, cut:] = True
+    adj |= adj.T
+    np.fill_diagonal(adj, False)
+    return adj
+
+
+@settings(max_examples=300, deadline=None)
+@given(undirected_graph(), st.integers(1, 8))
+def test_diameter_within_matches_bfs(adj, limit):
+    diameter = bfs_diameter(adj)
+    # radius doubling checks the first power of two >= limit
+    reach = 1 << clog2(limit)
+    assert _diameter_within(adj, limit) == (diameter is not None
+                                            and diameter <= reach)
+
+
+# -- key merge: per-edge register fold ---------------------------------------
+
+@st.composite
+def key_merge_case(draw):
+    n = draw(st.integers(1, 12))
+    # few leader values, so ties that only the origin breaks are common
+    leaders = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    coins = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    regs = [HiddenRegister(v, c, p) for p, (v, c) in
+            enumerate(zip(leaders, coins))]
+    return regs, draw(delivered_matrix(n))
+
+
+@settings(max_examples=400, deadline=None)
+@given(key_merge_case())
+def test_key_merge_matches_register_fold(case):
+    regs, delivered = case
+    n = len(regs)
+    expected = []
+    for q in range(n):
+        held = regs[q]
+        for p in np.flatnonzero(delivered[:, q]).tolist():
+            held = merge_registers(held, regs[p])  # registers before the round
+        expected.append(held.leader_value * n + held.origin)
+    carrier = KeyCarrier(np.array([r.leader_value * n + r.origin
+                                   for r in regs]), bits=1, qubits=1)
+    carrier.merge(delivered)
+    assert carrier.keys.tolist() == expected
+
+
 # -- rumor merge: per-edge reference ---------------------------------------
 
 def reference_rumor_merge(matrices, delivered):
@@ -98,15 +215,7 @@ def rumor_matrix(draw, n):
 def merge_case(draw):
     n = draw(st.integers(1, 12))
     matrices = draw(st.lists(rumor_matrix(n), min_size=1, max_size=3))
-    kind = draw(st.sampled_from(["empty", "full", "random"]))
-    if kind == "empty":
-        delivered = np.zeros((n, n), dtype=bool)
-    elif kind == "full":
-        delivered = ~np.eye(n, dtype=bool)
-    else:
-        cells = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
-        delivered = np.array(cells, dtype=bool).reshape(n, n)
-    return matrices, delivered
+    return matrices, draw(delivered_matrix(n))
 
 
 @settings(max_examples=400, deadline=None)

@@ -1,4 +1,5 @@
-"""Golden outputs: fixed run_consensus configs with every result pinned.
+"""Golden outputs: fixed run_consensus and run_coin configs with every result
+pinned.
 
 The replay tests in test_engine only compare a run with itself, so a change
 that alters the protocol would pass them.  These cases pin the decisions,
@@ -12,7 +13,9 @@ import numpy as np
 import pytest
 
 from qconsim.adversaries import make_adversary
+from qconsim.coin import CoinParams, run_coin
 from qconsim.consensus import ConsensusParams, run_consensus
+from qconsim.engine import SimContext
 
 # (id, n, t, preset, adversary, params, seed, inputs, expected)
 GOLDEN = [
@@ -104,6 +107,26 @@ GOLDEN = [
       "fallback_triggers": 0,
       "digest": "bd948d6ca16922421ad319cbbfc52296a55850a8c2"
                 "5df1f167eeb54dece03cfe"}),
+    # the preset and adversary of the consensus-large benchmark at a quarter
+    # of its size; the crasher spends its whole budget
+    ("n96-constant-random_crasher", 96, 32, "constant", "random_crasher",
+     {"rate": 0.002}, 19,
+     "10100111101011000111101111000001010001101000100000110000000111110"
+     "1111111110110001011101100001010",
+     {"decisions": [0, -1, 0, 0, 0, 0, 0, 0, -1, 0, -1, 0, 0, 0, -1, 0, 0,
+                    0, 0, 0, -1, 0, 0, -1, 0, -1, 0, -1, 0, -1, 0, 0, 0, -1,
+                    0, 0, 0, 0, 0, 0, 0, -1, 0, -1, 0, 0, -1, 0, 0, -1, 0, 0,
+                    0, -1, -1, -1, 0, 0, -1, 0, -1, -1, 0, -1, 0, 0, -1, -1,
+                    0, 0, -1, -1, 0, -1, 0, -1, 0, 0, -1, 0, 0, -1, 0, 0, 0,
+                    0, 0, 0, -1, 0, 0, -1, 0, 0, 0, 0],
+      "phases": 5, "rounds": 1170,
+      "total_bits": 127328393, "total_qubits": 13078406,
+      "crashed": [1, 8, 10, 14, 20, 23, 25, 27, 29, 33, 41, 43, 46, 49, 53,
+                  54, 55, 58, 60, 61, 63, 66, 67, 70, 71, 73, 75, 78, 81,
+                  88, 91],
+      "fallback_triggers": 0,
+      "digest": "4b7eae0db753812b87bcc9bf3c3a521bee09c9fcefc14d9423f3895"
+                "5e57de77d"}),
 ]
 
 
@@ -129,3 +152,40 @@ def test_golden_run(n, t, preset, adversary, params, seed, inputs, expected):
     }
     assert got == expected
 
+
+
+# (id, n, t, adversary, params, seed, expected); default CoinParams
+GOLDEN_COIN = [
+    ("coin-n64-degree_targeter", 64, 21, "degree_targeter", {}, 13,
+     {"bits": [0] * 6 + [1] + [0] * 3 + [1] + [0] * 20 + [1] + [0] * 32,
+      "rounds": 128, "total_bits": 548225, "total_qubits": 1099226,
+      "crashed": [2, 5, 6, 7, 8, 10, 17, 18, 22, 25, 29, 31, 36, 41, 44, 48,
+                  54, 57, 62, 63],
+      "digest": "c256ad71fe293e369aa89f2d3c81c33b612b19c1adf715382fbf446"
+                "9f6743524"}),
+    ("coin-n48-random_crasher", 48, 16, "random_crasher", {"rate": 0.02}, 21,
+     {"bits": [0] * 18 + [1] + [0] * 29,
+      "rounds": 128, "total_bits": 394748, "total_qubits": 796062,
+      "crashed": [1, 4, 5, 11, 16, 17, 18, 23, 24, 32, 34, 36, 38, 40, 45],
+      "digest": "21fc708575589ad7e142908b21aff5d72724fa96b4c65f745ec32c9"
+                "59bd3af78"}),
+]
+
+
+@pytest.mark.parametrize(
+    "n,t,adversary,params,seed,expected",
+    [case[1:] for case in GOLDEN_COIN], ids=[case[0] for case in GOLDEN_COIN])
+def test_golden_coin(n, t, adversary, params, seed, expected):
+    adv = make_adversary(adversary, **params)
+    ctx = SimContext(n, t, adv, seed)
+    bits = run_coin(ctx, CoinParams.make(n))
+    transcript = ctx.finish({"bits": bits.tolist()}, adv.name)
+    got = {
+        "bits": bits.tolist(),
+        "rounds": transcript.rounds,
+        "total_bits": transcript.ledger["total_bits"],
+        "total_qubits": transcript.ledger["total_qubits"],
+        "crashed": transcript.crashed,
+        "digest": transcript.digest,
+    }
+    assert got == expected
