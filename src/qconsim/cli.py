@@ -10,7 +10,9 @@ All commands take --config (JSON, validated against a schema), --out,
 --format and --jobs.  The QSIM_SEED environment variable overrides the
 config seed.  Exit codes: 0 success, 2 bad configuration, 3 a protocol
 invariant (agreement/validity) was violated, 4 a run hit its phase or round
-cap without terminating (liveness failure).
+cap without terminating (liveness failure).  A sweep records a
+non-terminating cell as a row with ``terminated`` false and exits 4 only if
+no cell disagreed or decided an invalid value (that exits 3).
 """
 
 from __future__ import annotations
@@ -232,21 +234,29 @@ def cmd_run(args) -> int:
 
 
 _SWEEP_COLUMNS = ["n", "t", "preset", "adversary", "seed", "phases", "rounds",
-                  "total_bits", "total_qubits", "agreed", "valid"]
+                  "total_bits", "total_qubits", "terminated", "agreed",
+                  "valid"]
 
 
 def _sweep_cell(job: tuple) -> dict:
+    """One sweep row.  A run that hits its phase or round cap is a row with
+    ``terminated`` false and the result columns empty, not an abort."""
     n, t, preset, epsilon, adv_cfg, seed, inputs_spec = job
     params = _params_for(preset, n, epsilon)
     adversary = _adversary(adv_cfg, n, t, seed)
     inputs = _make_inputs(inputs_spec, n, seed)
-    result = run_consensus(inputs, params, t, adversary, seed)
+    row = {"n": n, "t": t, "preset": preset, "adversary": adv_cfg["name"],
+           "seed": seed}
+    try:
+        result = run_consensus(inputs, params, t, adversary, seed)
+    except (PhaseCapExceeded, RoundCapExceeded):
+        return {**dict.fromkeys(_SWEEP_COLUMNS), **row, "terminated": False}
     led = result.transcript.ledger
     return {
-        "n": n, "t": t, "preset": preset, "adversary": adv_cfg["name"],
-        "seed": seed, "phases": result.phases,
+        **row, "phases": result.phases,
         "rounds": result.transcript.rounds,
         "total_bits": led["total_bits"], "total_qubits": led["total_qubits"],
+        "terminated": True,
         "agreed": result.agreed, "valid": result.valid(inputs),
     }
 
@@ -271,7 +281,11 @@ def cmd_sweep(args) -> int:
             rows = list(pool.map(_sweep_cell, jobs, chunksize=8))
     else:
         rows = [_sweep_cell(j) for j in jobs]
-    ok = all(r["agreed"] and r["valid"] for r in rows)
+    ended = [r for r in rows if r["terminated"]]
+    safe = all(r["agreed"] and r["valid"] for r in ended)
+    if len(ended) < len(rows):
+        print(f"liveness failure: {len(rows) - len(ended)} of {len(rows)} "
+              "cells did not terminate", file=sys.stderr)
     if args.format == "json":
         _emit(json.dumps(rows, sort_keys=True, indent=2) + "\n", args.out)
     else:
@@ -281,7 +295,9 @@ def cmd_sweep(args) -> int:
         writer.writeheader()
         writer.writerows(rows)
         _emit(buf.getvalue(), args.out)
-    return EXIT_OK if ok else EXIT_INVARIANT
+    if not safe:
+        return EXIT_INVARIANT
+    return EXIT_OK if len(ended) == len(rows) else EXIT_LIVENESS
 
 
 def wilson_lower(successes: int, trials: int, z: float = 1.96) -> float:

@@ -16,7 +16,22 @@ crashed in the very round of its multicast pays only for the delivered
 subset.  Recipients that are crashed or halted receive nothing.
 
 The engine keeps a running SHA-256 digest over canonical per-round bytes so
-that two runs of the same configuration can be compared exactly.
+that two runs of the same configuration can be compared exactly.  The byte
+layout is versioned by ``DIGEST_VERSION``; a digest made under another
+version (such as a v1 digest in an older transcript) will not match.
+Version 2 feeds, in order:
+
+* the header ``f"v{DIGEST_VERSION}|{n}|{t}|{seed}"`` (UTF-8);
+* per round: the round number (4 bytes, little-endian); the delivered
+  (n, n) matrix as ``np.packbits`` of its row-major bits, eight to a byte
+  with the first bit highest and the last byte padded with zero bits; the
+  newly crashed ids, then the per-sender bits and qubits per message (each
+  int64 in native byte order); and the ``alive`` and ``halted`` masks (one
+  byte per process);
+* at ``finish``: the outputs and then the ledger summary, each as
+  ``json.dumps(..., sort_keys=True)`` (outputs with ``default=str``).
+
+n is in the header, so the packed bytes still determine the matrix exactly.
 """
 
 from __future__ import annotations
@@ -29,6 +44,8 @@ from types import MappingProxyType
 from typing import Callable, Mapping, Optional
 
 import numpy as np
+
+DIGEST_VERSION = 2
 
 
 class SimulationError(Exception):
@@ -176,6 +193,7 @@ class Transcript:
             "outputs": self.outputs,
             "ledger": self.ledger,
             "digest": self.digest,
+            "digest_version": DIGEST_VERSION,
         }
         if self.round_records is not None:
             body["round_records"] = self.round_records
@@ -206,7 +224,8 @@ class SimContext:
         self.ledger = CostLedger.empty(n)
         self.adversary = adversary
         adversary.reset(n, t, seed)
-        self._hash = hashlib.sha256(f"{n}|{t}|{seed}".encode())
+        self._hash = hashlib.sha256(
+            f"v{DIGEST_VERSION}|{n}|{t}|{seed}".encode())
         self.record_rounds = record_rounds
         self.round_records: list = [] if record_rounds else None
 
@@ -276,7 +295,7 @@ class SimContext:
 
         h = self._hash
         h.update(self.round.to_bytes(4, "little"))
-        h.update(delivered)  # C-contiguous, hashed without a copy
+        h.update(np.packbits(delivered))  # row-major, zero-padded bytes
         h.update(newly.tobytes())
         h.update(bits_arr.tobytes())
         h.update(qubits_arr.tobytes())

@@ -270,10 +270,12 @@ def shared_group_layers(n: int, groups: list[np.ndarray], d: int, alpha: int,
     nested (layer i contains layer i-1) with exact per-layer marginals, so a
     process that grows its degree keeps pulling from its old neighbors.  The
     base layer of each group is certified connected with diameter at most
-    ``max_steps`` (the relay iterations available), resampling deterministically
-    until the certificate holds -- this stands in for a fixed graph family
-    known to have the needed properties.  Returns (layers, k_caps) in the
-    format run_relay expects.
+    the first power of two >= ``max_steps`` (the relay iterations
+    available; see ``_diameter_within``), so a diameter between
+    ``max_steps`` and that power of two can pass.  Sampling is repeated
+    deterministically until the certificate holds -- this stands in for a
+    fixed graph family known to have the needed properties.  Returns
+    (layers, k_caps) in the format run_relay expects.
     """
     k_caps = np.zeros(n, dtype=np.int64)
     k_max = 0

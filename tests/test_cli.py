@@ -1,4 +1,7 @@
+import csv
+import dataclasses
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -140,8 +143,48 @@ def test_sweep_csv_columns_and_determinism(tmp_path):
     assert o1.read_bytes() == o2.read_bytes()
     header = o1.read_text().splitlines()[0]
     assert header == ("n,t,preset,adversary,seed,phases,rounds,"
-                      "total_bits,total_qubits,agreed,valid")
+                      "total_bits,total_qubits,terminated,agreed,valid")
     assert len(o1.read_text().splitlines()) == 1 + 2 * 3
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_keeps_non_terminating_cells(tmp_path, monkeypatch, capsys,
+                                           jobs):
+    """A cell that hits its phase cap is a row with terminated false and
+    empty results; the sweep exits 4, or 3 if another cell disagreed."""
+    if jobs != "1" and multiprocessing.get_start_method() != "fork":
+        pytest.skip("only forked workers see the patched run_consensus")
+    real = cli.run_consensus
+    broken = {1: "stuck"}
+
+    def flaky(inputs, params, t, adversary, seed):
+        if broken.get(seed) == "stuck":
+            raise PhaseCapExceeded("no termination within 120 phases")
+        result = real(inputs, params, t, adversary, seed)
+        if broken.get(seed) == "split":
+            decisions = result.decisions.copy()
+            decisions[:2] = [0, 1]
+            result = dataclasses.replace(result, decisions=decisions)
+        return result
+
+    monkeypatch.setattr(cli, "run_consensus", flaky)
+    cfg = write_cfg(tmp_path, "s.json",
+                    {"n_list": [8], "seeds": 3, "presets": ["polylog"]})
+    out = tmp_path / "o.csv"
+    argv = ["sweep", "--config", cfg, "--jobs", jobs, "--out", str(out)]
+    assert main(argv) == cli.EXIT_LIVENESS
+    assert "1 of 3 cells did not terminate" in capsys.readouterr().err
+    rows = list(csv.DictReader(out.open()))
+    assert [r["seed"] for r in rows] == ["0", "1", "2"]
+    assert [r["terminated"] for r in rows] == ["True", "False", "True"]
+    stuck = rows[1]
+    assert stuck["n"] == "8" and stuck["preset"] == "polylog"
+    assert all(stuck[c] == "" for c in ("phases", "rounds", "total_bits",
+                                         "total_qubits", "agreed", "valid"))
+    assert rows[0]["agreed"] == rows[2]["agreed"] == "True"
+
+    broken[2] = "split"
+    assert main(argv) == cli.EXIT_INVARIANT
 
 
 def test_sweep_duplicate_seeds_warns(tmp_path, capsys):

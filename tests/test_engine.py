@@ -1,10 +1,15 @@
+import hashlib
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from oracles import MessageIntent, deliver_round
 from qconsim.adversaries import Adversary
-from qconsim.engine import (EMPTY_DECISION, AdversaryViolation, CrashDecision,
-                            RoundCapExceeded, SimContext, run_simulation)
+from qconsim.engine import (DIGEST_VERSION, EMPTY_DECISION, AdversaryViolation,
+                            CrashDecision, RoundCapExceeded, SimContext,
+                            run_simulation)
 from qconsim.rng import substream
 
 
@@ -168,6 +173,71 @@ def test_transcript_digest_replay_identical():
     assert t1.digest == t2.digest
     t3 = run_simulation(protocol, 5, 2, Adversary(), seed=10)
     assert t3.digest != t1.digest
+
+
+def _packed_rows(matrix):
+    """The matrix's bits in row-major order, eight to a byte with the first
+    bit highest, the last byte padded with zero bits."""
+    bits = "".join("1" if v else "0" for v in matrix.ravel().tolist())
+    bits += "0" * (-len(bits) % 8)
+    return bytes(int(bits[i:i + 8], 2) for i in range(0, len(bits), 8))
+
+
+def _int64s(values):
+    return struct.pack(f"={len(values)}q", *values)
+
+
+def _v2_digest(n, t, seed, rounds, outputs, ledger):
+    """The digest built by hand from the documented version-2 byte layout.
+
+    ``rounds`` holds one (delivered, newly, bits, qubits, alive, halted)
+    tuple per round; the per-sender arrays are lists of ints.
+    """
+    h = hashlib.sha256(f"v2|{n}|{t}|{seed}".encode())
+    for r, (delivered, newly, bits, qubits, alive, halted) in enumerate(
+            rounds):
+        h.update(r.to_bytes(4, "little"))
+        h.update(_packed_rows(delivered))
+        h.update(_int64s(newly))
+        h.update(_int64s(bits))
+        h.update(_int64s(qubits))
+        h.update(bytes(alive))
+        h.update(bytes(halted))
+    h.update(json.dumps(outputs, sort_keys=True, default=str).encode())
+    h.update(json.dumps(ledger, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def test_digest_v2_layout():
+    """The transcript digest is the documented v2 byte sequence: the 9-bit
+    matrix at n = 3 packs into two bytes with seven zero pad bits, and every
+    delivered bit, the last one included, reaches the digest."""
+    assert DIGEST_VERSION == 2
+    keep = np.array([True, False, False])
+    script = [CrashDecision(), CrashDecision(np.array([1]), {1: keep})]
+    ctx = SimContext(3, 2, ScriptedAdversary(script), seed=6)
+    full = ctx.exchange(_full_targets(3), bits=np.array([1, 2, 3]), qubits=1)
+    partial = ctx.exchange(_full_targets(3), bits=4)
+    outputs = {"decisions": [0, 1, 1]}
+    transcript = ctx.finish(outputs, "scripted")
+
+    assert (full == _full_targets(3)).all()
+    assert partial.tolist() == [[False, False, True],
+                                [True, False, False],
+                                [True, False, False]]
+    rounds = [(full, [], [1, 2, 3], [1, 1, 1], [1, 1, 1], [0, 0, 0]),
+              (partial, [1], [4, 4, 4], [0, 0, 0], [1, 0, 1], [0, 0, 0])]
+    expected = _v2_digest(3, 2, 6, rounds, outputs, transcript.ledger)
+    assert transcript.digest == expected
+    assert json.loads(transcript.to_json())["digest_version"] == 2
+
+    for r in range(len(rounds)):
+        for i in range(9):
+            flipped = [list(rd) for rd in rounds]
+            flipped[r][0] = rounds[r][0].copy()
+            flipped[r][0].flat[i] ^= True
+            assert _v2_digest(3, 2, 6, flipped, outputs,
+                              transcript.ledger) != expected, (r, i)
 
 
 def test_transcript_json_uses_one_based_ids():
