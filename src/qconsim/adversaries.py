@@ -123,6 +123,11 @@ class SplitAttacker(Adversary):
     name = "split_attacker"
 
     def __init__(self, pair: tuple[int, int] | None = None):
+        if pair is not None:
+            if len(pair) != 2:
+                raise ValueError(f"pair must hold two ids, got {pair!r}")
+            for p in pair:
+                _check_param("pair id", p, Integral, 0)
         super().__init__(pair=list(pair) if pair else None)
         self.pair = pair
 

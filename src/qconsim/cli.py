@@ -11,8 +11,9 @@ All commands take --config (JSON, validated against a schema), --out,
 config seed.  Exit codes: 0 success, 2 bad configuration, 3 a protocol
 invariant (agreement/validity) was violated, 4 a run hit its phase or round
 cap without terminating (liveness failure).  A sweep records a
-non-terminating cell as a row with ``terminated`` false and exits 4 only if
-no cell disagreed or decided an invalid value (that exits 3).
+non-terminating cell as a row with ``terminated`` false and the phases,
+rounds, bits and qubits it reached, and exits 4 only if no cell disagreed or
+decided an invalid value (that exits 3).
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ import numpy as np
 
 from .adversaries import ADVERSARY_NAMES, make_adversary
 from .coin import CoinParams, run_coin
-from .consensus import ConsensusParams, PhaseCapExceeded, run_consensus
-from .engine import RoundCapExceeded, SimContext, SimulationError
+from .consensus import ConsensusParams, run_consensus
+from .engine import CapExceeded, SimContext, SimulationError
 from .graphs import (is_compact, is_edge_dense, is_expanding, sample_gnp)
 
 EXIT_OK = 0
@@ -143,14 +144,26 @@ class ConfigError(Exception):
     pass
 
 
+# JSON Schema counts 2.0 as an integer; a count or an id here must be an int
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer",
+        lambda _, v: isinstance(v, int) and not isinstance(v, bool)))
+
+
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def _load_config(path: str, schema: dict) -> dict:
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            cfg = json.load(fh, parse_constant=_no_constant)
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
-        jsonschema.validate(cfg, schema)
+        _Validator(schema).validate(cfg)
     except jsonschema.ValidationError as exc:
         raise ConfigError(f"invalid config: {exc.message}") from exc
     env_seed = os.environ.get("QSIM_SEED")
@@ -240,7 +253,8 @@ _SWEEP_COLUMNS = ["n", "t", "preset", "adversary", "seed", "phases", "rounds",
 
 def _sweep_cell(job: tuple) -> dict:
     """One sweep row.  A run that hits its phase or round cap is a row with
-    ``terminated`` false and the result columns empty, not an abort."""
+    ``terminated`` false, the progress it reached and ``agreed`` and
+    ``valid`` empty, not an abort."""
     n, t, preset, epsilon, adv_cfg, seed, inputs_spec = job
     params = _params_for(preset, n, epsilon)
     adversary = _adversary(adv_cfg, n, t, seed)
@@ -249,8 +263,11 @@ def _sweep_cell(job: tuple) -> dict:
            "seed": seed}
     try:
         result = run_consensus(inputs, params, t, adversary, seed)
-    except (PhaseCapExceeded, RoundCapExceeded):
-        return {**dict.fromkeys(_SWEEP_COLUMNS), **row, "terminated": False}
+    except CapExceeded as exc:
+        return {**row, "phases": exc.phases, "rounds": exc.rounds,
+                "total_bits": exc.total_bits,
+                "total_qubits": exc.total_qubits, "terminated": False,
+                "agreed": None, "valid": None}
     led = result.transcript.ledger
     return {
         **row, "phases": result.phases,
@@ -412,7 +429,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (PhaseCapExceeded, RoundCapExceeded) as exc:
+    except CapExceeded as exc:
         print(f"liveness failure: {exc}", file=sys.stderr)
         return EXIT_LIVENESS
     except SimulationError as exc:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .engine import SimContext
 from .exchange import KeyCarrier, Window, clog2, private_layers, run_relay
-from .rng import split_rng
+from .rng import Restream
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,11 @@ def run_coin(ctx: SimContext, params: CoinParams, tag="coin",
     n = ctx.n
     leaders = np.zeros(n, dtype=np.int64)
     coin_bits = np.zeros(n, dtype=np.int64)
+    streams = Restream()
     for p in range(n):
-        reg = init_register(p, n, split_rng(ctx.seed, p, tag, "register"))
+        # the stream split_rng(ctx.seed, p, tag, "register") returns
+        rng = streams.at(ctx.seed, "proc", p, tag, "register")
+        reg = init_register(p, n, rng)
         leaders[p] = reg.leader_value
         coin_bits[p] = reg.coin_bit
     # (leader_value, origin) as a single max-comparable key

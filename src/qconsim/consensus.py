@@ -25,7 +25,7 @@ import numpy as np
 
 from .coin import CoinParams, run_coin
 from .counting import CountingParams, fast_counting
-from .engine import SimContext, SimulationError, Transcript, run_simulation
+from .engine import CapExceeded, SimContext, Transcript, run_simulation
 from .exchange import clog2
 
 
@@ -134,7 +134,7 @@ class ConsensusResult:
         return vals <= set(inputs.tolist())
 
 
-class PhaseCapExceeded(SimulationError):
+class PhaseCapExceeded(CapExceeded):
     pass
 
 
@@ -226,14 +226,15 @@ def _consensus_protocol(ctx: SimContext, inputs: np.ndarray,
         ))
         if not ctx.active.any():
             return decisions
-    raise PhaseCapExceeded(f"no termination within {phase_cap} phases")
+    raise PhaseCapExceeded(f"no termination within {phase_cap} phases", ctx)
 
 
 def run_consensus(inputs: np.ndarray, params: ConsensusParams, t: int,
                   adversary, seed: int, phase_cap: int = 120,
                   round_cap: int = 5_000_000,
                   record_rounds: bool = False) -> ConsensusResult:
-    """Full protocol run; raises PhaseCapExceeded if it cannot terminate."""
+    """Full protocol run; raises PhaseCapExceeded (or RoundCapExceeded) if it
+    cannot terminate, with the phases it completed attached."""
     inputs = np.asarray(inputs, dtype=np.int64)
     n = inputs.size
     stats: list[PhaseStats] = []
@@ -245,8 +246,12 @@ def run_consensus(inputs: np.ndarray, params: ConsensusParams, t: int,
         return {"decisions": [int(v) for v in decisions.tolist()],
                 "phases": len(stats)}
 
-    transcript = run_simulation(protocol, n, t, adversary, seed,
-                                round_cap=round_cap,
-                                record_rounds=record_rounds)
+    try:
+        transcript = run_simulation(protocol, n, t, adversary, seed,
+                                    round_cap=round_cap,
+                                    record_rounds=record_rounds)
+    except CapExceeded as exc:
+        exc.phases = len(stats)
+        raise
     return ConsensusResult(decisions=holder["decisions"], phases=len(stats),
                            transcript=transcript, phase_stats=stats)

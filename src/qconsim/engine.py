@@ -52,7 +52,20 @@ class SimulationError(Exception):
     """Base class for engine failures."""
 
 
-class RoundCapExceeded(SimulationError):
+class CapExceeded(SimulationError):
+    """A run hit a cap without terminating: ``rounds``, ``total_bits`` and
+    ``total_qubits`` are its progress then, and consensus attaches the
+    ``phases`` it completed (None elsewhere)."""
+
+    def __init__(self, message: str, ctx: "SimContext | None" = None):
+        super().__init__(message)
+        self.rounds, self.total_bits, self.total_qubits = (
+            (ctx.round, ctx.ledger.total_bits, ctx.ledger.total_qubits)
+            if ctx else (None, None, None))
+        self.phases = None
+
+
+class RoundCapExceeded(CapExceeded):
     """The protocol ran past the configured round cap."""
 
 
@@ -252,7 +265,8 @@ class SimContext:
         ``state`` is extra classical protocol state for the view.
         """
         if self.round >= self.round_cap:
-            raise RoundCapExceeded(f"round cap {self.round_cap} reached")
+            raise RoundCapExceeded(f"round cap {self.round_cap} reached",
+                                   self)
         n = self.n
         bits_arr = np.full(n, bits, dtype=np.int64)
         qubits_arr = np.full(n, qubits, dtype=np.int64)

@@ -48,7 +48,7 @@ import numpy as np
 
 from .engine import SimContext
 from .graphs import layer_count
-from .rng import substream
+from .rng import Restream
 
 
 def clog2(x: int) -> int:
@@ -276,14 +276,23 @@ def shared_group_layers(n: int, groups: list[np.ndarray], d: int, alpha: int,
     deterministically until the certificate holds -- this stands in for a
     fixed graph family known to have the needed properties.  Returns
     (layers, k_caps) in the format run_relay expects.
+
+    Each group must be a contiguous range of ids (``ValueError`` otherwise),
+    so that its blocks are written through slices.  One stream per attempt
+    draws a top-up per layer.  The top-up is exactly 1 at the first layer
+    whose probability reaches 1 and 0 above it, and those are the
+    attempt's last draws, so they are not drawn: the edges are set or kept.
     """
     k_caps = np.zeros(n, dtype=np.int64)
     k_max = 0
     for g in groups:
+        if len(g) and not np.array_equal(g, np.arange(g[0], g[0] + len(g))):
+            raise ValueError("each group must be a contiguous range of ids")
         k_g = layer_count(len(g), d, alpha)
         k_caps[g] = k_g
         k_max = max(k_max, k_g)
     layers = np.zeros((k_max + 1, n, n), dtype=bool)
+    streams = Restream()
     for g in groups:
         m = len(g)
         if m <= 1:
@@ -294,16 +303,18 @@ def shared_group_layers(n: int, groups: list[np.ndarray], d: int, alpha: int,
         upper = np.triu(np.ones((m, m), dtype=bool), k=1)
         pairs = m * (m - 1) // 2
         for attempt in range(1000):
-            rng = substream(seed, "shared-layers", tag, d, alpha,
-                            int(g[0]), attempt)
+            rng = streams.at(seed, "shared-layers", tag, d, alpha,
+                             int(g[0]), attempt)
             edges = np.zeros(pairs, dtype=bool)
             blocks = []
             prev_prob = 0.0
             for i in range(k_g + 1):
                 prob = min(1.0, d * alpha ** i / m)
-                top_up = ((prob - prev_prob) / (1.0 - prev_prob)
-                          if prev_prob < 1.0 else 0.0)
-                edges |= rng.random(pairs) < top_up
+                if prob >= 1.0:
+                    edges[:] = True
+                else:
+                    top_up = (prob - prev_prob) / (1.0 - prev_prob)
+                    edges |= rng.random(pairs) < top_up
                 prev_prob = prob
                 block = np.zeros((m, m), dtype=bool)
                 block[upper] = edges
@@ -312,21 +323,29 @@ def shared_group_layers(n: int, groups: list[np.ndarray], d: int, alpha: int,
                 break
         else:
             raise RuntimeError("could not certify a connected base layer")
+        ids = slice(int(g[0]), int(g[0]) + m)
         for i in range(k_max + 1):
-            layers[np.ix_([i], g, g)] = blocks[min(i, k_g)]
+            layers[i, ids, ids] = blocks[min(i, k_g)]
     return layers, k_caps
 
 
 def private_layers(n: int, d: int, alpha: int, seed: int, tag
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-process private directed layers over all n processes (coin style)."""
+    """Per-process private directed layers over all n processes (coin style).
+
+    Process p draws row p of every layer from its own stream, layer by
+    layer.  Probabilities grow with the layer, so the layers with
+    probability 1 come last in each stream; a [0, 1) double is always below
+    1, so those rows are all True and are set without drawing.
+    """
     k = layer_count(n, d, alpha)
-    layers = np.zeros((k + 1, n, n), dtype=bool)
+    probs = np.array([min(1.0, d * alpha ** i / n) for i in range(k + 1)])
+    drawn = int((probs < 1.0).sum())
+    layers = np.ones((k + 1, n, n), dtype=bool)
+    draws = np.empty((drawn, n))
+    streams = Restream()
     for p in range(n):
-        rng = substream(seed, "private-layers", tag, p)
-        for i in range(k + 1):
-            prob = min(1.0, d * alpha ** i / n)
-            row = rng.random(n) < prob
-            row[p] = False
-            layers[i, p] = row
+        streams.at(seed, "private-layers", tag, p).random(out=draws)
+        np.less(draws, probs[:drawn, None], out=layers[:drawn, p])
+    layers[:, np.arange(n), np.arange(n)] = False
     return layers, np.full(n, k, dtype=np.int64)

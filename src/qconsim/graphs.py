@@ -90,6 +90,9 @@ def is_expanding(adj: np.ndarray, ell: int, budget: int = DEFAULT_BUDGET,
     """Every two disjoint ell-subsets are joined by at least one edge."""
     n = adj.shape[0]
     params = {"ell": ell}
+    if 2 * ell > n:
+        # no two disjoint ell-subsets exist: the quantifier is empty
+        return PropertyReport("expanding", params, True, "exhaustive")
     pairs = math.comb(n, ell) ** 2
     if pairs <= budget:
         nodes = range(n)
@@ -134,8 +137,9 @@ def is_edge_dense(adj: np.ndarray, ell: int, a: float, b: float,
         return PropertyReport("edge_dense", params, True, "exhaustive")
     rng = substream(seed, "check-edge-dense", ell)
     for _ in range(trials):
-        lo_size = int(rng.integers(1, ell + 1))
-        hi_size = int(rng.integers(ell, n + 1))
+        # no X reaches size ell > n, and no Y exceeds n
+        lo_size = int(rng.integers(1, min(ell, n) + 1))
+        hi_size = int(rng.integers(ell, n + 1)) if ell <= n else 0
         y_nodes = rng.choice(n, size=lo_size, replace=False)
         x_nodes = rng.choice(n, size=hi_size, replace=False)
         ex = _internal_edges(adj, x_nodes)

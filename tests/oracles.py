@@ -13,6 +13,9 @@ import numpy as np
 from qconsim.coin import HiddenRegister
 from qconsim.consensus import PhaseAction
 from qconsim.engine import CrashDecision
+from qconsim.exchange import _diameter_within
+from qconsim.graphs import layer_count
+from qconsim.rng import substream
 
 
 def phase_action_rational(ones: int, total: int) -> PhaseAction:
@@ -83,3 +86,66 @@ def deliver_round(intents: list[MessageIntent], decision: CrashDecision,
             continue
         inbox.setdefault(m.recipient, []).append(m)
     return inbox
+
+
+def private_layers_oracle(n: int, d: int, alpha: int, seed: int, tag
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """``exchange.private_layers`` as one fresh substream per process that
+    draws every layer, saturated ones included, row by row."""
+    k = layer_count(n, d, alpha)
+    layers = np.zeros((k + 1, n, n), dtype=bool)
+    for p in range(n):
+        rng = substream(seed, "private-layers", tag, p)
+        for i in range(k + 1):
+            prob = min(1.0, d * alpha ** i / n)
+            row = rng.random(n) < prob
+            row[p] = False
+            layers[i, p] = row
+    return layers, np.full(n, k, dtype=np.int64)
+
+
+def shared_group_layers_oracle(n: int, groups: list, d: int, alpha: int,
+                               seed: int, tag, max_steps: int | None = None,
+                               attempts: list | None = None
+                               ) -> tuple[np.ndarray, np.ndarray]:
+    """``exchange.shared_group_layers`` as one fresh substream per attempt
+    that draws a top-up for every layer, 0 and 1 included, and writes the
+    blocks through ``np.ix_`` (so any group of ids works).  The resamples
+    each group needed are appended to ``attempts``."""
+    k_caps = np.zeros(n, dtype=np.int64)
+    k_max = 0
+    for g in groups:
+        k_g = layer_count(len(g), d, alpha)
+        k_caps[g] = k_g
+        k_max = max(k_max, k_g)
+    layers = np.zeros((k_max + 1, n, n), dtype=bool)
+    for g in groups:
+        m = len(g)
+        if m <= 1:
+            continue
+        k_g = layer_count(m, d, alpha)
+        iu = np.triu_indices(m, k=1)
+        for attempt in range(1000):
+            rng = substream(seed, "shared-layers", tag, d, alpha,
+                            int(g[0]), attempt)
+            edges = np.zeros(iu[0].size, dtype=bool)
+            blocks = []
+            prev_prob = 0.0
+            for i in range(k_g + 1):
+                prob = min(1.0, d * alpha ** i / m)
+                top_up = ((prob - prev_prob) / (1.0 - prev_prob)
+                          if prev_prob < 1.0 else 0.0)
+                edges |= rng.random(iu[0].size) < top_up
+                prev_prob = prob
+                block = np.zeros((m, m), dtype=bool)
+                block[iu] = edges
+                blocks.append(block | block.T)
+            if max_steps is None or _diameter_within(blocks[0], max_steps):
+                break
+        else:
+            raise RuntimeError("could not certify a connected base layer")
+        if attempts is not None:
+            attempts.append(attempt)
+        for i in range(k_max + 1):
+            layers[np.ix_([i], g, g)] = blocks[min(i, k_g)]
+    return layers, k_caps

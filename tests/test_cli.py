@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qconsim import cli
 from qconsim.cli import build_parser, main, wilson_lower
@@ -150,16 +152,17 @@ def test_sweep_csv_columns_and_determinism(tmp_path):
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_sweep_keeps_non_terminating_cells(tmp_path, monkeypatch, capsys,
                                            jobs):
-    """A cell that hits its phase cap is a row with terminated false and
-    empty results; the sweep exits 4, or 3 if another cell disagreed."""
+    """A cell that hits its phase cap is a row with terminated false, the
+    progress it reached and empty agreed/valid; the sweep exits 4, or 3 if
+    another cell disagreed."""
     if jobs != "1" and multiprocessing.get_start_method() != "fork":
         pytest.skip("only forked workers see the patched run_consensus")
     real = cli.run_consensus
     broken = {1: "stuck"}
 
     def flaky(inputs, params, t, adversary, seed):
-        if broken.get(seed) == "stuck":
-            raise PhaseCapExceeded("no termination within 120 phases")
+        if broken.get(seed) == "stuck":  # a real run, capped at one phase
+            return real(inputs, params, t, adversary, seed, phase_cap=1)
         result = real(inputs, params, t, adversary, seed)
         if broken.get(seed) == "split":
             decisions = result.decisions.copy()
@@ -179,8 +182,12 @@ def test_sweep_keeps_non_terminating_cells(tmp_path, monkeypatch, capsys,
     assert [r["terminated"] for r in rows] == ["True", "False", "True"]
     stuck = rows[1]
     assert stuck["n"] == "8" and stuck["preset"] == "polylog"
-    assert all(stuck[c] == "" for c in ("phases", "rounds", "total_bits",
-                                         "total_qubits", "agreed", "valid"))
+    # one full phase: counting, the fallback window and the coin, as a
+    # terminated polylog n = 8 run spends them per phase
+    per_phase = int(rows[0]["rounds"]) // int(rows[0]["phases"])
+    assert stuck["phases"] == "1" and int(stuck["rounds"]) == per_phase
+    assert int(stuck["total_bits"]) > 0 and int(stuck["total_qubits"]) > 0
+    assert stuck["agreed"] == stuck["valid"] == ""
     assert rows[0]["agreed"] == rows[2]["agreed"] == "True"
 
     broken[2] = "split"
@@ -243,3 +250,147 @@ def test_entry_point_runs():
     assert result.returncode == 0
     for cmd in ("run", "sweep", "coin-stats", "check-graphs"):
         assert cmd in result.stdout
+
+
+# -- config fuzzing -----------------------------------------------------------
+
+_SMALL_N = st.integers(1, 8)
+_ADVERSARY = st.one_of(
+    st.just({"name": "none"}),
+    st.builds(lambda rate: {"name": "random_crasher",
+                            "params": {"rate": rate}}, st.floats(0, 1)),
+    st.builds(lambda per_round, min_degree: {
+        "name": "degree_targeter",
+        "params": {"per_round": per_round, "min_degree": min_degree}},
+        st.integers(1, 3), st.integers(0, 3)),
+    st.builds(lambda pair: {"name": "split_attacker", "params": {"pair": pair}},
+              st.lists(st.integers(0, 7), min_size=2, max_size=2)))
+_CHECK = st.builds(
+    lambda prop, ell, a, b, eps, delta: {
+        "property": prop, "ell": ell, "a": a, "b": b, "eps": eps,
+        "delta": delta},
+    st.sampled_from(["expanding", "edge_dense", "compact"]),
+    st.integers(1, 9), st.floats(0, 3), st.floats(0, 3), st.floats(0, 1),
+    st.integers(0, 3))
+
+# per command, a plausible value for every key it knows; the sizes stay
+# small so that every accepted config runs in well under a second
+_FIELDS = {
+    "run": {"n": _SMALL_N, "t": st.integers(0, 9), "seed": st.integers(0, 9),
+            "preset": st.sampled_from(["constant", "polylog"]),
+            "epsilon": st.floats(0.01, 1), "adversary": _ADVERSARY,
+            "inputs": st.sampled_from(["random", "all-zero", "all-one",
+                                       "split"])
+            | st.lists(st.integers(0, 1), max_size=8),
+            "record_rounds": st.booleans()},
+    "sweep": {"n_list": st.lists(_SMALL_N, min_size=1, max_size=2),
+              "seeds": st.integers(1, 2) | st.lists(st.integers(0, 9),
+                                                    min_size=1, max_size=2),
+              "seed": st.integers(0, 9),
+              "presets": st.lists(st.sampled_from(["constant", "polylog"]),
+                                  min_size=1, max_size=2),
+              "epsilon": st.floats(0.01, 1), "adversary": _ADVERSARY,
+              "inputs": st.sampled_from(["random", "split"])},
+    "coin-stats": {"n": _SMALL_N, "t": st.integers(0, 9),
+                   "d": st.integers(1, 4), "alpha": st.integers(2, 4),
+                   "seeds": st.integers(1, 3), "seed": st.integers(0, 9),
+                   "adversary": _ADVERSARY},
+    "check-graphs": {"n": _SMALL_N, "y": st.floats(0, 1),
+                     "seed": st.integers(0, 9), "budget": st.integers(1, 50),
+                     "trials": st.integers(1, 20),
+                     "checks": st.lists(_CHECK, min_size=1, max_size=2)},
+}
+
+_REQUIRED = {"run": cli._RUN_SCHEMA["required"],
+             "sweep": cli._SWEEP_SCHEMA["required"],
+             "coin-stats": cli._COIN_SCHEMA["required"],
+             "check-graphs": cli._GRAPH_SCHEMA["required"]}
+
+
+def _near(draw, value):
+    """A value of the wrong type or out of range, made from a plausible one
+    (inside a list or object, from one of its items)."""
+    options = [None, str(value), [value], {"v": value}, float("nan"),
+               float("inf")]
+    if isinstance(value, bool):
+        options.append(int(value))
+    elif isinstance(value, int):
+        options += [float(value), -value - 1, value > 0]
+    elif isinstance(value, float):
+        options += [-value - 1, value + 1]
+    elif isinstance(value, list) and value:
+        i = draw(st.integers(0, len(value) - 1))
+        options += [value[:i] + [_near(draw, value[i])] + value[i + 1:],
+                    value[:i], value + value[:1]]
+    elif isinstance(value, dict) and value:
+        key = draw(st.sampled_from(sorted(value)))
+        rest = {k: v for k, v in value.items() if k != key}
+        options += [{**value, key: _near(draw, value[key])}, rest,
+                    {**value, "extra": 1}]
+    return draw(st.sampled_from(options))
+
+
+@st.composite
+def _configs(draw, command):
+    """A plausible config for ``command`` with at most two faults: a key
+    with a wrong value, a missing key, an unknown key, or no object at
+    all."""
+    required = _REQUIRED[command]
+    cfg = {key: draw(plausible) for key, plausible in _FIELDS[command].items()
+           if key in required or draw(st.booleans())}
+    for _ in range(draw(st.integers(0, 2))):
+        fault = draw(st.sampled_from(["value", "value", "value", "missing",
+                                      "unknown", "not-object"]))
+        if fault == "not-object":
+            return _near(draw, cfg)
+        key = draw(st.sampled_from(sorted(_FIELDS[command])))
+        if fault == "value":
+            cfg[key] = _near(draw, cfg.get(key, 1))
+        elif fault == "missing":
+            cfg.pop(key, None)
+        else:
+            cfg[key + "_x"] = cfg.get(key, 1)
+    return cfg
+
+
+# configs that once ended in a traceback, replayed before the random ones
+_FOUND = {
+    "run": [{"n": 2.0, "seed": 4, "preset": "polylog"},
+            {"n": 8, "seed": 1, "preset": "constant", "epsilon": float("nan")},
+            {"n": 8, "seed": 1, "preset": "polylog",
+             "adversary": {"name": "split_attacker",
+                           "params": {"pair": [1.0, 2]}}}],
+    "sweep": [{"n_list": [4.0], "seeds": 1, "presets": ["polylog"]},
+              {"n_list": [4], "seeds": 2.0, "presets": ["polylog"]}],
+    "coin-stats": [{"n": 4.0, "seeds": 1}],
+    "check-graphs": [
+        {"n": 3, "y": 0.5, "budget": 1,
+         "checks": [{"property": "expanding", "ell": 2}]},
+        {"n": 3, "y": 0.5, "budget": 1,
+         "checks": [{"property": "edge_dense", "ell": 4}]},
+        {"n": 6, "y": float("nan"),
+         "checks": [{"property": "compact", "ell": 2}]},
+        {"n": 2.0, "y": 0.5, "checks": [{"property": "compact", "ell": 1}]}],
+}
+
+
+@pytest.mark.parametrize("command", list(_FIELDS))
+def test_config_fuzz_ends_in_documented_exit_code(command, tmp_path_factory,
+                                                  monkeypatch, capsys):
+    """No config reaches a traceback, and every exit code is documented."""
+    monkeypatch.delenv("QSIM_SEED", raising=False)
+    workdir = tmp_path_factory.mktemp(f"fuzz-{command}")
+
+    def run_one(cfg):
+        path = workdir / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = main([command, "--config", str(path),
+                     "--out", str(workdir / "out")])
+        capsys.readouterr()
+        assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_INVARIANT,
+                        cli.EXIT_LIVENESS)
+
+    for cfg in _FOUND[command]:
+        run_one(cfg)
+    settings(max_examples=50, deadline=None)(
+        given(cfg=_configs(command))(run_one))()

@@ -66,11 +66,17 @@ def test_coin_rounds_exact():
 
 
 def test_coin_crash_free_agreement():
+    """Without crashes everyone outputs the coin bit of the largest
+    (leader, origin) register, each drawn from the process's split_rng."""
     for seed in range(25):
         n = 24
         ctx = SimContext(n, 8, Adversary(), seed=seed)
         bits = run_coin(ctx, CoinParams.make(n, d=2 * 5, alpha=5))
         assert (bits == bits[0]).all(), seed
+        regs = [init_register(p, n, split_rng(seed, p, "coin", "register"))
+                for p in range(n)]
+        top = max(regs, key=lambda r: (r.leader_value, r.origin))
+        assert bits[0] == top.coin_bit, seed
 
 
 def test_coin_deterministic_replay():

@@ -4,9 +4,11 @@ import pytest
 from oracles import phase_action_rational
 from qconsim.adversaries import (Adversary, DegreeTargeter, RandomCrasher,
                                  SplitAttacker, make_adversary)
-from qconsim.consensus import (ConsensusParams, PhaseAction, fallback_rounds,
+from qconsim.consensus import (ConsensusParams, PhaseAction,
+                               PhaseCapExceeded, fallback_rounds,
                                fallback_threshold, phase_rule, run_consensus,
                                should_stop)
+from qconsim.engine import RoundCapExceeded
 
 
 def test_phase_decision_examples():
@@ -153,3 +155,20 @@ def test_decided_processes_halt_and_release_counts():
     # unanimity: everyone decides in the first termination-check window
     assert r.phases <= 6
     assert all(s.stopped == 0 for s in r.phase_stats[:3])
+
+
+def test_cap_exceptions_carry_progress():
+    """A capped run reports the phases it completed and what it spent."""
+    inputs = np.array([0, 1] * 4)
+    params = ConsensusParams.polylog(8)
+    full = run_consensus(inputs, params, 2, Adversary(), seed=3)
+    per_phase = full.transcript.rounds // full.phases
+    with pytest.raises(PhaseCapExceeded) as info:
+        run_consensus(inputs, params, 2, Adversary(), seed=3, phase_cap=1)
+    assert (info.value.phases, info.value.rounds) == (1, per_phase)
+    assert 0 < info.value.total_bits < full.transcript.ledger["total_bits"]
+    with pytest.raises(RoundCapExceeded) as info:
+        run_consensus(inputs, params, 2, Adversary(), seed=3,
+                      round_cap=per_phase + 5)
+    assert (info.value.phases, info.value.rounds) == (1, per_phase + 5)
+    assert info.value.total_qubits > 0

@@ -107,6 +107,18 @@ def test_round_cap():
         ctx.exchange(nobody, 0)
 
 
+def test_round_cap_carries_progress():
+    """The exception says how far the run got: rounds, bits and qubits."""
+    ctx = SimContext(3, 1, Adversary(), seed=0, round_cap=2)
+    ctx.exchange(_full_targets(3), bits=2, qubits=1)
+    ctx.exchange(_full_targets(3), bits=1)
+    with pytest.raises(RoundCapExceeded) as info:
+        ctx.exchange(_full_targets(3), bits=1)
+    exc = info.value
+    assert (exc.rounds, exc.total_bits, exc.total_qubits) == (2, 18, 6)
+    assert exc.phases is None
+
+
 def test_vectorized_engine_matches_reference_delivery():
     """The engine's matrix path agrees with the per-message reference."""
     n = 6

@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import adapt_degree, merge_registers
+from oracles import (adapt_degree, merge_registers, private_layers_oracle,
+                     shared_group_layers_oracle)
 from qconsim.adversaries import Adversary
 from qconsim.coin import HiddenRegister
 from qconsim.engine import SimContext
@@ -276,6 +278,88 @@ def test_shared_layers_deterministic():
     a, _ = shared_group_layers(10, groups, 2, 2, seed=5, tag=("x", 1))
     b, _ = shared_group_layers(10, groups, 2, 2, seed=5, tag=("x", 1))
     assert (a == b).all()
+
+
+@st.composite
+def _layer_shapes(draw):
+    """(n, d, alpha) with 2 <= n <= 64.  Half of them put n = d * alpha**j,
+    so that layer j's probability d * alpha**j / n is exactly 1.0; in the
+    others the top layer's probability is capped at 1.  Either way the top
+    layer saturates."""
+    alpha = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        step = alpha ** draw(st.integers(0, 3))
+        d = draw(st.integers(-(-2 // step), 64 // step))
+        return d * step, d, alpha
+    return draw(st.integers(2, 64)), draw(st.integers(1, 9)), alpha
+
+
+@given(shape=_layer_shapes(), seed=st.integers(0, 2 ** 32),
+       tag=st.sampled_from(["t", ("coin", 3)]))
+@example(shape=(27, 3, 3), seed=1, tag="t")  # layer 2: 3 * 3**2 / 27 == 1.0
+def test_private_layers_match_per_process_oracle(shape, seed, tag):
+    n, d, alpha = shape
+    got = private_layers(n, d, alpha, seed, tag)
+    want = private_layers_oracle(n, d, alpha, seed, tag)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def _outcome(build, *args, **kwargs):
+    """What ``build`` returns, or the message of its RuntimeError."""
+    try:
+        return build(*args, **kwargs)
+    except RuntimeError as exc:
+        return str(exc)
+
+
+@st.composite
+def _contiguous_groups(draw, n):
+    """[0, n) cut into contiguous groups, singletons among them."""
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=min(5, n - 1))))
+    bounds = [0, *cuts, n]
+    return [np.arange(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+# a singleton and a group of 27 = 3 * 3**2, whose layer 2 has probability
+# exactly 1.0; its base layer needs 68 resamples to reach diameter <= 4
+_RESAMPLED = dict(shape=(28, 3, 3), seed=4, max_steps=3)
+
+
+@settings(deadline=None)
+@given(data=st.data(), shape=_layer_shapes(), seed=st.integers(0, 2 ** 32),
+       max_steps=st.sampled_from([None, 3, 4, 8]))
+@example(data=None, **_RESAMPLED)
+def test_shared_layers_match_per_attempt_oracle(data, shape, seed, max_steps):
+    """Several contiguous groups, singletons among them; a small max_steps
+    forces resampling attempts, and a group that never certifies raises the
+    same RuntimeError in both."""
+    n, d, alpha = shape
+    groups = ([np.arange(0, 1), np.arange(1, n)] if data is None
+              else data.draw(_contiguous_groups(n)))
+    args = (n, groups, d, alpha, seed, ("count", 2))
+    got = _outcome(shared_group_layers, *args, max_steps=max_steps)
+    want = _outcome(shared_group_layers_oracle, *args, max_steps=max_steps)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_shared_layers_oracle_example_resamples():
+    """The explicit example of the oracle test really resamples."""
+    (n, d, alpha), seed = _RESAMPLED["shape"], _RESAMPLED["seed"]
+    attempts = []
+    shared_group_layers_oracle(n, [np.arange(0, 1), np.arange(1, n)], d,
+                               alpha, seed, ("count", 2),
+                               max_steps=_RESAMPLED["max_steps"],
+                               attempts=attempts)
+    assert attempts == [68]
+
+
+def test_shared_layers_reject_non_contiguous_group():
+    groups = [np.array([0, 2, 3]), np.array([1, 4, 5])]
+    with pytest.raises(ValueError, match="contiguous"):
+        shared_group_layers(6, groups, 2, 2, seed=1, tag="t")
 
 
 # -- relay schedule ---------------------------------------------------------

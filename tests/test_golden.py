@@ -158,6 +158,88 @@ GOLDEN = [
       "fallback_triggers": 0,
       "digest": "1c5d2c96b14d4c7c0130dfd7cdd2572c518b35922f72392cff92d94"
                 "ac22946f1"}),
+    # both presets against the two structured adversaries at n = 64, and
+    # split inputs (alternating 0 and 1) at n = 8
+    ("n64-polylog-degree_targeter", 64, 21, "polylog", None, "degree_targeter",
+     {}, 41,
+     "100100001011111011000111011101111000000011000110001000010010"
+     "1011",
+     {"decisions": [-1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
+                   -1, -1, -1, -1, 0, 0, -1, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0,
+                   0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                   0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+      "phases": 4, "rounds": 1824,
+      "total_bits": 12704759, "total_qubits": 3678704,
+      "crashed": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16,
+                 17, 20, 24],
+      "fallback_triggers": 0,
+      "digest": "25c586234edd4eea75e1e494fff6014ac5f57335"
+                "71383ddbbc9ec3708ffd3f30"}),
+    ("n64-constant-degree_targeter", 64, 21, "constant", 0.5,
+     "degree_targeter", {}, 43,
+     "111100011110010001000001001001100111010000101001111010011110"
+     "1000",
+     {"decisions": [-1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0,
+                   -1, -1, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, -1, 0, 0, 0, -1, -1,
+                   0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0,
+                   0, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0],
+      "phases": 5, "rounds": 1170,
+      "total_bits": 42323729, "total_qubits": 4885698,
+      "crashed": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 16, 17, 25, 28, 32, 33,
+                 40, 48, 56],
+      "fallback_triggers": 0,
+      "digest": "0e80c8498646b362597217f43d930c0a21b5b7b7"
+                "f8bc89e38c77931ca1bd19a9"}),
+    ("n64-polylog-split_attacker", 64, 21, "polylog", None, "split_attacker",
+     {}, 47,
+     "010100001110011001111111000100001001000000111011011101000101"
+     "1101",
+     {"decisions": [-1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
+                   -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                   0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                   0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+      "phases": 5, "rounds": 2280,
+      "total_bits": 17015003, "total_qubits": 4916212,
+      "crashed": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16,
+                 17, 18, 19],
+      "fallback_triggers": 0,
+      "digest": "9a44ad987300ea27fd1b804e3d49011ff81dbcf0"
+                "cada633fcff91566a2bc8d53"}),
+    ("n64-constant-split_attacker", 64, 21, "constant", 0.5, "split_attacker",
+     {}, 53,
+     "011110111100110001000111011001101110000000110011111110101000"
+     "0101",
+     {"decisions": [-1, -1, 0, -1, -1, -1, -1, -1, 0, 0, 0, -1, -1, 0, -1, -1,
+                   0, -1, -1, 0, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, -1, 0, 0,
+                   -1, 0, 0, 0, 0, 0, -1, 0, 0, -1, 0, -1, 0, 0, 0, 0, 0, 0,
+                   0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+      "phases": 5, "rounds": 1170,
+      "total_bits": 42922678, "total_qubits": 4937340,
+      "crashed": [0, 1, 3, 4, 5, 6, 7, 11, 12, 14, 15, 17, 18, 20, 30, 31, 34,
+                 40, 43, 45],
+      "fallback_triggers": 0,
+      "digest": "161666d791510fa589fa007da8f612a9fc358502"
+                "67f8c31de1b816fdbd227bd5"}),
+    ("n8-polylog-random_crasher-split", 8, 2, "polylog", None,
+     "random_crasher", {"rate": 0.02}, 59,
+     "01010101",
+     {"decisions": [0, 0, 0, 0, 0, -1, 0, 0],
+      "phases": 5, "rounds": 910,
+      "total_bits": 118059, "total_qubits": 34590,
+      "crashed": [5],
+      "fallback_triggers": 0,
+      "digest": "958e512cad820c6c1834f691c09e471dc357104b"
+                "1ae767dd4516ceb5816209eb"}),
+    ("n8-constant-none-split", 8, 2, "constant", 0.5, "none",
+     {}, 61,
+     "01010101",
+     {"decisions": [1, 1, 1, 1, 1, 1, 1, 1],
+      "phases": 4, "rounds": 512,
+      "total_bits": 109684, "total_qubits": 19440,
+      "crashed": [],
+      "fallback_triggers": 0,
+      "digest": "aa24c3a6238aa78d4662dd4adaed0ee60956fd4f"
+                "c6d3e93d6c86c3a1779659b9"}),
 ]
 
 
@@ -202,6 +284,24 @@ GOLDEN_COIN = [
       "crashed": [1, 4, 5, 11, 16, 17, 18, 23, 24, 32, 34, 36, 38, 40, 45],
       "digest": "90a1270fe65116b9e3cadce7677facf811f57d9f20621a1e6c37392"
                 "339f604b0"}),
+    # the coin-stats benchmark shape: d = alpha = 9, so the top layer
+    # (729/512) saturates
+    ("coin-n512-degree_targeter", 512, 170, "degree_targeter", {}, 67,
+     {"bits": [1] * 69 + [0] + [1] * 11 + [0] + [1] * 366 + [0] + [1] * 63,
+      "rounds": 128, "total_bits": 14605545,
+      "total_qubits": 33614504,
+      "crashed": [4, 6, 9, 11, 13, 20, 21, 25, 26, 30, 38, 39, 41, 42, 43, 49,
+                 56, 69, 70, 71, 72, 73, 76, 77, 79, 80, 81, 82, 83, 86, 87,
+                 91, 92, 94, 98, 107, 109, 113, 116, 117, 132, 139, 147, 150,
+                 154, 155, 162, 165, 166, 169, 173, 179, 181, 184, 186, 188,
+                 192, 195, 200, 204, 207, 211, 218, 219, 227, 234, 235, 243,
+                 249, 251, 258, 261, 262, 266, 274, 278, 283, 286, 291, 292,
+                 293, 294, 296, 297, 299, 307, 308, 316, 319, 324, 327, 343,
+                 348, 350, 359, 362, 363, 369, 372, 375, 380, 383, 387, 389,
+                 395, 404, 405, 406, 409, 412, 414, 425, 426, 429, 434, 447,
+                 448, 455, 457, 461, 463, 473, 477, 487, 488, 492, 495, 497],
+      "digest": "9bd157be3f9d6600e2c9e3277b5b13263e1f5c41560834fcc14097e"
+                "e4113a423"}),
 ]
 
 
