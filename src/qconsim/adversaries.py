@@ -31,12 +31,10 @@ def _check_param(name: str, value, kind: type, low, high=math.inf) -> None:
 
 
 class Adversary:
-    """Base strategy: crash nobody."""
+    """Base strategy: crash nobody.  It takes no params, so any param given
+    to it is a TypeError, as an unknown param is for the other strategies."""
 
     name = "none"
-
-    def __init__(self, **params):
-        self.params = params
 
     def reset(self, n: int, t: int, seed: int) -> None:
         """Prepare for a run on n processes; ValueError if the strategy's
@@ -60,7 +58,6 @@ class RandomCrasher(Adversary):
 
     def __init__(self, rate: float = 0.002):
         _check_param("rate", rate, Real, 0, 1)
-        super().__init__(rate=rate)
         self.rate = rate
 
     def decide(self, view: AdversaryView) -> CrashDecision:
@@ -93,7 +90,6 @@ class DegreeTargeter(Adversary):
     def __init__(self, per_round: int = 1, min_degree: int = 1):
         _check_param("per_round", per_round, Integral, 1)
         _check_param("min_degree", min_degree, Integral, 0)
-        super().__init__(per_round=per_round, min_degree=min_degree)
         self.per_round = per_round
         self.min_degree = min_degree
 
@@ -128,7 +124,6 @@ class SplitAttacker(Adversary):
                 raise ValueError(f"pair must hold two ids, got {pair!r}")
             for p in pair:
                 _check_param("pair id", p, Integral, 0)
-        super().__init__(pair=list(pair) if pair else None)
         self.pair = pair
 
     def reset(self, n: int, t: int, seed: int) -> None:

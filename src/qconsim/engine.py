@@ -32,6 +32,16 @@ Version 2 feeds, in order:
   ``json.dumps(..., sort_keys=True)`` (outputs with ``default=str``).
 
 n is in the header, so the packed bytes still determine the matrix exactly.
+
+Prepared rounds.  ``exchange`` masks a round's targets to the senders that
+can send (C-ordered, diagonal cleared) into a ``PreparedRound`` with their
+attempt counts, which a caller sending the same targets again passes back
+(``SimContext.prepare``).  A round without a crash delivers exactly
+``targets & active``, so the first one stores that matrix and its digest
+bytes for the next.  Halts and crashes move ``SimContext.version`` on, and
+``exchange`` then re-masks the round in place.  Returned deliveries and the
+view's ``targets`` are read-only: a returned matrix's identity stands for
+its contents.
 """
 
 from __future__ import annotations
@@ -105,8 +115,8 @@ EMPTY_DECISION = _empty_decision()
 class AdversaryView:
     """Read-only classical snapshot handed to the adversary each round.
 
-    Holds references to live engine arrays for speed; adversaries must not
-    mutate them.  Hidden state is not reachable from a view.
+    Holds read-only views of live engine arrays (the payload and state
+    are the protocol's own).  Hidden state is not reachable from a view.
     """
 
     __slots__ = (
@@ -213,6 +223,12 @@ class Transcript:
         return json.dumps(body, sort_keys=True, indent=2) + "\n"
 
 
+class PreparedRound:
+    """One round's targets as ``exchange`` uses them (see module docstring)."""
+
+    __slots__ = ("raw", "targets", "sent", "version", "delivered", "packed")
+
+
 class SimContext:
     """Mutable engine state threaded through a protocol run.
 
@@ -233,7 +249,13 @@ class SimContext:
         self.round_cap = round_cap
         self.alive = np.ones(n, dtype=bool)
         self.halted = np.zeros(n, dtype=bool)
+        # what adversary views show: live but read-only, so that no write
+        # changes the active set without moving the version on
+        self._shown = (self.alive.view(), self.halted.view())
+        for mask in self._shown:
+            mask.flags.writeable = False
         self.crashes_used = 0
+        self.version = 0  # moved on by every halt and crash
         self.ledger = CostLedger.empty(n)
         self.adversary = adversary
         adversary.reset(n, t, seed)
@@ -252,14 +274,36 @@ class SimContext:
     def halt(self, mask: np.ndarray) -> None:
         """Remove processes from the computation (they keep their output)."""
         self.halted |= mask
+        self.version += 1
+
+    def prepare(self, targets: np.ndarray,
+                prep: Optional[PreparedRound] = None) -> PreparedRound:
+        """``targets`` masked for the current active set, in place into
+        ``prep`` if given; ``targets`` must not change while it is used."""
+        if prep is None:
+            prep = PreparedRound()
+            prep.targets = np.empty((self.n,) * 2, dtype=bool)
+        prep.raw, t = targets, prep.targets
+        t.flags.writeable = True
+        # one pass that also turns a transposed (F-ordered) matrix into C order
+        np.logical_and(targets, self.active[:, None], out=t)
+        np.fill_diagonal(t, False)
+        t.flags.writeable = False
+        # a row holds at most n - 1 messages
+        prep.sent = np.add.reduce(t, axis=1, dtype=np.min_scalar_type(self.n))
+        prep.version = self.version
+        prep.delivered = prep.packed = None
+        return prep
 
     # -- the one communication primitive --------------------------------
 
-    def exchange(self, targets: np.ndarray, bits, qubits=0,
+    def exchange(self, targets, bits, qubits=0,
                  payload: Optional[dict] = None,
                  state: Optional[dict] = None) -> np.ndarray:
-        """Run one synchronous round; return the delivered (n, n) bool matrix.
+        """Run one synchronous round; return the delivered (n, n) bool matrix
+        (read-only).
 
+        ``targets`` is a raw (n, n) bool matrix or a ``PreparedRound``.
         ``bits``/``qubits`` are per-message costs, scalar or per-sender
         arrays.  ``payload`` (classical) is shown to the adversary.
         ``state`` is extra classical protocol state for the view.
@@ -270,16 +314,17 @@ class SimContext:
         n = self.n
         bits_arr = np.full(n, bits, dtype=np.int64)
         qubits_arr = np.full(n, qubits, dtype=np.int64)
+        prep = (targets if isinstance(targets, PreparedRound)
+                else self.prepare(targets))
+        if prep.version != self.version:
+            self.prepare(prep.raw, prep)
 
-        # one pass that also turns a transposed (F-ordered) matrix into C order
-        targets = np.logical_and(targets, self.active[:, None], order="C")
-        np.fill_diagonal(targets, False)
-
-        view = AdversaryView(self.round, n, self.t, self.alive, self.halted,
-                             targets, bits_arr, qubits_arr, payload, state,
-                             self.crashes_used)
+        view = AdversaryView(self.round, n, self.t, *self._shown,
+                             prep.targets, bits_arr, qubits_arr, payload,
+                             state, self.crashes_used)
         decision = self.adversary.decide(view)
         newly = np.asarray(decision.newly_crashed, dtype=np.int64)
+        sent = prep.sent
         if newly.size:
             if not self.alive[newly].all():
                 raise AdversaryViolation("adversary crashed a dead process")
@@ -287,29 +332,35 @@ class SimContext:
                 raise AdversaryViolation("crash budget exceeded")
             self.crashes_used += int(newly.size)
             self.alive[newly] = False
-
-        # recipients crashed or halted (including crashed this round) get
-        # nothing; a sender crashed this round delivers its kept subset only
-        delivered = targets & self.active[None, :]
-        for s in newly.tolist():
-            keep = decision.partial_delivery.get(s)
-            if keep is None:
-                delivered[s] = False
-            else:
-                delivered[s] &= keep
-
-        # cost: survivors pay for attempts, crash-round senders for
-        # deliveries; a row holds at most n - 1 messages
-        sent = np.add.reduce(targets, axis=1, dtype=np.min_scalar_type(n))
-        if newly.size:
+            self.version += 1
+            # recipients crashed or halted (including crashed this round)
+            # get nothing; a sender crashed this round delivers its kept
+            # subset only, and pays for that subset only
+            delivered = prep.targets & self.active[None, :]
+            for s in newly.tolist():
+                keep = decision.partial_delivery.get(s)
+                if keep is None:
+                    delivered[s] = False
+                else:
+                    delivered[s] &= keep
+            sent = sent.copy()
             sent[newly] = delivered[newly].sum(axis=1)
+            delivered.flags.writeable = False
+            packed = np.packbits(delivered)  # row-major, zero-padded bytes
+        else:
+            if prep.delivered is None:
+                prep.delivered = prep.targets & self.active[None, :]
+                prep.delivered.flags.writeable = False
+                prep.packed = np.packbits(prep.delivered)
+            delivered, packed = prep.delivered, prep.packed
+
         self.ledger.bits += bits_arr * sent
         self.ledger.qubits += qubits_arr * sent
         self.ledger.rounds_active += self.active
 
         h = self._hash
         h.update(self.round.to_bytes(4, "little"))
-        h.update(np.packbits(delivered))  # row-major, zero-padded bytes
+        h.update(packed)
         h.update(newly.tobytes())
         h.update(bits_arr.tobytes())
         h.update(qubits_arr.tobytes())

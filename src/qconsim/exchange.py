@@ -30,8 +30,8 @@ recipient: for rumors (counting) an edge whose sender row differs from the
 recipient row, for keys (coin) an edge whose sender key is the larger.  Once
 the payloads have spread that mask is empty and the merge ends there;
 otherwise only the masked edges are listed and max-merged.  Responder counts
-for degree adaptation and the diameter certificate of the shared layers are
-float32 BLAS products, exact below 2**24 processes.
+for degree adaptation are a float32 BLAS product, exact below 2**24
+processes; the diameter certificate of the shared layers ORs packed rows.
 
 The relay's matrices stay dense (n, n) bool on purpose.  At the sizes the
 protocol runs, the top layers it climbs to are dense: at n = 384 under the
@@ -106,23 +106,32 @@ class KeyCarrier:
     masks those edges on the delivered matrix, comparing narrow dense ranks
     of the keys instead of the int64 keys, and returns at once when there is
     none.  Otherwise it max-scatters the senders' keys into their recipients.
+    After a merge that found no such edge the keys are a fixed point of
+    that (read-only) delivery, so the same object handed in next is skipped.
     """
 
     def __init__(self, keys: np.ndarray, bits: int, qubits: int):
         self.keys = keys.astype(np.int64)
         self.bits = bits
         self.qubits = qubits
+        self.idle_on = None  # the delivery the last merge found nothing in
+        self.ranks = None  # dense ranks of the keys, kept until they change
 
     def payloads(self, ad: np.ndarray) -> dict:
         return {"adaptive_degree": ad}
 
     def merge(self, delivered: np.ndarray) -> None:
+        if delivered is self.idle_on:
+            return
+        self.idle_on = delivered
         n = self.keys.size
-        ranks = np.unique(self.keys, return_inverse=True)[1].astype(
-            np.min_scalar_type(n))
-        useful = delivered & (ranks[:, None] > ranks[None, :])
+        if self.ranks is None:
+            self.ranks = np.unique(self.keys, return_inverse=True)[1].astype(
+                np.min_scalar_type(n))
+        useful = delivered & (self.ranks[:, None] > self.ranks[None, :])
         if not useful.any():
             return
+        self.idle_on = self.ranks = None
         src, dst = np.divmod(np.flatnonzero(useful), n)
         np.maximum.at(self.keys, dst, self.keys[src])
 
@@ -141,13 +150,15 @@ class RumorCarrier:
     left, and the matrix is done after the mask.  The edges that are left
     are listed, sorted by recipient, their sender rows gathered and
     max-reduced per recipient segment, and the result is written back in
-    place.
+    place.  A merge that found no such edge skips the same object next.
     """
 
     def __init__(self, matrices: list[np.ndarray], bits: int):
         self.matrices = matrices
         self.bits = bits
         self.qubits = 0
+        self.idle_on = None  # the delivery the last merge found nothing in
+        self.labels = [None] * len(matrices)  # row labels, kept until changed
 
     def payloads(self, ad: np.ndarray) -> dict:
         classical = {"adaptive_degree": ad}
@@ -156,11 +167,17 @@ class RumorCarrier:
         return classical
 
     def merge(self, delivered: np.ndarray) -> None:
-        for m in self.matrices:
-            labels = _row_labels(m)
+        if delivered is self.idle_on:
+            return
+        self.idle_on = delivered
+        for i, m in enumerate(self.matrices):
+            if self.labels[i] is None:
+                self.labels[i] = _row_labels(m)
+            labels = self.labels[i]
             useful = delivered & (labels[:, None] != labels[None, :])
             if not useful.any():
                 continue
+            self.idle_on = self.labels[i] = None
             src, dst = np.divmod(np.flatnonzero(useful), useful.shape[1])
             order = np.argsort(dst)  # edges by recipient
             s, d = src[order], dst[order]
@@ -219,45 +236,74 @@ class Window:
 
 
 def run_relay(ctx: SimContext, layers: np.ndarray, k_caps: np.ndarray,
-              window: Window, carrier, state: dict | None = None) -> None:
-    """Run one full adaptive-relay window, mutating ``carrier`` in place.
+              window: Window, carrier, state: dict | None = None
+              ) -> np.ndarray:
+    """Run one full adaptive-relay window, mutating ``carrier`` in place;
+    return the final degree levels.
 
     ``layers`` is (k_max+1, n, n) bool with layers[i][p] the targets of p at
     level i; rows above a process's own cap must repeat its top layer.
     ``k_caps`` is the per-process top level.
+
+    Exact reuse: the inquiry rows depend on the levels only, so they are
+    gathered and prepared (``SimContext.prepare``) again only when the
+    levels change; the response round, only when the inquiry round returns
+    a new matrix object (returned matrices are read-only), each into the
+    buffer it had; and the adaptive degrees, unless the same response
+    matrix and degrees were just adapted.  The engine re-masks after a halt
+    or crash and reuses a delivery while nobody crashes.
     """
     n = ctx.n
     rows = np.arange(n)
     lvl = np.zeros(n, dtype=np.int64)
     k_max = int(k_caps.max(initial=0))
+    ask = ask_lvl = heard = answer = None
+    adapted = (None, None, None)  # (response, ad before, ad after)
     for _ in range(window.epochs):
+        if not np.array_equal(lvl, ask_lvl):
+            ask_lvl = lvl
+            ask = ctx.prepare(layers[np.minimum(lvl, k_caps), rows], ask)
         ad = lvl.copy()
         for _ in range(window.iterations):
-            inq = layers[np.minimum(lvl, k_caps), rows, :]
-            got_inq = ctx.exchange(inq, 1, state=state)
-            got_resp = ctx.exchange(got_inq.T, carrier.bits, carrier.qubits,
+            got_inq = ctx.exchange(ask, 1, state=state)
+            if got_inq is not heard:
+                heard, answer = got_inq, ctx.prepare(got_inq.T, answer)
+            got_resp = ctx.exchange(answer, carrier.bits, carrier.qubits,
                                     payload=carrier.payloads(ad), state=state)
             carrier.merge(got_resp)
-            ad = _adapt_vec(ad, got_resp, window.delta, k_max)
+            seen, before, after = adapted
+            if got_resp is not seen or not np.array_equal(ad, before):
+                after = _adapt_vec(ad, got_resp, window.delta, k_max)
+                adapted = got_resp, ad, after
+            ad = after
         lvl = end_epoch_update(lvl, ad, k_caps)
+    return lvl
 
 
 def _diameter_within(adj: np.ndarray, limit: int) -> bool:
     """True iff the graph is connected with diameter <= the first power of
-    two >= limit (the radius doubles, so it can overshoot limit).
+    two >= limit (the bound an earlier radius-doubling form certified).
 
-    Each step squares the reachability matrix as a float32 BLAS product
-    clipped back to 0/1, which is exact while m < 2**24.
+    Each hop ORs every node's packed reach row with its neighbours' rows
+    (``bitwise_or.reduceat`` over the edges, each node its own neighbour)
+    until the rows stop changing, as full rows do.
     """
     m = adj.shape[0]
-    reach = (adj | np.eye(m, dtype=bool)).astype(np.float32)
-    square = np.empty_like(reach)
-    steps = 1
-    while steps < limit and not reach.all():
-        np.matmul(reach, reach, out=square)
-        np.minimum(square, 1, out=reach)
-        steps *= 2
-    return bool(reach.all())
+    closed = adj | np.eye(m, dtype=bool)
+    if closed.all():
+        return True
+    src, dst = np.divmod(np.flatnonzero(closed), m)
+    starts = np.searchsorted(src, np.arange(m))
+    rows = np.zeros((m, -(-m // 64) * 64), dtype=bool)
+    rows[:, :m] = closed
+    reach = np.packbits(rows, axis=1).view(np.uint64)
+    for _ in range(1, 1 << clog2(limit)):
+        grown = np.bitwise_or.reduceat(reach[dst], starts, axis=0)
+        if np.array_equal(grown, reach):
+            break
+        reach = grown
+    rows[0, :m] = True  # now the packed row of everyone
+    return bool((reach == np.packbits(rows[0]).view(np.uint64)).all())
 
 
 def shared_group_layers(n: int, groups: list[np.ndarray], d: int, alpha: int,

@@ -13,7 +13,7 @@ import numpy as np
 from qconsim.coin import HiddenRegister
 from qconsim.consensus import PhaseAction
 from qconsim.engine import CrashDecision
-from qconsim.exchange import _diameter_within
+from qconsim.exchange import _adapt_vec, _diameter_within, end_epoch_update
 from qconsim.graphs import layer_count
 from qconsim.rng import substream
 
@@ -149,3 +149,26 @@ def shared_group_layers_oracle(n: int, groups: list, d: int, alpha: int,
         for i in range(k_max + 1):
             layers[np.ix_([i], g, g)] = blocks[min(i, k_g)]
     return layers, k_caps
+
+
+def run_relay_oracle(ctx, layers: np.ndarray, k_caps: np.ndarray, window,
+                     carrier, state: dict | None = None) -> np.ndarray:
+    """``exchange.run_relay`` with nothing carried from one round to the
+    next: every iteration gathers its inquiry rows afresh, and both rounds
+    hand the engine a raw matrix, so each is masked and delivered anew and
+    the carrier never sees the same delivered object twice."""
+    n = ctx.n
+    rows = np.arange(n)
+    lvl = np.zeros(n, dtype=np.int64)
+    k_max = int(k_caps.max(initial=0))
+    for _ in range(window.epochs):
+        ad = lvl.copy()
+        for _ in range(window.iterations):
+            inq = layers[np.minimum(lvl, k_caps), rows, :]
+            got_inq = ctx.exchange(inq, 1, state=state)
+            got_resp = ctx.exchange(got_inq.T, carrier.bits, carrier.qubits,
+                                    payload=carrier.payloads(ad), state=state)
+            carrier.merge(got_resp)
+            ad = _adapt_vec(ad, got_resp, window.delta, k_max)
+        lvl = end_epoch_update(lvl, ad, k_caps)
+    return lvl

@@ -70,6 +70,8 @@ BAD_ADVERSARIES = {
     "rate-not-a-number": {"name": "random_crasher", "params": {"rate": "x"}},
     "per-round-negative": {"name": "degree_targeter",
                            "params": {"per_round": -1}},
+    "none-with-params": {"name": "none",
+                         "params": {"rate": 0.5, "bogus": 1}},
 }
 
 

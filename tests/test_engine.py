@@ -293,3 +293,99 @@ def test_empty_decision_is_immutable():
         EMPTY_DECISION.newly_crashed = np.array([0])
     assert EMPTY_DECISION.newly_crashed.size == 0
     assert len(EMPTY_DECISION.partial_delivery) == 0
+
+
+# -- prepared rounds ----------------------------------------------------------
+
+class TargetRecorder(Adversary):
+    """Replays a script like ScriptedAdversary and records what each view's
+    targets hold, and whether writing into its targets, alive and halted
+    masks raised."""
+
+    name = "recorder"
+
+    def __init__(self, script=()):
+        self.script = list(script)
+        self.seen = []
+        self.write_raised = []
+
+    def decide(self, view):
+        self.seen.append(view.targets.copy())
+        for mask in (view.targets, view.alive, view.halted):
+            try:
+                mask[0] = False
+            except ValueError:
+                self.write_raised.append(True)
+            else:
+                self.write_raised.append(False)
+        return self.script.pop(0) if self.script else EMPTY_DECISION
+
+
+def _prepared_vs_raw(n, t, script, events, targets):
+    """Runs ``events`` ("x" = exchange, or a halt mask) twice: once passing
+    one prepared round every time, once passing the raw matrix; returns
+    (deliveries, views, ledger, digest) of each run."""
+    runs = []
+    for prepared in (True, False):
+        adversary = TargetRecorder([CrashDecision(d.newly_crashed.copy(),
+                                                  dict(d.partial_delivery))
+                                    for d in script])
+        ctx = SimContext(n, t, adversary, seed=4)
+        prep = ctx.prepare(targets) if prepared else None
+        delivered = []
+        for event in events:
+            if isinstance(event, str):
+                delivered.append(ctx.exchange(prep or targets, bits=2))
+            else:
+                ctx.halt(event)
+        runs.append((delivered, adversary.seen, ctx.ledger,
+                     ctx.finish({}, "recorder").digest))
+    return runs
+
+
+def test_prepared_round_is_remasked_after_halt():
+    n = 5
+    stop = np.arange(n) == 3
+    events = ["x", "x", stop, "x", "x"]
+    (got, seen, ledger, digest), (ref, ref_seen, ref_ledger, ref_digest) = (
+        _prepared_vs_raw(n, 2, [], events, _full_targets(n)))
+    assert got[0] is got[1]  # nobody crashed: the same delivery
+    assert not got[2][3].any() and not got[2][:, 3].any()
+    assert not seen[2][3].any()
+    assert got[2] is not got[1] and got[2] is got[3]
+    for a, b in zip(got + seen, ref + ref_seen):
+        assert (a == b).all()
+    assert (ledger.bits == ref_ledger.bits).all()
+    assert digest == ref_digest
+
+
+def test_prepared_round_is_remasked_after_crash():
+    """A crash round builds a fresh delivery instead of the cached one, and
+    the rounds after it re-mask the crashed sender out."""
+    n = 5
+    keep = np.array([True, False, True, False, False])
+    script = [EMPTY_DECISION, CrashDecision(np.array([1]), {1: keep}),
+              EMPTY_DECISION, CrashDecision(np.array([4])), EMPTY_DECISION]
+    (got, seen, ledger, digest), (ref, ref_seen, ref_ledger, ref_digest) = (
+        _prepared_vs_raw(n, 4, script, ["x"] * 5, _full_targets(n)))
+    assert got[1] is not got[0]
+    assert got[1][1].tolist() == [True, False, True, False, False]
+    assert not got[1][:, 1].any()  # crashed this round: receives nothing
+    assert not got[2][1].any() and not seen[2][1].any()
+    assert not got[3][4].any() and not got[3][:, 4].any()
+    for a, b in zip(got + seen, ref + ref_seen):
+        assert (a == b).all()
+    assert (ledger.bits == ref_ledger.bits).all()
+    assert digest == ref_digest
+
+
+def test_returned_delivery_and_view_masks_are_read_only():
+    adversary = TargetRecorder([EMPTY_DECISION, CrashDecision(np.array([0]))])
+    ctx = SimContext(4, 2, adversary, seed=0)
+    prep = ctx.prepare(_full_targets(4))
+    for targets in (prep, prep, _full_targets(4)):
+        delivered = ctx.exchange(targets, bits=1)
+        with pytest.raises(ValueError):
+            delivered[1, 2] = False
+    assert adversary.write_raised == [True] * 9
+    assert ctx.alive[1:].all() and not ctx.halted.any()

@@ -4,10 +4,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (adapt_degree, merge_registers, private_layers_oracle,
-                     shared_group_layers_oracle)
+                     run_relay_oracle, shared_group_layers_oracle)
 from qconsim.adversaries import Adversary
 from qconsim.coin import HiddenRegister
-from qconsim.engine import SimContext
+from qconsim.counting import partition
+from qconsim.engine import EMPTY_DECISION, CrashDecision, SimContext
 from qconsim.exchange import (KeyCarrier, RumorCarrier, Window, _adapt_vec,
                               _diameter_within, clog2, end_epoch_update,
                               gamma_of, run_relay, shared_group_layers,
@@ -155,6 +156,39 @@ def test_diameter_within_matches_bfs(adj, limit):
                                             and diameter <= reach)
 
 
+def _large_graphs():
+    """Explicit graphs of up to 400 nodes: (name, adjacency)."""
+    def sym(adj):
+        adj |= adj.T
+        np.fill_diagonal(adj, False)
+        return adj
+    path = np.zeros((400, 400), dtype=bool)
+    path[np.arange(399), np.arange(1, 400)] = True
+    cycle = path.copy()
+    cycle[0, 399] = True
+    star = np.zeros((300, 300), dtype=bool)
+    star[0] = True
+    rng = np.random.default_rng(3)
+    sparse = rng.random((400, 400)) < 9 / 400  # the n = 384 base density
+    split = sym(rng.random((400, 400)) < 0.05)
+    split[:200, 200:] = split[200:, :200] = False
+    return [("path", sym(path)), ("cycle", sym(cycle)), ("star", sym(star)),
+            ("sparse", sym(sparse)), ("split", split)]
+
+
+@pytest.mark.parametrize("name,adj", _large_graphs(),
+                         ids=[g[0] for g in _large_graphs()])
+def test_diameter_within_matches_bfs_large(name, adj):
+    diameter = bfs_diameter(adj)
+    limits = [1, 2, 3, 5, 8, 129, 257]
+    if diameter is not None:
+        limits += [diameter - 1, diameter, diameter + 1]
+    for limit in limits:
+        reach = 1 << clog2(limit)
+        assert _diameter_within(adj, limit) == (diameter is not None
+                                                and diameter <= reach), limit
+
+
 # -- key merge: per-edge register fold ---------------------------------------
 
 @st.composite
@@ -165,24 +199,39 @@ def key_merge_case(draw):
     coins = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     regs = [HiddenRegister(v, c, p) for p, (v, c) in
             enumerate(zip(leaders, coins))]
-    return regs, draw(delivered_matrix(n))
+    return regs, draw(delivery_sequence(n))
+
+
+@st.composite
+def delivery_sequence(draw, n):
+    """Read-only delivered matrices in merge order; a matrix may come back
+    as the same object, as a relay hands over a reused delivery."""
+    pool = draw(st.lists(delivered_matrix(n), min_size=1, max_size=2))
+    for delivered in pool:
+        delivered.flags.writeable = False
+    order = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
+                          max_size=4))
+    return [pool[i] for i in order]
 
 
 @settings(max_examples=400, deadline=None)
 @given(key_merge_case())
 def test_key_merge_matches_register_fold(case):
-    regs, delivered = case
+    regs, deliveries = case
     n = len(regs)
-    expected = []
-    for q in range(n):
-        held = regs[q]
-        for p in np.flatnonzero(delivered[:, q]).tolist():
-            held = merge_registers(held, regs[p])  # registers before the round
-        expected.append(held.leader_value * n + held.origin)
     carrier = KeyCarrier(np.array([r.leader_value * n + r.origin
                                    for r in regs]), bits=1, qubits=1)
-    carrier.merge(delivered)
-    assert carrier.keys.tolist() == expected
+    for delivered in deliveries:
+        folded = []
+        for q in range(n):
+            held = regs[q]
+            for p in np.flatnonzero(delivered[:, q]).tolist():
+                held = merge_registers(held, regs[p])  # before the round
+            folded.append(held)
+        regs = folded
+        carrier.merge(delivered)
+        assert carrier.keys.tolist() == [r.leader_value * n + r.origin
+                                         for r in regs]
 
 
 # -- rumor merge: per-edge reference ---------------------------------------
@@ -217,7 +266,7 @@ def rumor_matrix(draw, n):
 def merge_case(draw):
     n = draw(st.integers(1, 12))
     matrices = draw(st.lists(rumor_matrix(n), min_size=1, max_size=3))
-    return matrices, draw(delivered_matrix(n))
+    return matrices, draw(delivery_sequence(n))
 
 
 @settings(max_examples=400, deadline=None)
@@ -226,16 +275,18 @@ def merge_case(draw):
 # skipped for that matrix but must still carry the second one's 5
 @example(([np.array([[1, 2], [1, 2], [0, 0]], dtype=np.int64),
            np.array([[5], [-1], [5]], dtype=np.int64)],
-          np.array([[0, 1, 0], [0, 0, 0], [0, 1, 0]], dtype=bool)))
+          [np.array([[0, 1, 0], [0, 0, 0], [0, 1, 0]], dtype=bool)]))
 def test_rumor_merge_matches_per_edge_reference(case):
-    matrices, delivered = case
-    expected = reference_rumor_merge(matrices, delivered)
+    matrices, deliveries = case
+    expected = matrices
     carrier = RumorCarrier([m.copy() for m in matrices], bits=1)
     kept = list(carrier.matrices)
-    carrier.merge(delivered)
-    for got, ref, alias in zip(carrier.matrices, expected, kept):
-        assert got is alias  # merged in place
-        assert (got == ref).all()
+    for delivered in deliveries:
+        expected = reference_rumor_merge(expected, delivered)
+        carrier.merge(delivered)
+        for got, ref, alias in zip(carrier.matrices, expected, kept):
+            assert got is alias  # merged in place
+            assert (got == ref).all()
 
 
 
@@ -393,3 +444,125 @@ def test_relay_charges_inquiry_and_response_costs():
     inquiries = int(layers[0].sum())
     assert ctx.ledger.bits.sum() == inquiries * (1 + 7)
     assert ctx.ledger.qubits.sum() == inquiries * 13
+
+
+# -- relay reuse: per-round oracle ------------------------------------------
+
+class DrawnCrasher(Adversary):
+    """Crashes one or two alive senders at each of the given rounds, most of
+    them delivering a drawn part of their multicast.  Records the classical
+    payload of every round (rumors and adaptive degrees)."""
+
+    name = "drawn"
+
+    def __init__(self, rounds, seed):
+        self.rounds = set(rounds)
+        self.seed = seed
+        self.payloads = []
+
+    def decide(self, view):
+        self.payloads.append([(k, v.tolist()) for k, v in
+                              sorted((view.payload or {}).items())])
+        budget = view.crash_budget_left
+        if view.round not in self.rounds or budget <= 0:
+            return EMPTY_DECISION
+        rng = np.random.default_rng([self.seed, view.round])
+        alive = np.flatnonzero(view.alive)
+        hit = np.sort(rng.choice(alive, size=min(budget, int(rng.integers(
+            1, 3)), alive.size), replace=False))
+        partial = {int(s): rng.random(view.n) < 0.5 for s in hit.tolist()
+                   if rng.random() < 0.7}
+        return CrashDecision(hit, partial)
+
+
+def _relay_setup(kind, n, seed, x):
+    """(layers, k_caps, window, carrier) as the coin ("key") or one counting
+    level ("rumor") builds them."""
+    rng = np.random.default_rng(seed)
+    d = alpha = max(2, clog2(n))
+    if kind == "key":
+        layers, k_caps = private_layers(n, d, alpha, seed, "oracle")
+        window = Window.for_size(n, d, alpha)
+        keys = rng.integers(0, 4, n) * n + np.arange(n)
+        return layers, k_caps, window, KeyCarrier(keys, bits=3, qubits=5)
+    groups = [np.array(g) for g in partition(list(range(n)), x) if g]
+    window = Window.for_size(max(len(g) for g in groups), d, alpha)
+    layers, k_caps = shared_group_layers(
+        n, groups, d, alpha, seed, "oracle",
+        max_steps=window.epochs * window.iterations)
+    rumors = np.full((n, 2 * x), -1, dtype=np.int64)
+    for g in groups:
+        for ci, child in enumerate(partition(g.tolist(), x)):
+            rumors[child, ci] = rng.integers(0, 2, len(child))
+            rumors[child, x + ci] = 1 - rumors[child, ci]
+    return layers, k_caps, window, RumorCarrier([rumors], bits=7)
+
+
+@st.composite
+def relay_case(draw):
+    n = draw(st.integers(2, 48))
+    kind = draw(st.sampled_from(["key", "rumor"]))
+    seed = draw(st.integers(0, 2**16))
+    x = draw(st.integers(2, 4))
+    rounds = _relay_setup(kind, n, seed, x)[2].rounds
+    # crashes anywhere, including response rounds (odd) and rounds after
+    # long steady stretches near the end of the window
+    crash_rounds = draw(st.lists(st.integers(0, rounds - 1), max_size=4)
+                        | st.lists(st.integers(rounds // 2, rounds - 1),
+                                   max_size=2))
+    halted = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return kind, n, seed, x, crash_rounds, np.array(halted)
+
+
+@settings(max_examples=120, deadline=None)
+@given(relay_case())
+@example(("key", 24, 5, 2, [1, 40, 121], np.zeros(24, dtype=bool)))
+@example(("rumor", 40, 9, 3, [3, 60, 275], np.arange(40) == 7))
+def test_relay_reuse_matches_per_round_oracle(case):
+    """Reusing prepared rounds, deliveries, digest bytes, idle carrier merges
+    and settled degree adaptations changes nothing: same digest, ledger,
+    crashes, payload in every round, carrier state and final degree levels
+    as the loop that rebuilds every round."""
+    kind, n, seed, x, crash_rounds, halted = case
+    runs = []
+    for relay in (run_relay, run_relay_oracle):
+        adversary = DrawnCrasher(crash_rounds, seed)
+        ctx = SimContext(n, n, adversary, seed)
+        ctx.halt(halted)
+        layers, k_caps, window, carrier = _relay_setup(kind, n, seed, x)
+        lvl = relay(ctx, layers, k_caps, window, carrier)
+        state = (carrier.keys.copy() if kind == "key"
+                 else carrier.matrices[0].copy())
+        runs.append((ctx, lvl, state, ctx.finish({}, "drawn").digest,
+                     adversary.payloads))
+    ((ctx, lvl, state, digest, seen),
+     (ctx_o, lvl_o, state_o, digest_o, seen_o)) = runs
+    assert ctx.round == ctx_o.round == window.rounds
+    assert digest == digest_o
+    assert seen == seen_o  # the carrier state of every round
+    for field in ("bits", "qubits", "rounds_active"):
+        assert (getattr(ctx.ledger, field) == getattr(ctx_o.ledger, field)).all()
+    assert (ctx.alive == ctx_o.alive).all()
+    assert (state == state_o).all()
+    assert (lvl == lvl_o).all()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: KeyCarrier(np.array([5, 0, 0]), bits=1, qubits=0),
+    lambda: RumorCarrier([np.array([[5], [0], [0]])], bits=1)])
+def test_carrier_merges_same_delivery_again_after_a_useful_merge(make):
+    """Only a merge that changed nothing lets the carrier skip the same
+    delivery: on the path 0 -> 1 -> 2 the second merge carries 5 one hop
+    further."""
+    carrier = make()
+    path = np.zeros((3, 3), dtype=bool)
+    path[0, 1] = path[1, 2] = True
+    path.flags.writeable = False
+    state = (lambda: carrier.keys.tolist() if hasattr(carrier, "keys")
+             else carrier.matrices[0].ravel().tolist())
+    carrier.merge(path)
+    assert state() == [5, 5, 0]
+    carrier.merge(path)
+    assert state() == [5, 5, 5]
+    carrier.merge(path)  # nothing left to change: skipped next time
+    assert carrier.idle_on is path

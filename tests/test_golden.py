@@ -240,6 +240,65 @@ GOLDEN = [
       "fallback_triggers": 0,
       "digest": "aa24c3a6238aa78d4662dd4adaed0ee60956fd4f"
                 "c6d3e93d6c86c3a1779659b9"}),
+    # runs that stop and restart the reuse of a relay round: one burst of
+    # split_attacker crashes at n = 128; steady crashes under all-one
+    # inputs; a crash budget of 3 spent in the first counting window
+    ("n128-polylog-split_attacker", 128, 42, "polylog", None,
+     "split_attacker", {}, 71,
+     "10011101100011000100110000110110111100100000110001011001111110010111"
+     "001111110110110011111011011010011111000101101011000101000100",
+     {"decisions": [-1] * 41 + [1] * 87,
+      "phases": 5, "rounds": 2925,
+      "total_bits": 70179114, "total_qubits": 15296248,
+      "crashed": list(range(41)),
+      "fallback_triggers": 0,
+      "digest": "59950d7d4e96674cbdc316e3b458eaf6"
+                "14738ce452ad29eddf7094fab403b2ec"}),
+    ("n48-constant-random_crasher-all-one", 48, 16, "constant", 0.5,
+     "random_crasher", {"rate": 0.01}, 73, "1" * 48,
+     {"decisions": [1, 1, 1, -1, 1, -1, 1, 1, 1, 1, 1, 1, 1, -1, 1, 1, 1, -1,
+                    1, 1, -1, 1, 1, 1, 1, 1, -1, 1, -1, 1, -1, -1, 1, 1, 1,
+                    1, -1, 1, -1, 1, -1, -1, 1, -1, 1, -1, 1, 1],
+      "phases": 5, "rounds": 1165,
+      "total_bits": 21047004, "total_qubits": 3199011,
+      "crashed": [3, 5, 13, 17, 20, 26, 28, 30, 31, 36, 38, 40, 41, 43, 45],
+      "fallback_triggers": 0,
+      "digest": "0b7d0f7ef7a3df0766d96bf89e3cf113"
+                "dd6359682cd14d6d572c3ee364fb7509"}),
+    ("n128-constant-random_crasher-budget3", 128, 4, "constant", 0.5,
+     "random_crasher", {"rate": 0.002}, 79,
+     "01101100101000101011111100101110010100011100010110100111001101110111"
+     "110110011011010111111010011001000110100111001101110111011110",
+     {"decisions": [-1 if p in (18, 39, 82) else 1 for p in range(128)],
+      "phases": 4, "rounds": 1332,
+      "total_bits": 444693476, "total_qubits": 37163984,
+      "crashed": [18, 39, 82],
+      "fallback_triggers": 0,
+      "digest": "e37c2e909803c6f13be40a22d4c241b6"
+                "85f00b632ad448b0fea34b76572dfcf5"}),
+    # halts: the lone survivor decides in the phase-2 fallback window and
+    # halts, and the coin after it runs with nobody active; all-zero inputs
+    # halt at the phase-4 stop check, before that phase's coin
+    ("n40-polylog-random_crasher-fallback-halt", 40, 40, "polylog", None,
+     "random_crasher", {"rate": 0.015}, 103,
+     "1000101111000011111000110001100010001101",
+     {"decisions": [-1] * 17 + [0] + [-1] * 22,
+      "phases": 2, "rounds": 834,
+      "total_bits": 138194, "total_qubits": 0,
+      "crashed": [p for p in range(40) if p != 17],
+      "fallback_triggers": 1,
+      "digest": "5c87acd86d0ada7cafc2d84ecc85863d"
+                "9ff66d966606e22810dda2e0af5a185c"}),
+    ("n32-polylog-random_crasher-all-zero", 32, 10, "polylog", None,
+     "random_crasher", {"rate": 0.01}, 101, "0" * 32,
+     {"decisions": [-1 if p in (2, 4, 9, 10, 17, 20, 23, 24, 31) else 0
+                    for p in range(32)],
+      "phases": 5, "rounds": 2005,
+      "total_bits": 5200592, "total_qubits": 1522496,
+      "crashed": [2, 4, 9, 10, 17, 20, 23, 24, 31],
+      "fallback_triggers": 0,
+      "digest": "95c4bbe9fb3bc9594b5e060ebee901c5"
+                "910268e225438fe37b9ffb5452c0358d"}),
 ]
 
 
@@ -302,6 +361,22 @@ GOLDEN_COIN = [
                  448, 455, 457, 461, 463, 473, 477, 487, 488, 492, 495, 497],
       "digest": "9bd157be3f9d6600e2c9e3277b5b13263e1f5c41560834fcc14097e"
                 "e4113a423"}),
+    # crash budgets that run out inside the relay (last crashes in rounds
+    # 47 and 28 of 128), so the rounds after them repeat
+    ("coin-n64-random_crasher-budget7", 64, 8, "random_crasher",
+     {"rate": 0.002}, 83,
+     {"bits": [0, 0, 1] + [0] * 61,
+      "rounds": 128, "total_bits": 606593, "total_qubits": 1263766,
+      "crashed": [2, 3, 27, 39, 41, 58, 63],
+      "digest": "c19884f235dde611bfddc4de480effbb"
+                "8ec8a1097e5d49a0bfaf95728c6e69d5"}),
+    ("coin-n96-random_crasher-budget5", 96, 6, "random_crasher",
+     {"rate": 0.002}, 89,
+     {"bits": [1] * 96,
+      "rounds": 128, "total_bits": 2485001, "total_qubits": 5440490,
+      "crashed": [18, 23, 65, 78, 85],
+      "digest": "917a654e32b39af4794231f8735145b6"
+                "091291ecb6e86602aa4515e2288e3d2e"}),
 ]
 
 
