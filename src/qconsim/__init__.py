@@ -2,14 +2,13 @@
 
 from .adversaries import (Adversary, DegreeTargeter, RandomCrasher,
                           SplitAttacker, make_adversary)
-from .coin import CoinParams, HiddenRegister, init_register, run_coin
+from .coin import CoinParams, run_coin
 from .consensus import (ConsensusParams, ConsensusResult, PhaseAction,
                         phase_rule, run_consensus, should_stop)
-from .counting import CountingParams, fast_counting, partition, partition_levels
-from .engine import (CostLedger, CrashDecision, SimContext, Transcript,
-                     run_simulation)
+from .counting import fast_counting, partition, partition_levels
+from .engine import CostLedger, CrashDecision, SimContext, Transcript
 from .graphs import (PropertyReport, delta_core, is_compact, is_edge_dense,
                      is_expanding, sample_gnp)
-from .rng import split_rng, substream
+from .rng import substream
 
 __version__ = "0.1.0"

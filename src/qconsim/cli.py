@@ -6,14 +6,15 @@ Subcommands:
   coin-stats   per-bit frequency and agreement stats for the weak coin
   check-graphs property certification on a sampled G(n, y)
 
-All commands take --config (JSON, validated against a schema), --out,
---format and --jobs.  The QSIM_SEED environment variable overrides the
-config seed.  Exit codes: 0 success, 2 bad configuration, 3 a protocol
-invariant (agreement/validity) was violated, 4 a run hit its phase or round
-cap without terminating (liveness failure).  A sweep records a
-non-terminating cell as a row with ``terminated`` false and the phases,
-rounds, bits and qubits it reached, and exits 4 only if no cell disagreed or
-decided an invalid value (that exits 3).
+All commands take --config (JSON, validated against a schema) and --out;
+sweep also takes --format and --jobs, and coin-stats --jobs.  --jobs is at
+least 1 and starts no more worker processes than there are cells.  QSIM_SEED
+in the environment overrides the config seed.  Exit codes: 0 success, 2 bad
+configuration, 3 a protocol invariant (agreement/validity) was violated, 4 a
+run hit its phase or round cap without terminating (liveness failure).  A
+sweep records a non-terminating cell as a row with ``terminated`` false and
+the phases, rounds, bits and qubits it reached, and exits 4 only if no cell
+disagreed or decided an invalid value (that exits 3).
 """
 
 from __future__ import annotations
@@ -293,11 +294,7 @@ def cmd_sweep(args) -> int:
              cfg.get("inputs", "random"))
             for n in cfg["n_list"] for preset in cfg["presets"]
             for seed in uniq]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_cell, jobs, chunksize=8))
-    else:
-        rows = [_sweep_cell(j) for j in jobs]
+    rows = _fan_out(_sweep_cell, jobs, args.jobs)
     ended = [r for r in rows if r["terminated"]]
     safe = all(r["agreed"] and r["valid"] for r in ended)
     if len(ended) < len(rows):
@@ -329,10 +326,9 @@ def wilson_lower(successes: int, trials: int, z: float = 1.96) -> float:
 
 
 def _coin_cell(job: tuple) -> tuple[int, int, bool]:
-    n, t, d, alpha, adv_cfg, seed = job
-    adversary = _adversary(adv_cfg, n, t, seed)
-    ctx = SimContext(n, t, adversary, seed)
-    params = CoinParams.make(n, d=d, alpha=alpha)
+    params, t, adv_cfg, seed = job
+    adversary = _adversary(adv_cfg, params.n, t, seed)
+    ctx = SimContext(params.n, t, adversary, seed)
     bits = run_coin(ctx, params)
     alive_bits = bits[ctx.active]
     agree = alive_bits.size > 0 and (alive_bits == alive_bits[0]).all()
@@ -346,18 +342,13 @@ def cmd_coin_stats(args) -> int:
     t = _crash_bound(cfg, n)
     adv_cfg = cfg.get("adversary", {"name": "none"})
     base = cfg.get("seed", 0)
-    jobs = [(n, t, cfg.get("d"), cfg.get("alpha"), adv_cfg, base + i)
-            for i in range(cfg["seeds"])]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            cells = list(pool.map(_coin_cell, jobs, chunksize=16))
-    else:
-        cells = [_coin_cell(j) for j in jobs]
+    params = CoinParams.make(n, d=cfg.get("d"), alpha=cfg.get("alpha"))
+    jobs = [(params, t, adv_cfg, base + i) for i in range(cfg["seeds"])]
+    cells = _fan_out(_coin_cell, jobs, args.jobs)
     runs = len(cells)
     agree_runs = [(o, s) for o, s, a in cells if a]
     all_one = sum(1 for o, s in agree_runs if s and o == s)
     all_zero = sum(1 for o, s in agree_runs if o == 0)
-    params = CoinParams.make(n, d=cfg.get("d"), alpha=cfg.get("alpha"))
     report = {
         "n": n, "t": t, "d": params.d, "alpha": params.alpha,
         "runs": runs,
@@ -398,6 +389,18 @@ def cmd_check_graphs(args) -> int:
     return EXIT_OK
 
 
+def _fan_out(cell, jobs: list, workers: int) -> list:
+    """``cell`` of every job, in order, in at most ``workers`` processes
+    and never more processes than jobs."""
+    if workers < 1:
+        raise ConfigError(f"--jobs must be at least 1 (got {workers})")
+    workers = min(workers, len(jobs))
+    if workers <= 1:
+        return [cell(j) for j in jobs]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(cell, jobs))
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
@@ -415,9 +418,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers")
-        p.add_argument("--format", choices=["json", "csv"], default="csv"
-                       if name == "sweep" else "json")
+        if name in ("sweep", "coin-stats"):
+            p.add_argument("--jobs", type=int, default=1,
+                           help="worker processes (at most one per cell)")
+        if name == "sweep":
+            p.add_argument("--format", choices=["json", "csv"], default="csv")
         p.set_defaults(fn=fn)
     return parser
 

@@ -25,23 +25,6 @@ from .rng import Restream
 
 
 @dataclass(frozen=True)
-class HiddenRegister:
-    """One process's register: adversary-invisible classical state."""
-
-    leader_value: int
-    coin_bit: int
-    origin: int  # process id of the original drawer; exact tie-break
-
-
-def init_register(p: int, n: int, rng) -> HiddenRegister:
-    """Draw a fresh register from the process's private stream."""
-    leader_bits = 3 * clog2(n)
-    leader = int(rng.integers(0, 2 ** leader_bits)) if leader_bits else 0
-    coin = int(rng.integers(0, 2))
-    return HiddenRegister(leader, coin, p)
-
-
-@dataclass(frozen=True)
 class CoinParams:
     """Schedule for one coin invocation on n processes."""
 
@@ -83,15 +66,16 @@ def run_coin(ctx: SimContext, params: CoinParams, tag="coin",
     held; callers ignore them.
     """
     n = ctx.n
+    leader_bits = 3 * clog2(n)
     leaders = np.zeros(n, dtype=np.int64)
     coin_bits = np.zeros(n, dtype=np.int64)
     streams = Restream()
     for p in range(n):
-        # the stream split_rng(ctx.seed, p, tag, "register") returns
+        # process p's register: a leader value, then a coin bit
         rng = streams.at(ctx.seed, "proc", p, tag, "register")
-        reg = init_register(p, n, rng)
-        leaders[p] = reg.leader_value
-        coin_bits[p] = reg.coin_bit
+        if leader_bits:
+            leaders[p] = rng.integers(0, 2 ** leader_bits)
+        coin_bits[p] = rng.integers(0, 2)
     # (leader_value, origin) as a single max-comparable key
     keys = leaders * n + np.arange(n)
     layers, k_caps = private_layers(n, params.d, params.alpha, ctx.seed, tag)

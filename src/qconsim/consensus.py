@@ -24,8 +24,8 @@ from enum import IntEnum
 import numpy as np
 
 from .coin import CoinParams, run_coin
-from .counting import CountingParams, fast_counting
-from .engine import CapExceeded, SimContext, Transcript, run_simulation
+from .counting import fast_counting
+from .engine import CapExceeded, SimContext, Transcript
 from .exchange import clog2
 
 
@@ -102,9 +102,6 @@ class ConsensusParams:
     def coin_params(self, n: int) -> CoinParams:
         return CoinParams.make(n, d=self.d, alpha=self.alpha)
 
-    def counting_params(self) -> CountingParams:
-        return CountingParams(x=self.x, d=self.d, alpha=self.alpha)
-
 
 @dataclass
 class PhaseStats:
@@ -139,7 +136,7 @@ class PhaseCapExceeded(CapExceeded):
 
 
 def _fallback_window(ctx: SimContext, b: np.ndarray, trigger: np.ndarray,
-                     decisions: np.ndarray) -> None:
+                     decisions: np.ndarray, state: dict) -> None:
     """Fixed per-phase window: announcement round plus min-value flooding.
 
     Triggering processes multicast their bit; anyone hearing an announcement
@@ -152,11 +149,12 @@ def _fallback_window(ctx: SimContext, b: np.ndarray, trigger: np.ndarray,
     val = b.astype(np.int64).copy()
     everyone = ~np.eye(n, dtype=bool)
     announce = everyone & trigger[:, None]
-    delivered = ctx.exchange(announce, 1, payload={"bit": val})
+    delivered = ctx.exchange(announce, 1, payload={"bit": val}, state=state)
     joined = trigger | delivered.any(axis=0)
     for _ in range(fallback_rounds(n)):
         sending = everyone & joined[:, None]
-        delivered = ctx.exchange(sending, 1, payload={"bit": val})
+        delivered = ctx.exchange(sending, 1, payload={"bit": val},
+                                 state=state)
         if delivered.any():
             incoming = np.where(delivered, val[:, None], 2).min(axis=0)
             heard = delivered.any(axis=0)
@@ -177,7 +175,6 @@ def _consensus_protocol(ctx: SimContext, inputs: np.ndarray,
     if n == 1:
         decisions[0] = b[0]
         return decisions
-    counting = params.counting_params()
     coin = params.coin_params(n)
     threshold = fallback_threshold(n)
     totals_history: list[np.ndarray] = []
@@ -185,13 +182,13 @@ def _consensus_protocol(ctx: SimContext, inputs: np.ndarray,
         if not ctx.active.any():
             return decisions
         state = {"phase": phase, "b": b, "decided": decided}
-        ones, zeros = fast_counting(ctx, b, counting, tag=("count", phase),
+        ones, zeros = fast_counting(ctx, b, params, tag=("count", phase),
                                     state=state)
         totals = ones + zeros
         totals_history.append(totals.copy())
 
         trigger = ctx.active & (totals < threshold)
-        _fallback_window(ctx, b, trigger, decisions)
+        _fallback_window(ctx, b, trigger, decisions, state)
 
         stopped = np.zeros(n, dtype=bool)
         if phase >= 4:
@@ -208,7 +205,9 @@ def _consensus_protocol(ctx: SimContext, inputs: np.ndarray,
         decide1 = action == PhaseAction.DECIDE1
         decide0 = action == PhaseAction.DECIDE0
         flip = action == PhaseAction.FLIP
-        decided = (decided | decide1 | decide0) & running
+        # in place: the coin's rounds show the adversary state["decided"]
+        decided |= decide1 | decide0
+        decided &= running
         b[decide1 | (action == PhaseAction.LEAN1)] = 1
         b[decide0 | (action == PhaseAction.LEAN0)] = 0
 
@@ -236,22 +235,16 @@ def run_consensus(inputs: np.ndarray, params: ConsensusParams, t: int,
     """Full protocol run; raises PhaseCapExceeded (or RoundCapExceeded) if it
     cannot terminate, with the phases it completed attached."""
     inputs = np.asarray(inputs, dtype=np.int64)
-    n = inputs.size
     stats: list[PhaseStats] = []
-    holder: dict = {}
-
-    def protocol(ctx: SimContext) -> dict:
-        decisions = _consensus_protocol(ctx, inputs, params, phase_cap, stats)
-        holder["decisions"] = decisions
-        return {"decisions": [int(v) for v in decisions.tolist()],
-                "phases": len(stats)}
-
+    ctx = SimContext(inputs.size, t, adversary, seed, round_cap=round_cap,
+                     record_rounds=record_rounds)
     try:
-        transcript = run_simulation(protocol, n, t, adversary, seed,
-                                    round_cap=round_cap,
-                                    record_rounds=record_rounds)
+        decisions = _consensus_protocol(ctx, inputs, params, phase_cap, stats)
     except CapExceeded as exc:
         exc.phases = len(stats)
         raise
-    return ConsensusResult(decisions=holder["decisions"], phases=len(stats),
+    transcript = ctx.finish({"decisions": [int(v) for v in decisions.tolist()],
+                             "phases": len(stats)},
+                            getattr(adversary, "name", "unknown"))
+    return ConsensusResult(decisions=decisions, phases=len(stats),
                            transcript=transcript, phase_stats=stats)

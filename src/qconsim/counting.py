@@ -12,8 +12,6 @@ messages (each rumor carries a pair of subtotals).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .engine import SimContext
@@ -56,23 +54,16 @@ def partition_levels(n: int, x: int) -> list[list[list[int]]]:
     return levels
 
 
-@dataclass(frozen=True)
-class CountingParams:
-    x: int
-    d: int
-    alpha: int
-
-
 def rumor_response_bits(n_keys: int, value_bits: int, k: int,
                         instances: int) -> int:
     """Bits per response: the encoded rumor sets plus the adaptive degree."""
     return n_keys * value_bits * instances + clog2(k + 1)
 
 
-def fast_counting(ctx: SimContext, a: np.ndarray, params: CountingParams,
-                  tag="count", state: dict | None = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Count processes holding a=1 and a=0 among the currently active set.
+def fast_counting(ctx: SimContext, a: np.ndarray, params, tag="count",
+                  state: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Count processes holding a=1 and a=0 among the currently active set,
+    with x, d and alpha from ``params`` (a ``ConsensusParams``).
 
     Returns (ones, zeros) per-process fuzzy counts.  Every active process
     relays regardless of its own bit; crashed and halted processes are

@@ -51,7 +51,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -392,12 +392,3 @@ class SimContext:
             round_records=self.round_records,
         )
 
-
-def run_simulation(protocol: Callable[[SimContext], dict], n: int, t: int,
-                   adversary, seed: int, round_cap: int = 2_000_000,
-                   record_rounds: bool = False) -> Transcript:
-    """Execute ``protocol`` under ``adversary`` and return its transcript."""
-    ctx = SimContext(n, t, adversary, seed, round_cap=round_cap,
-                     record_rounds=record_rounds)
-    outputs = protocol(ctx)
-    return ctx.finish(outputs, getattr(adversary, "name", "unknown"))

@@ -56,16 +56,6 @@ def clog2(x: int) -> int:
     return (x - 1).bit_length() if x > 1 else 0
 
 
-def gamma_of(m: int, alpha: int) -> int:
-    """Smallest g with alpha**g >= m (equals ceil(log m / log alpha))."""
-    g = 0
-    cap = 1
-    while cap < m:
-        cap *= alpha
-        g += 1
-    return g
-
-
 def end_epoch_update(degree_level: np.ndarray, adaptive_level: np.ndarray,
                      k_caps: np.ndarray) -> np.ndarray:
     """Degree levels for the next epoch: a process grows one layer, up to its
@@ -106,34 +96,31 @@ class KeyCarrier:
     masks those edges on the delivered matrix, comparing narrow dense ranks
     of the keys instead of the int64 keys, and returns at once when there is
     none.  Otherwise it max-scatters the senders' keys into their recipients.
-    After a merge that found no such edge the keys are a fixed point of
-    that (read-only) delivery, so the same object handed in next is skipped.
+    It returns True exactly when a key changed; skipping a repeated delivery
+    is ``run_relay``'s decision.
     """
 
     def __init__(self, keys: np.ndarray, bits: int, qubits: int):
         self.keys = keys.astype(np.int64)
         self.bits = bits
         self.qubits = qubits
-        self.idle_on = None  # the delivery the last merge found nothing in
         self.ranks = None  # dense ranks of the keys, kept until they change
 
     def payloads(self, ad: np.ndarray) -> dict:
         return {"adaptive_degree": ad}
 
-    def merge(self, delivered: np.ndarray) -> None:
-        if delivered is self.idle_on:
-            return
-        self.idle_on = delivered
+    def merge(self, delivered: np.ndarray) -> bool:
         n = self.keys.size
         if self.ranks is None:
             self.ranks = np.unique(self.keys, return_inverse=True)[1].astype(
                 np.min_scalar_type(n))
         useful = delivered & (self.ranks[:, None] > self.ranks[None, :])
         if not useful.any():
-            return
-        self.idle_on = self.ranks = None
+            return False
+        self.ranks = None
         src, dst = np.divmod(np.flatnonzero(useful), n)
         np.maximum.at(self.keys, dst, self.keys[src])
+        return True
 
 
 class RumorCarrier:
@@ -150,14 +137,14 @@ class RumorCarrier:
     left, and the matrix is done after the mask.  The edges that are left
     are listed, sorted by recipient, their sender rows gathered and
     max-reduced per recipient segment, and the result is written back in
-    place.  A merge that found no such edge skips the same object next.
+    place.  It returns whether any matrix changed (a masked edge need not
+    change anything: its sender row may be the smaller).
     """
 
     def __init__(self, matrices: list[np.ndarray], bits: int):
         self.matrices = matrices
         self.bits = bits
         self.qubits = 0
-        self.idle_on = None  # the delivery the last merge found nothing in
         self.labels = [None] * len(matrices)  # row labels, kept until changed
 
     def payloads(self, ad: np.ndarray) -> dict:
@@ -166,10 +153,8 @@ class RumorCarrier:
             classical[f"rumors{i}"] = m
         return classical
 
-    def merge(self, delivered: np.ndarray) -> None:
-        if delivered is self.idle_on:
-            return
-        self.idle_on = delivered
+    def merge(self, delivered: np.ndarray) -> bool:
+        changed = False
         for i, m in enumerate(self.matrices):
             if self.labels[i] is None:
                 self.labels[i] = _row_labels(m)
@@ -177,14 +162,18 @@ class RumorCarrier:
             useful = delivered & (labels[:, None] != labels[None, :])
             if not useful.any():
                 continue
-            self.idle_on = self.labels[i] = None
             src, dst = np.divmod(np.flatnonzero(useful), useful.shape[1])
             order = np.argsort(dst)  # edges by recipient
             s, d = src[order], dst[order]
             starts = np.flatnonzero(np.r_[True, d[1:] != d[:-1]])
             rcpt = d[starts]
-            incoming = np.maximum.reduceat(m[s], starts, axis=0)
-            m[rcpt] = np.maximum(m[rcpt], incoming)
+            held = m[rcpt]
+            merged = np.maximum(held,
+                                np.maximum.reduceat(m[s], starts, axis=0))
+            if (merged != held).any():
+                changed, self.labels[i] = True, None
+                m[rcpt] = merged
+        return changed
 
 
 def _row_labels(m: np.ndarray) -> np.ndarray:
@@ -219,7 +208,7 @@ class Window:
     @classmethod
     def for_size(cls, m: int, d: int, alpha: int) -> "Window":
         """The window for groups of at most m processes."""
-        return cls(k=layer_count(m, d, alpha), gamma=gamma_of(m, alpha),
+        return cls(k=layer_count(m, d, alpha), gamma=layer_count(m, 1, alpha),
                    delta=-(-2 * alpha // 3))
 
     @property
@@ -249,15 +238,17 @@ def run_relay(ctx: SimContext, layers: np.ndarray, k_caps: np.ndarray,
     gathered and prepared (``SimContext.prepare``) again only when the
     levels change; the response round, only when the inquiry round returns
     a new matrix object (returned matrices are read-only), each into the
-    buffer it had; and the adaptive degrees, unless the same response
-    matrix and degrees were just adapted.  The engine re-masks after a halt
-    or crash and reuses a delivery while nobody crashes.
+    buffer it had; the adaptive degrees, unless the same response matrix
+    and degrees were just adapted; and the carrier's merge, unless the same
+    response matrix was just merged without a change (the payloads are then
+    a fixed point of it).  The engine re-masks after a halt or crash and
+    reuses a delivery while nobody crashes.
     """
     n = ctx.n
     rows = np.arange(n)
     lvl = np.zeros(n, dtype=np.int64)
     k_max = int(k_caps.max(initial=0))
-    ask = ask_lvl = heard = answer = None
+    ask = ask_lvl = heard = answer = idle = None
     adapted = (None, None, None)  # (response, ad before, ad after)
     for _ in range(window.epochs):
         if not np.array_equal(lvl, ask_lvl):
@@ -270,7 +261,8 @@ def run_relay(ctx: SimContext, layers: np.ndarray, k_caps: np.ndarray,
                 heard, answer = got_inq, ctx.prepare(got_inq.T, answer)
             got_resp = ctx.exchange(answer, carrier.bits, carrier.qubits,
                                     payload=carrier.payloads(ad), state=state)
-            carrier.merge(got_resp)
+            if got_resp is not idle:
+                idle = None if carrier.merge(got_resp) else got_resp
             seen, before, after = adapted
             if got_resp is not seen or not np.array_equal(ad, before):
                 after = _adapt_vec(ad, got_resp, window.delta, k_max)

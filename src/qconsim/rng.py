@@ -64,11 +64,6 @@ class Restream:
         return self._gen
 
 
-def split_rng(seed: int, process: int, scope, tag: str) -> np.random.Generator:
-    """Process-private substream for a given scope (round, phase, ...) and purpose."""
-    return substream(seed, "proc", process, scope, tag)
-
-
 def adversary_rng(seed: int, name: str) -> np.random.Generator:
     """The adversary's own substream, disjoint from all process streams."""
     return substream(seed, "adversary", name)

@@ -10,10 +10,10 @@ from typing import Any
 
 import numpy as np
 
-from qconsim.coin import HiddenRegister
 from qconsim.consensus import PhaseAction
 from qconsim.engine import CrashDecision
-from qconsim.exchange import _adapt_vec, _diameter_within, end_epoch_update
+from qconsim.exchange import (_adapt_vec, _diameter_within, clog2,
+                              end_epoch_update)
 from qconsim.graphs import layer_count
 from qconsim.rng import substream
 
@@ -30,6 +30,25 @@ def phase_action_rational(ones: int, total: int) -> PhaseAction:
     if o < Fraction(5 * total - 1, 10):
         return PhaseAction.LEAN0
     return PhaseAction.FLIP
+
+
+@dataclass(frozen=True)
+class HiddenRegister:
+    """One process's coin register: adversary-invisible classical state."""
+
+    leader_value: int
+    coin_bit: int
+    origin: int  # process id of the original drawer; exact tie-break
+
+
+def draw_register(seed: int, p: int, n: int, tag="coin") -> HiddenRegister:
+    """The register process p draws in the coin invocation ``tag``, from a
+    fresh substream: a leader value of 3*ceil(log2 n) bits, then a coin
+    bit."""
+    rng = substream(seed, "proc", p, tag, "register")
+    leader_bits = 3 * clog2(n)
+    leader = int(rng.integers(0, 2 ** leader_bits)) if leader_bits else 0
+    return HiddenRegister(leader, int(rng.integers(0, 2)), p)
 
 
 def merge_registers(a: HiddenRegister, b: HiddenRegister) -> HiddenRegister:
@@ -154,9 +173,9 @@ def shared_group_layers_oracle(n: int, groups: list, d: int, alpha: int,
 def run_relay_oracle(ctx, layers: np.ndarray, k_caps: np.ndarray, window,
                      carrier, state: dict | None = None) -> np.ndarray:
     """``exchange.run_relay`` with nothing carried from one round to the
-    next: every iteration gathers its inquiry rows afresh, and both rounds
-    hand the engine a raw matrix, so each is masked and delivered anew and
-    the carrier never sees the same delivered object twice."""
+    next: every iteration gathers its inquiry rows afresh, both rounds hand
+    the engine a raw matrix, so each is masked and delivered anew, and the
+    carrier merges every response round."""
     n = ctx.n
     rows = np.arange(n)
     lvl = np.zeros(n, dtype=np.int64)

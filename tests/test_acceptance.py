@@ -12,12 +12,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from oracles import merge_registers, phase_action_rational
+from oracles import HiddenRegister, merge_registers, phase_action_rational
 from qconsim.adversaries import Adversary, RandomCrasher, make_adversary
 from qconsim.cli import main as cli_main, wilson_lower
-from qconsim.coin import CoinParams, HiddenRegister, run_coin
+from qconsim.coin import CoinParams, run_coin
 from qconsim.consensus import ConsensusParams, phase_rule, run_consensus
-from qconsim.counting import CountingParams, fast_counting, partition_levels
+from qconsim.counting import fast_counting, partition_levels
 from qconsim.engine import SimContext
 from qconsim.exchange import KeyCarrier
 from qconsim.graphs import (delta_core, is_compact, is_edge_dense,
@@ -81,7 +81,7 @@ def test_criterion_2_fuzzy_sandwich():
                 a = substream(seed, "acc2", n, x,
                               adv_name).integers(0, 2, size=n)
                 start = ctx.active.copy()
-                ones, zeros = fast_counting(ctx, a, CountingParams(x, 4, 4))
+                ones, zeros = fast_counting(ctx, a, ConsensusParams(x, 4, 4))
                 end = ctx.active
                 runs += 1
                 hi1 = int((a & start).sum())
@@ -215,7 +215,7 @@ def test_criterion_6_communication_shape():
                 ctx = SimContext(n, n // 3, RandomCrasher(0.002),
                                  seed=seed + 5000)
                 a = substream(seed, "acc6", n).integers(0, 2, size=n)
-                fast_counting(ctx, a, cp.counting_params())
+                fast_counting(ctx, a, cp)
                 bits.append(ctx.ledger.total_bits)
             count_cs.append(np.mean(bits) /
                             (n * _count_formula(n, cp.x, cp.d, cp.alpha)))

@@ -215,6 +215,58 @@ def test_sweep_json_format(tmp_path):
     assert len(rows) == 2 and all(r["agreed"] for r in rows)
 
 
+def test_flags_only_on_the_commands_that_use_them():
+    """run and check-graphs take neither --format nor --jobs, and
+    coin-stats takes no --format: each exits 2 on parsing."""
+    for argv in (["run", "--format", "csv"], ["run", "--jobs", "2"],
+                 ["coin-stats", "--format", "json"],
+                 ["check-graphs", "--format", "json"],
+                 ["check-graphs", "--jobs", "2"]):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--config", "c.json"])
+        assert info.value.code == cli.EXIT_CONFIG, argv
+
+
+def test_jobs_caps_workers_at_cells_and_rejects_below_one(tmp_path,
+                                                          monkeypatch,
+                                                          capsys):
+    """A pool gets one worker per cell at most, and --jobs 1 starts none;
+    the fake pool records its size and runs the cells in this process."""
+    workers = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    sweep = write_cfg(tmp_path, "s.json",
+                      {"n_list": [8], "seeds": 2, "presets": ["polylog"]})
+    coin = write_cfg(tmp_path, "c.json", {"n": 8, "seeds": 3})
+    out = str(tmp_path / "o")
+    assert main(["sweep", "--config", sweep, "--jobs", "16",
+                 "--out", out]) == 0
+    assert main(["coin-stats", "--config", coin, "--jobs", "16",
+                 "--out", out]) == 0
+    assert main(["coin-stats", "--config", coin, "--out", out]) == 0
+    assert workers == [2, 3]
+    for command, cfg in (("sweep", sweep), ("coin-stats", coin)):
+        for jobs in ("0", "-3"):
+            assert main([command, "--config", cfg, "--jobs", jobs,
+                         "--out", out]) == cli.EXIT_CONFIG
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: --jobs must be at least 1 (got {jobs})"]
+    assert workers == [2, 3]
+
+
 def test_coin_stats(tmp_path):
     cfg = write_cfg(tmp_path, "c.json",
                     {"n": 16, "seeds": 60,

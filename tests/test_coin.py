@@ -1,12 +1,15 @@
+import dataclasses
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import merge_registers
+from oracles import HiddenRegister, draw_register, merge_registers
+from qconsim import coin
 from qconsim.adversaries import Adversary, RandomCrasher
-from qconsim.coin import CoinParams, HiddenRegister, init_register, run_coin
+from qconsim.coin import CoinParams, run_coin
 from qconsim.engine import CrashDecision, SimContext
-from qconsim.rng import split_rng, substream
+from qconsim.exchange import KeyCarrier, Window
 
 
 def test_params_n16_d2_alpha2():
@@ -24,13 +27,30 @@ def test_params_defaults_log_n():
     assert p.register_qubits == 3 * 6 + 1
 
 
-def test_init_register_uniform_leader_bits():
-    regs = [init_register(p, 64, split_rng(0, p, "t", "register"))
-            for p in range(200)]
-    leaders = np.array([r.leader_value for r in regs])
-    assert leaders.max() < 2 ** 18
-    assert len(set(leaders.tolist())) > 150  # collisions rare at 18 bits
-    bits = np.array([r.coin_bit for r in regs])
+def test_coin_registers_uniform_leader_bits(monkeypatch):
+    """run_coin draws each register from its process's own stream, as the
+    oracle does; leader values fit in 3*ceil(log2 n) bits and rarely
+    collide, and coin bits look fair."""
+    drawn = []
+
+    class Recording(KeyCarrier):
+        def __init__(self, keys, *args):
+            drawn.append(keys.copy())
+            super().__init__(keys, *args)
+
+    monkeypatch.setattr(coin, "KeyCarrier", Recording)
+    n = 200
+    # no epochs: every process outputs the coin bit of its own register
+    params = dataclasses.replace(CoinParams.make(n),
+                                 window=Window(k=-2, gamma=0, delta=1))
+    bits = run_coin(SimContext(n, 1, Adversary(), seed=0), params, tag="t")
+    regs = [draw_register(0, p, n, "t") for p in range(n)]
+    assert drawn[0].tolist() == [r.leader_value * n + p
+                                 for p, r in enumerate(regs)]
+    assert bits.tolist() == [r.coin_bit for r in regs]
+    leaders = drawn[0] // n
+    assert leaders.max() < 2 ** 24
+    assert len(set(leaders.tolist())) > 190  # collisions rare at 24 bits
     assert 0.3 < bits.mean() < 0.7
 
 
@@ -67,14 +87,13 @@ def test_coin_rounds_exact():
 
 def test_coin_crash_free_agreement():
     """Without crashes everyone outputs the coin bit of the largest
-    (leader, origin) register, each drawn from the process's split_rng."""
+    (leader, origin) register, each drawn from the process's own stream."""
     for seed in range(25):
         n = 24
         ctx = SimContext(n, 8, Adversary(), seed=seed)
         bits = run_coin(ctx, CoinParams.make(n, d=2 * 5, alpha=5))
         assert (bits == bits[0]).all(), seed
-        regs = [init_register(p, n, split_rng(seed, p, "coin", "register"))
-                for p in range(n)]
+        regs = [draw_register(seed, p, n) for p in range(n)]
         top = max(regs, key=lambda r: (r.leader_value, r.origin))
         assert bits[0] == top.coin_bit, seed
 
@@ -112,7 +131,7 @@ def test_adversary_never_sees_register_contents():
     ctx = SimContext(n, 5, Spy(), seed=11)
     params = CoinParams.make(n)
     for p in range(n):
-        reg = init_register(p, n, split_rng(ctx.seed, p, "coin", "register"))
+        reg = draw_register(ctx.seed, p, n)
         leader_keys.append(reg.leader_value * n + p)
     run_coin(ctx, params, tag="coin")
     keys = np.array(leader_keys)

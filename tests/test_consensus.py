@@ -8,7 +8,7 @@ from qconsim.consensus import (ConsensusParams, PhaseAction,
                                PhaseCapExceeded, fallback_rounds,
                                fallback_threshold, phase_rule, run_consensus,
                                should_stop)
-from qconsim.engine import RoundCapExceeded
+from qconsim.engine import EMPTY_DECISION, RoundCapExceeded
 
 
 def test_phase_decision_examples():
@@ -138,6 +138,35 @@ def test_fallback_decides_when_survivors_below_threshold():
                       adversary=Massacre(), seed=7)
     assert r.agreed and r.valid(inputs)
     assert any(s.fallback > 0 for s in r.phase_stats)
+
+
+def test_adversary_sees_the_live_phase_state_every_round():
+    """Every round, the fallback window's included, shows the adversary its
+    phase's state, and the coin's rounds show the decided set that the phase
+    rule left: here all 16 processes decide in phase 1."""
+
+    class Recorder(Adversary):
+        name = "recorder"
+
+        def __init__(self):
+            super().__init__()
+            self.seen = []
+
+        def decide(self, view):
+            self.seen.append(view.state and (view.state["phase"],
+                                             int(view.state["decided"].sum())))
+            return EMPTY_DECISION
+
+    n = 16
+    params = ConsensusParams.polylog(n)
+    recorder = Recorder()
+    r = run_consensus(np.array([1] * 12 + [0] * 4), params, 5, recorder,
+                      seed=3)
+    assert None not in recorder.seen
+    coin_rounds = params.coin_params(n).rounds
+    phase1 = [decided for phase, decided in recorder.seen if phase == 1]
+    assert r.phase_stats[0].decided == n
+    assert phase1[-coin_rounds:] == [n] * coin_rounds
 
 
 def test_transcript_digest_replay():

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qconsim.adversaries import Adversary, DegreeTargeter, RandomCrasher
-from qconsim.counting import (CountingParams, fast_counting, partition,
-                              partition_levels)
+from qconsim.consensus import ConsensusParams
+from qconsim.counting import fast_counting, partition, partition_levels
 from qconsim.engine import SimContext
 
 
@@ -46,7 +46,7 @@ def test_crash_free_counting_exact():
         for n, x in ((7, 2), (12, 3), (16, 2), (20, 4)):
             ctx = SimContext(n, max(1, n // 3), Adversary(), seed=seed)
             a = (np.arange(n) * 5 + seed) % 3 == 1
-            params = CountingParams(x, 4, 4)
+            params = ConsensusParams(x, 4, 4)
             ones, zeros = fast_counting(ctx, a.astype(int), params)
             o, z = _exact_counts(a, np.ones(n, dtype=bool))
             assert (ones == o).all() and (zeros == z).all(), (n, x, seed)
@@ -59,7 +59,7 @@ def test_sandwich_under_crashes():
             ctx = SimContext(n, 6, adv, seed=seed)
             a = (np.arange(n) % 2).astype(int)
             start = ctx.active.copy()
-            ones, zeros = fast_counting(ctx, a, CountingParams(3, 4, 4))
+            ones, zeros = fast_counting(ctx, a, ConsensusParams(3, 4, 4))
             end = ctx.active
             hi1, hi0 = _exact_counts(a, start)
             lo1, lo0 = _exact_counts(a, end)
@@ -70,13 +70,13 @@ def test_sandwich_under_crashes():
 def test_counting_counts_both_sides_in_one_run():
     ctx = SimContext(10, 3, Adversary(), seed=4)
     ones, zeros = fast_counting(ctx, np.ones(10, dtype=int),
-                                CountingParams(2, 3, 3))
+                                ConsensusParams(2, 3, 3))
     assert (ones == 10).all() and (zeros == 0).all()
 
 
 def test_counting_single_process():
     ctx = SimContext(1, 0, Adversary(), seed=0)
-    ones, zeros = fast_counting(ctx, np.array([1]), CountingParams(2, 2, 2))
+    ones, zeros = fast_counting(ctx, np.array([1]), ConsensusParams(2, 2, 2))
     assert ones[0] == 1 and zeros[0] == 0 and ctx.round == 0
 
 
@@ -85,7 +85,7 @@ def test_counting_halted_processes_excluded_from_start():
     ctx = SimContext(n, 3, Adversary(), seed=1)
     ctx.halt(np.arange(n) < 2)
     ones, zeros = fast_counting(ctx, np.ones(n, dtype=int),
-                                CountingParams(2, 3, 3))
+                                ConsensusParams(2, 3, 3))
     active = ctx.active
     assert (ones[active] == 6).all()
 
@@ -95,7 +95,7 @@ def test_counting_depth_equals_window_count():
     from qconsim.exchange import Window
     n, x, d, alpha = 16, 2, 3, 3
     ctx = SimContext(n, 5, Adversary(), seed=2)
-    fast_counting(ctx, np.zeros(n, dtype=int), CountingParams(x, d, alpha))
+    fast_counting(ctx, np.zeros(n, dtype=int), ConsensusParams(x, d, alpha))
     levels = partition_levels(n, x)
     sizes = [n] + [max(len(g) for g in lvl) for lvl in levels[:-1]]
     expect = sum(Window.for_size(m, d, alpha).rounds for m in sizes)

@@ -8,8 +8,7 @@ import pytest
 from oracles import MessageIntent, deliver_round
 from qconsim.adversaries import Adversary
 from qconsim.engine import (DIGEST_VERSION, EMPTY_DECISION, AdversaryViolation,
-                            CrashDecision, RoundCapExceeded, SimContext,
-                            run_simulation)
+                            CrashDecision, RoundCapExceeded, SimContext)
 from qconsim.rng import substream
 
 
@@ -175,15 +174,14 @@ def test_transposed_targets_match_contiguous_copy():
 
 
 def test_transcript_digest_replay_identical():
-    def protocol(ctx):
+    def run(seed):
+        ctx = SimContext(5, 2, Adversary(), seed=seed)
         for i in range(5):
             ctx.exchange(_full_targets(ctx.n), bits=i + 1)
-        return {"done": 1}
+        return ctx.finish({"done": 1}, "none")
 
-    t1 = run_simulation(protocol, 5, 2, Adversary(), seed=9)
-    t2 = run_simulation(protocol, 5, 2, Adversary(), seed=9)
+    t1, t2, t3 = run(9), run(9), run(10)
     assert t1.digest == t2.digest
-    t3 = run_simulation(protocol, 5, 2, Adversary(), seed=10)
     assert t3.digest != t1.digest
 
 
@@ -253,13 +251,10 @@ def test_digest_v2_layout():
 
 
 def test_transcript_json_uses_one_based_ids():
-    script = [CrashDecision(np.array([0]))]
-
-    def protocol(ctx):
-        ctx.exchange(_full_targets(ctx.n), bits=1)
-        return {}
-
-    tr = run_simulation(protocol, 3, 2, ScriptedAdversary(script), seed=0)
+    ctx = SimContext(3, 2, ScriptedAdversary([CrashDecision(np.array([0]))]),
+                     seed=0)
+    ctx.exchange(_full_targets(ctx.n), bits=1)
+    tr = ctx.finish({}, "scripted")
     assert tr.crashed == [0]
     assert '"crashed": [\n    1\n  ]' in tr.to_json()
 

@@ -3,16 +3,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (adapt_degree, merge_registers, private_layers_oracle,
-                     run_relay_oracle, shared_group_layers_oracle)
+from oracles import (HiddenRegister, adapt_degree, merge_registers,
+                     private_layers_oracle, run_relay_oracle,
+                     shared_group_layers_oracle)
 from qconsim.adversaries import Adversary
-from qconsim.coin import HiddenRegister
 from qconsim.counting import partition
 from qconsim.engine import EMPTY_DECISION, CrashDecision, SimContext
 from qconsim.exchange import (KeyCarrier, RumorCarrier, Window, _adapt_vec,
                               _diameter_within, clog2, end_epoch_update,
-                              gamma_of, run_relay, shared_group_layers,
-                              private_layers)
+                              run_relay, shared_group_layers, private_layers)
+from qconsim.graphs import layer_count
 from qconsim.rng import substream
 
 
@@ -21,10 +21,12 @@ def test_clog2_values():
 
 
 def test_gamma_of_is_ceil_log():
+    """The window's iteration exponent, layer_count(m, 1, alpha), is
+    ceil(log m / log alpha)."""
     import math
     for m in range(1, 300):
         for alpha in (2, 3, 5):
-            g = gamma_of(m, alpha)
+            g = layer_count(m, 1, alpha)
             assert alpha ** g >= m and (g == 0 or alpha ** (g - 1) < m)
             if m > 1:
                 assert g == math.ceil(math.log2(m) / math.log2(alpha) - 1e-12)
@@ -205,7 +207,8 @@ def key_merge_case(draw):
 @st.composite
 def delivery_sequence(draw, n):
     """Read-only delivered matrices in merge order; a matrix may come back
-    as the same object, as a relay hands over a reused delivery."""
+    as the same object, as a relay hands over a reused delivery, so the
+    carriers' rank and label caches meet repeated deliveries."""
     pool = draw(st.lists(delivered_matrix(n), min_size=1, max_size=2))
     for delivered in pool:
         delivered.flags.writeable = False
@@ -229,9 +232,11 @@ def test_key_merge_matches_register_fold(case):
                 held = merge_registers(held, regs[p])  # before the round
             folded.append(held)
         regs = folded
-        carrier.merge(delivered)
+        before = carrier.keys.copy()
+        changed = carrier.merge(delivered)
         assert carrier.keys.tolist() == [r.leader_value * n + r.origin
                                          for r in regs]
+        assert changed == (carrier.keys != before).any()
 
 
 # -- rumor merge: per-edge reference ---------------------------------------
@@ -282,11 +287,13 @@ def test_rumor_merge_matches_per_edge_reference(case):
     carrier = RumorCarrier([m.copy() for m in matrices], bits=1)
     kept = list(carrier.matrices)
     for delivered in deliveries:
+        before = expected
         expected = reference_rumor_merge(expected, delivered)
-        carrier.merge(delivered)
+        changed = carrier.merge(delivered)
         for got, ref, alias in zip(carrier.matrices, expected, kept):
             assert got is alias  # merged in place
             assert (got == ref).all()
+        assert changed == any((b != e).any() for b, e in zip(before, expected))
 
 
 
@@ -550,19 +557,25 @@ def test_relay_reuse_matches_per_round_oracle(case):
 @pytest.mark.parametrize("make", [
     lambda: KeyCarrier(np.array([5, 0, 0]), bits=1, qubits=0),
     lambda: RumorCarrier([np.array([[5], [0], [0]])], bits=1)])
-def test_carrier_merges_same_delivery_again_after_a_useful_merge(make):
-    """Only a merge that changed nothing lets the carrier skip the same
-    delivery: on the path 0 -> 1 -> 2 the second merge carries 5 one hop
-    further."""
+def test_relay_skips_a_delivery_only_after_a_merge_left_it_unchanged(make):
+    """Four iterations get the same response matrix, the path 0 -> 1 -> 2:
+    the relay merges it again after each useful merge, so 5 moves one hop
+    per merge, and skips it only after the third merge changed nothing."""
     carrier = make()
-    path = np.zeros((3, 3), dtype=bool)
-    path[0, 1] = path[1, 2] = True
-    path.flags.writeable = False
-    state = (lambda: carrier.keys.tolist() if hasattr(carrier, "keys")
-             else carrier.matrices[0].ravel().tolist())
-    carrier.merge(path)
-    assert state() == [5, 5, 0]
-    carrier.merge(path)
-    assert state() == [5, 5, 5]
-    carrier.merge(path)  # nothing left to change: skipped next time
-    assert carrier.idle_on is path
+    merges = []
+    merge = carrier.merge
+
+    def counted(delivered):
+        merges.append(merge(delivered))
+        return merges[-1]
+
+    carrier.merge = counted
+    layers = np.zeros((1, 3, 3), dtype=bool)
+    layers[0, 1, 0] = layers[0, 2, 1] = True  # 1 asks 0, 2 asks 1
+    ctx = SimContext(3, 1, Adversary(), seed=0)
+    run_relay(ctx, layers, np.zeros(3, dtype=np.int64),
+              Window(k=-1, gamma=3, delta=1), carrier)
+    held = (carrier.keys if isinstance(carrier, KeyCarrier)
+            else carrier.matrices[0].ravel())
+    assert held.tolist() == [5, 5, 5]
+    assert merges == [True, True, False]

@@ -21,6 +21,9 @@ from qconsim.coin import CoinParams, run_coin
 from qconsim.consensus import ConsensusParams, run_consensus
 from qconsim.engine import SimContext
 
+_N128_DT_CRASHED = [*range(17), 24, 25, 26, 31, 36, 37, 39, 48, 49, 50, 60,
+                    61, 62, 72, 73, 74, 84, 90, 95, 98, 106, 116, 117, 118]
+
 # (id, n, t, preset, epsilon, adversary, params, seed, inputs, expected);
 # epsilon is the constant preset's exponent and None for polylog
 GOLDEN = [
@@ -299,6 +302,18 @@ GOLDEN = [
       "fallback_triggers": 0,
       "digest": "95c4bbe9fb3bc9594b5e060ebee901c5"
                 "910268e225438fe37b9ffb5452c0358d"}),
+    # degree_targeter past n = 64; it spends its whole budget of 41 crashes
+    ("n128-constant-degree_targeter", 128, 42, "constant", 0.5,
+     "degree_targeter", {}, 107,
+     "01101101100000011001000010101101001010010001110011111100000110101000"
+     "000101101010011010000010001101101000101110010001110111100010",
+     {"decisions": [-1 if p in _N128_DT_CRASHED else 0 for p in range(128)],
+      "phases": 5, "rounds": 1665,
+      "total_bits": 270779080, "total_qubits": 24005608,
+      "crashed": _N128_DT_CRASHED,
+      "fallback_triggers": 0,
+      "digest": "7c43edc68b8b9cc9b949a9d0ec4dc4c7"
+                "ebc8213be3716bc9672071703d92dde8"}),
 ]
 
 

@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from qconsim.rng import Restream, adversary_rng, split_rng, substream
+from qconsim.rng import Restream, adversary_rng, substream
 
 
 def test_same_coords_same_stream():
@@ -20,7 +20,7 @@ def test_distinct_coords_distinct_streams():
 
 
 def test_process_streams_disjoint_from_adversary():
-    proc = split_rng(5, 0, 0, "register").integers(0, 2 ** 32, size=8)
+    proc = substream(5, "proc", 0, 0, "register").integers(0, 2 ** 32, size=8)
     adv = adversary_rng(5, "random_crasher").integers(0, 2 ** 32, size=8)
     assert not (proc == adv).all()
 
