@@ -35,7 +35,9 @@ from .adversaries import ADVERSARY_NAMES, make_adversary
 from .coin import CoinParams, run_coin
 from .consensus import ConsensusParams, run_consensus
 from .engine import CapExceeded, SimContext, SimulationError
-from .graphs import (is_compact, is_edge_dense, is_expanding, sample_gnp)
+from .graphs import (DEFAULT_BUDGET, DEFAULT_TRIALS, is_compact,
+                     is_edge_dense, is_expanding, sample_gnp)
+from .rng import substream
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -181,7 +183,6 @@ def _make_inputs(spec, n: int, seed: int) -> np.ndarray:
         if len(spec) != n:
             raise ConfigError("explicit inputs must have length n")
         return np.array(spec, dtype=np.int64)
-    from .rng import substream
     if spec == "all-zero":
         return np.zeros(n, dtype=np.int64)
     if spec == "all-one":
@@ -367,8 +368,8 @@ def cmd_check_graphs(args) -> int:
     cfg = _load_config(args.config, _GRAPH_SCHEMA)
     n, y = cfg["n"], cfg["y"]
     seed = cfg.get("seed", 0)
-    budget = cfg.get("budget", 10 ** 6)
-    trials = cfg.get("trials", 10 ** 4)
+    budget = cfg.get("budget", DEFAULT_BUDGET)
+    trials = cfg.get("trials", DEFAULT_TRIALS)
     adj = sample_gnp(n, y, seed)
     reports = []
     for chk in cfg["checks"]:

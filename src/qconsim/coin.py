@@ -58,8 +58,7 @@ class CoinParams:
         return clog2(self.n) + clog2(self.window.k + 1)
 
 
-def run_coin(ctx: SimContext, params: CoinParams, tag="coin",
-             state: dict | None = None) -> np.ndarray:
+def run_coin(ctx: SimContext, params: CoinParams, tag="coin") -> np.ndarray:
     """One coin invocation; returns the per-process output bit array.
 
     Output bits of crashed/halted processes are whatever register they last
@@ -80,6 +79,6 @@ def run_coin(ctx: SimContext, params: CoinParams, tag="coin",
     keys = leaders * n + np.arange(n)
     layers, k_caps = private_layers(n, params.d, params.alpha, ctx.seed, tag)
     carrier = KeyCarrier(keys, params.response_bits, params.register_qubits)
-    run_relay(ctx, layers, k_caps, params.window, carrier, state=state)
+    run_relay(ctx, layers, k_caps, params.window, carrier)
     origin = carrier.keys % n
     return coin_bits[origin]

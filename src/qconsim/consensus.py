@@ -136,7 +136,7 @@ class PhaseCapExceeded(CapExceeded):
 
 
 def _fallback_window(ctx: SimContext, b: np.ndarray, trigger: np.ndarray,
-                     decisions: np.ndarray, state: dict) -> None:
+                     decisions: np.ndarray) -> None:
     """Fixed per-phase window: announcement round plus min-value flooding.
 
     Triggering processes multicast their bit; anyone hearing an announcement
@@ -149,12 +149,11 @@ def _fallback_window(ctx: SimContext, b: np.ndarray, trigger: np.ndarray,
     val = b.astype(np.int64).copy()
     everyone = ~np.eye(n, dtype=bool)
     announce = everyone & trigger[:, None]
-    delivered = ctx.exchange(announce, 1, payload={"bit": val}, state=state)
+    delivered = ctx.exchange(announce, 1, payload={"bit": val})
     joined = trigger | delivered.any(axis=0)
     for _ in range(fallback_rounds(n)):
         sending = everyone & joined[:, None]
-        delivered = ctx.exchange(sending, 1, payload={"bit": val},
-                                 state=state)
+        delivered = ctx.exchange(sending, 1, payload={"bit": val})
         if delivered.any():
             incoming = np.where(delivered, val[:, None], 2).min(axis=0)
             heard = delivered.any(axis=0)
@@ -181,14 +180,13 @@ def _consensus_protocol(ctx: SimContext, inputs: np.ndarray,
     for phase in range(1, phase_cap + 1):
         if not ctx.active.any():
             return decisions
-        state = {"phase": phase, "b": b, "decided": decided}
-        ones, zeros = fast_counting(ctx, b, params, tag=("count", phase),
-                                    state=state)
+        ctx.state = {"phase": phase, "b": b, "decided": decided}
+        ones, zeros = fast_counting(ctx, b, params, tag=("count", phase))
         totals = ones + zeros
         totals_history.append(totals.copy())
 
         trigger = ctx.active & (totals < threshold)
-        _fallback_window(ctx, b, trigger, decisions, state)
+        _fallback_window(ctx, b, trigger, decisions)
 
         stopped = np.zeros(n, dtype=bool)
         if phase >= 4:
@@ -211,7 +209,7 @@ def _consensus_protocol(ctx: SimContext, inputs: np.ndarray,
         b[decide1 | (action == PhaseAction.LEAN1)] = 1
         b[decide0 | (action == PhaseAction.LEAN0)] = 0
 
-        coin_bits = run_coin(ctx, coin, tag=("coin", phase), state=state)
+        coin_bits = run_coin(ctx, coin, tag=("coin", phase))
         b[flip] = coin_bits[flip]
 
         stats_out.append(PhaseStats(

@@ -5,11 +5,11 @@ engine an intent batch: a boolean (n, n) matrix of sender->recipient targets
 plus per-sender cost in classical bits and qubits and an optional classical
 payload (dict of per-sender arrays).  The adversary is consulted with a view
 of everything the engine holds -- targets, costs, classical payloads,
-protocol state, the full crash/halt picture.  Hidden state (the coin's
-registers) is never handed to the engine, so no view can reach it.  The
-adversary may crash senders mid-multicast, choosing which subset of their
-messages is still delivered, subject to a strict total budget of fewer than
-t crashes.
+protocol state (``SimContext.state``), the full crash/halt picture.
+Hidden state (the coin's registers) is never handed to the engine, so no
+view can reach it.  The adversary may crash senders mid-multicast, choosing
+which subset of their messages is still delivered, subject to a strict
+total budget of fewer than t crashes.
 
 Cost accounting: an alive sender pays for every message it attempts; a sender
 crashed in the very round of its multicast pays only for the delivered
@@ -256,6 +256,7 @@ class SimContext:
             mask.flags.writeable = False
         self.crashes_used = 0
         self.version = 0  # moved on by every halt and crash
+        self.state: Optional[dict] = None  # set by the protocol, in views
         self.ledger = CostLedger.empty(n)
         self.adversary = adversary
         adversary.reset(n, t, seed)
@@ -298,15 +299,14 @@ class SimContext:
     # -- the one communication primitive --------------------------------
 
     def exchange(self, targets, bits, qubits=0,
-                 payload: Optional[dict] = None,
-                 state: Optional[dict] = None) -> np.ndarray:
+                 payload: Optional[dict] = None) -> np.ndarray:
         """Run one synchronous round; return the delivered (n, n) bool matrix
         (read-only).
 
         ``targets`` is a raw (n, n) bool matrix or a ``PreparedRound``.
         ``bits``/``qubits`` are per-message costs, scalar or per-sender
-        arrays.  ``payload`` (classical) is shown to the adversary.
-        ``state`` is extra classical protocol state for the view.
+        arrays.  ``payload`` (classical) is shown to the adversary, as is
+        ``self.state``.
         """
         if self.round >= self.round_cap:
             raise RoundCapExceeded(f"round cap {self.round_cap} reached",
@@ -321,7 +321,7 @@ class SimContext:
 
         view = AdversaryView(self.round, n, self.t, *self._shown,
                              prep.targets, bits_arr, qubits_arr, payload,
-                             state, self.crashes_used)
+                             self.state, self.crashes_used)
         decision = self.adversary.decide(view)
         newly = np.asarray(decision.newly_crashed, dtype=np.int64)
         sent = prep.sent

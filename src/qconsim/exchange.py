@@ -225,8 +225,7 @@ class Window:
 
 
 def run_relay(ctx: SimContext, layers: np.ndarray, k_caps: np.ndarray,
-              window: Window, carrier, state: dict | None = None
-              ) -> np.ndarray:
+              window: Window, carrier) -> np.ndarray:
     """Run one full adaptive-relay window, mutating ``carrier`` in place;
     return the final degree levels.
 
@@ -256,11 +255,11 @@ def run_relay(ctx: SimContext, layers: np.ndarray, k_caps: np.ndarray,
             ask = ctx.prepare(layers[np.minimum(lvl, k_caps), rows], ask)
         ad = lvl.copy()
         for _ in range(window.iterations):
-            got_inq = ctx.exchange(ask, 1, state=state)
+            got_inq = ctx.exchange(ask, 1)
             if got_inq is not heard:
                 heard, answer = got_inq, ctx.prepare(got_inq.T, answer)
             got_resp = ctx.exchange(answer, carrier.bits, carrier.qubits,
-                                    payload=carrier.payloads(ad), state=state)
+                                    payload=carrier.payloads(ad))
             if got_resp is not idle:
                 idle = None if carrier.merge(got_resp) else got_resp
             seen, before, after = adapted
@@ -298,10 +297,11 @@ def _diameter_within(adj: np.ndarray, limit: int) -> bool:
     return bool((reach == np.packbits(rows[0]).view(np.uint64)).all())
 
 
-def shared_group_layers(n: int, groups: list[np.ndarray], d: int, alpha: int,
+def shared_group_layers(n: int, bounds, d: int, alpha: int,
                         seed: int, tag, max_steps: int | None = None
                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic (public-seed) undirected layered graphs per group.
+    """Deterministic (public-seed) undirected layered graphs per group of
+    ids [bounds[i], bounds[i+1]), its blocks written through slices.
 
     Every process in a group of size m gets symmetric neighbor layers with
     edge probability min(1, d*alpha^i / m) inside its group.  Layers are
@@ -315,34 +315,28 @@ def shared_group_layers(n: int, groups: list[np.ndarray], d: int, alpha: int,
     fixed graph family known to have the needed properties.  Returns
     (layers, k_caps) in the format run_relay expects.
 
-    Each group must be a contiguous range of ids (``ValueError`` otherwise),
-    so that its blocks are written through slices.  One stream per attempt
-    draws a top-up per layer.  The top-up is exactly 1 at the first layer
-    whose probability reaches 1 and 0 above it, and those are the
-    attempt's last draws, so they are not drawn: the edges are set or kept.
+    One stream per attempt draws a top-up per layer.  The top-up is exactly
+    1 at the first layer whose probability reaches 1 and 0 above it, and
+    those are the attempt's last draws, so they are not drawn: the edges
+    are set or kept.
     """
+    b = np.asarray(bounds).tolist()
     k_caps = np.zeros(n, dtype=np.int64)
-    k_max = 0
-    for g in groups:
-        if len(g) and not np.array_equal(g, np.arange(g[0], g[0] + len(g))):
-            raise ValueError("each group must be a contiguous range of ids")
-        k_g = layer_count(len(g), d, alpha)
-        k_caps[g] = k_g
-        k_max = max(k_max, k_g)
-    layers = np.zeros((k_max + 1, n, n), dtype=bool)
+    for lo, hi in zip(b, b[1:]):
+        k_caps[lo:hi] = layer_count(hi - lo, d, alpha)
+    layers = np.zeros((k_caps.max(initial=0) + 1, n, n), dtype=bool)
     streams = Restream()
-    for g in groups:
-        m = len(g)
+    for lo, hi in zip(b, b[1:]):
+        m, k_g = hi - lo, int(k_caps[lo])
         if m <= 1:
             continue
-        k_g = layer_count(m, d, alpha)
         # a boolean mask fills the pairs in the row-major order of
         # np.triu_indices at an eighth of its memory
         upper = np.triu(np.ones((m, m), dtype=bool), k=1)
         pairs = m * (m - 1) // 2
         for attempt in range(1000):
-            rng = streams.at(seed, "shared-layers", tag, d, alpha,
-                             int(g[0]), attempt)
+            rng = streams.at(seed, "shared-layers", tag, d, alpha, lo,
+                             attempt)
             edges = np.zeros(pairs, dtype=bool)
             blocks = []
             prev_prob = 0.0
@@ -361,9 +355,8 @@ def shared_group_layers(n: int, groups: list[np.ndarray], d: int, alpha: int,
                 break
         else:
             raise RuntimeError("could not certify a connected base layer")
-        ids = slice(int(g[0]), int(g[0]) + m)
-        for i in range(k_max + 1):
-            layers[i, ids, ids] = blocks[min(i, k_g)]
+        for i in range(len(layers)):
+            layers[i, lo:hi, lo:hi] = blocks[min(i, k_g)]
     return layers, k_caps
 
 

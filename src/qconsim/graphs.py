@@ -18,7 +18,8 @@ import numpy as np
 
 from .rng import substream
 
-DEFAULT_BUDGET = 10 ** 6
+DEFAULT_BUDGET = 10 ** 6  # exhaustive checks up to this many cases
+DEFAULT_TRIALS = 10 ** 4  # randomized checks otherwise
 
 
 @dataclass
@@ -86,7 +87,7 @@ def delta_core(adj: np.ndarray, delta: int, members: Optional[np.ndarray] = None
 
 
 def is_expanding(adj: np.ndarray, ell: int, budget: int = DEFAULT_BUDGET,
-                 trials: int = 10_000, seed: int = 0) -> PropertyReport:
+                 trials: int = DEFAULT_TRIALS, seed: int = 0) -> PropertyReport:
     """Every two disjoint ell-subsets are joined by at least one edge."""
     n = adj.shape[0]
     params = {"ell": ell}
@@ -117,7 +118,7 @@ def is_expanding(adj: np.ndarray, ell: int, budget: int = DEFAULT_BUDGET,
 
 
 def is_edge_dense(adj: np.ndarray, ell: int, a: float, b: float,
-                  budget: int = DEFAULT_BUDGET, trials: int = 10_000,
+                  budget: int = DEFAULT_BUDGET, trials: int = DEFAULT_TRIALS,
                   seed: int = 0) -> PropertyReport:
     """(ell, a, b)-edge-density: >= a|X| internal edges for every |X| >= ell,
     and <= b|Y| internal edges for every |Y| <= ell."""
@@ -156,7 +157,7 @@ def is_edge_dense(adj: np.ndarray, ell: int, a: float, b: float,
 
 
 def is_compact(adj: np.ndarray, ell: int, eps: float, delta: int,
-               budget: int = DEFAULT_BUDGET, trials: int = 10_000,
+               budget: int = DEFAULT_BUDGET, trials: int = DEFAULT_TRIALS,
                seed: int = 0) -> PropertyReport:
     """(ell, eps, delta)-compactness: every B with |B| >= ell contains a
     survival set (subgraph of min degree >= delta) of size >= eps*ell.

@@ -1,20 +1,20 @@
 """Deterministic, counter-addressable randomness.
 
 Every random draw in a simulation comes from a Philox generator keyed by
-SHA-256 of the master seed plus a tuple of string-able coordinates.  Streams
-for distinct coordinate tuples are statistically independent, and the same
-coordinates always reproduce the same stream, so any sub-computation can be
-replayed in isolation.  Process-private streams (hidden coin registers,
-private neighborhood draws) and the adversary's stream use disjoint
-coordinate prefixes and therefore never collide.
+SHA-256 of the master seed plus a tuple of string-able coordinates
+(``_key``).  Streams for distinct coordinate tuples are statistically
+independent, and the same coordinates always reproduce the same stream, so
+any sub-computation can be replayed in isolation.  Process-private streams
+(hidden coin registers, private neighborhood draws) and the adversary's
+stream use disjoint coordinate prefixes and therefore never collide.
 
-Loops that need one stream per process use a ``Restream``: a single
-Philox/Generator pair whose state is set in place to counter 0, the
-address's key, an empty buffer and no buffered 32-bit half-word.  That is
-exactly the state ``Philox(key=...)`` starts in, so each address yields, bit
-for bit, the stream ``substream`` returns for the same coordinates, without
-building a generator (and drawing OS entropy that Philox then discards) per
-address.
+``Restream`` is the one place that builds a generator: a Philox/Generator
+pair whose state ``at`` sets in place to counter 0, the address's key, an
+empty buffer and no buffered 32-bit half-word.  That is exactly the state
+``Philox(key=...)`` starts in, so each address yields, bit for bit, the
+stream a generator keyed that way gives, without drawing the OS entropy
+that Philox then discards.  Loops that need one stream per process
+re-address one ``Restream``; ``substream`` gives each call its own.
 """
 
 from __future__ import annotations
@@ -31,12 +31,11 @@ def _key(seed: int, coords: tuple) -> bytes:
 
 
 def substream(seed: int, *coords) -> np.random.Generator:
-    """Return the generator addressed by (seed, *coords).
+    """Return a new generator addressed by (seed, *coords).
 
     Coordinates may be ints, strings, or anything with a stable str().
     """
-    key = int.from_bytes(_key(seed, coords), "little")
-    return np.random.Generator(np.random.Philox(key=key))
+    return Restream().at(seed, *coords)
 
 
 class Restream:

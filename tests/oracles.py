@@ -4,18 +4,28 @@ The package runs one vectorized implementation of each rule; the tests check
 it against the scalar or per-message forms kept here.
 """
 
+import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
 import numpy as np
 
+from qconsim.adversaries import Adversary
 from qconsim.consensus import PhaseAction
-from qconsim.engine import CrashDecision
+from qconsim.engine import EMPTY_DECISION, CrashDecision
 from qconsim.exchange import (_adapt_vec, _diameter_within, clog2,
                               end_epoch_update)
 from qconsim.graphs import layer_count
-from qconsim.rng import substream
+
+
+def philox_stream(seed: int, *coords) -> np.random.Generator:
+    """``rng.substream`` as a new Philox generator built from the key: the
+    first 16 bytes, little-endian, of SHA-256 of "seed|coord|...".  Every
+    oracle below draws from these."""
+    text = "|".join([str(seed), *(str(c) for c in coords)])
+    key = int.from_bytes(hashlib.sha256(text.encode()).digest()[:16], "little")
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def phase_action_rational(ones: int, total: int) -> PhaseAction:
@@ -43,9 +53,9 @@ class HiddenRegister:
 
 def draw_register(seed: int, p: int, n: int, tag="coin") -> HiddenRegister:
     """The register process p draws in the coin invocation ``tag``, from a
-    fresh substream: a leader value of 3*ceil(log2 n) bits, then a coin
+    fresh philox_stream: a leader value of 3*ceil(log2 n) bits, then a coin
     bit."""
-    rng = substream(seed, "proc", p, tag, "register")
+    rng = philox_stream(seed, "proc", p, tag, "register")
     leader_bits = 3 * clog2(n)
     leader = int(rng.integers(0, 2 ** leader_bits)) if leader_bits else 0
     return HiddenRegister(leader, int(rng.integers(0, 2)), p)
@@ -109,12 +119,12 @@ def deliver_round(intents: list[MessageIntent], decision: CrashDecision,
 
 def private_layers_oracle(n: int, d: int, alpha: int, seed: int, tag
                           ) -> tuple[np.ndarray, np.ndarray]:
-    """``exchange.private_layers`` as one fresh substream per process that
+    """``exchange.private_layers`` as one fresh philox_stream per process that
     draws every layer, saturated ones included, row by row."""
     k = layer_count(n, d, alpha)
     layers = np.zeros((k + 1, n, n), dtype=bool)
     for p in range(n):
-        rng = substream(seed, "private-layers", tag, p)
+        rng = philox_stream(seed, "private-layers", tag, p)
         for i in range(k + 1):
             prob = min(1.0, d * alpha ** i / n)
             row = rng.random(n) < prob
@@ -127,7 +137,7 @@ def shared_group_layers_oracle(n: int, groups: list, d: int, alpha: int,
                                seed: int, tag, max_steps: int | None = None,
                                attempts: list | None = None
                                ) -> tuple[np.ndarray, np.ndarray]:
-    """``exchange.shared_group_layers`` as one fresh substream per attempt
+    """``exchange.shared_group_layers`` as one fresh philox_stream per attempt
     that draws a top-up for every layer, 0 and 1 included, and writes the
     blocks through ``np.ix_`` (so any group of ids works).  The resamples
     each group needed are appended to ``attempts``."""
@@ -145,8 +155,8 @@ def shared_group_layers_oracle(n: int, groups: list, d: int, alpha: int,
         k_g = layer_count(m, d, alpha)
         iu = np.triu_indices(m, k=1)
         for attempt in range(1000):
-            rng = substream(seed, "shared-layers", tag, d, alpha,
-                            int(g[0]), attempt)
+            rng = philox_stream(seed, "shared-layers", tag, d, alpha,
+                                int(g[0]), attempt)
             edges = np.zeros(iu[0].size, dtype=bool)
             blocks = []
             prev_prob = 0.0
@@ -171,7 +181,7 @@ def shared_group_layers_oracle(n: int, groups: list, d: int, alpha: int,
 
 
 def run_relay_oracle(ctx, layers: np.ndarray, k_caps: np.ndarray, window,
-                     carrier, state: dict | None = None) -> np.ndarray:
+                     carrier) -> np.ndarray:
     """``exchange.run_relay`` with nothing carried from one round to the
     next: every iteration gathers its inquiry rows afresh, both rounds hand
     the engine a raw matrix, so each is masked and delivered anew, and the
@@ -184,10 +194,26 @@ def run_relay_oracle(ctx, layers: np.ndarray, k_caps: np.ndarray, window,
         ad = lvl.copy()
         for _ in range(window.iterations):
             inq = layers[np.minimum(lvl, k_caps), rows, :]
-            got_inq = ctx.exchange(inq, 1, state=state)
+            got_inq = ctx.exchange(inq, 1)
             got_resp = ctx.exchange(got_inq.T, carrier.bits, carrier.qubits,
-                                    payload=carrier.payloads(ad), state=state)
+                                    payload=carrier.payloads(ad))
             carrier.merge(got_resp)
             ad = _adapt_vec(ad, got_resp, window.delta, k_max)
         lvl = end_epoch_update(lvl, ad, k_caps)
     return lvl
+
+
+class StateReader(Adversary):
+    """A test-only adversary that acts on the protocol state in the view:
+    every 61st round, while budget lasts, it crashes the lowest-id alive
+    process that holds b = 1 and has not decided."""
+
+    name = "state_reader"
+
+    def decide(self, view):
+        if view.round % 61 or view.crash_budget_left <= 0:
+            return EMPTY_DECISION
+        state = view.state
+        prey = np.flatnonzero(view.alive & (state["b"] == 1)
+                              & ~state["decided"])
+        return CrashDecision(prey[:1]) if prey.size else EMPTY_DECISION

@@ -125,6 +125,18 @@ def test_readme_run_example_is_accepted(tmp_path):
     assert json.loads(out.read_text())["adversary"] == "random_crasher"
 
 
+def test_readme_library_example_runs(capsys):
+    """The README's Python block runs as written, so a change to a public
+    signature it uses fails here."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Library example\s*```python\n(.*?)```", readme,
+                      re.S)
+    exec(compile(block.group(1), "README.md", "exec"), {})
+    agreed, valid, phases, digest = capsys.readouterr().out.split()
+    assert agreed == valid == "True" and int(phases) >= 1
+    assert len(digest) == 64
+
+
 def test_qsim_seed_env_overrides(tmp_path):
     cfg = write_cfg(tmp_path, "r.json",
                     {"n": 8, "seed": 1, "preset": "polylog"})

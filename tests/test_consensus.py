@@ -101,7 +101,7 @@ def test_every_phase_runs_the_coin_block():
     from qconsim.exchange import Window
     p = ConsensusParams.polylog(8)
     levels = partition_levels(8, p.x)
-    sizes = [8] + [max(len(g) for g in lvl) for lvl in levels[:-1]]
+    sizes = [8] + [np.diff(lvl).max() for lvl in levels[:-1]]
     per_phase = sum(Window.for_size(m, p.d, p.alpha).rounds for m in sizes) \
         + 1 + fallback_rounds(8) + coin_rounds
     assert r.transcript.rounds == r.phases * per_phase

@@ -13,19 +13,17 @@ from qconsim.engine import SimContext
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 60), st.integers(2, 9))
 def test_partition_sizes_balanced_and_contiguous(m, x):
-    members = list(range(m))
-    groups = partition(members, x)
-    assert len(groups) == x
-    assert sum(len(g) for g in groups) == m
-    for g in groups:
-        assert len(g) in (m // x, -(-m // x), 0) or len(g) == m // x
-        assert math.floor(m / x) <= len(g) <= math.ceil(m / x) or len(g) == 0
-    flat = [p for g in groups for p in g]
-    assert flat == members  # contiguous by id
+    bounds = partition([0, m], x)
+    sizes = np.diff(bounds)
+    assert len(sizes) == min(m, x)  # the empty groups are dropped
+    assert (sizes >= max(1, m // x)).all() and (sizes <= -(-m // x)).all()
+    assert bounds[0] == 0 and bounds[-1] == m  # contiguous ids, all of them
 
 
 def test_partition_example_10_by_3():
-    assert [len(g) for g in partition(list(range(10)), 3)] == [4, 3, 3]
+    assert np.diff(partition([0, 10], 3)).tolist() == [4, 3, 3]
+    # each group of a level splits on its own
+    assert partition([0, 10, 12], 3).tolist() == [0, 4, 7, 10, 11, 12]
 
 
 def test_partition_levels_depth_formula():
@@ -33,7 +31,7 @@ def test_partition_levels_depth_formula():
         for x in (2, 3, 4, 7):
             levels = partition_levels(n, x)
             assert len(levels) == math.ceil(math.log2(n) / math.log2(x) - 1e-12)
-            assert all(len(g) == 1 for g in levels[-1])
+            assert (np.diff(levels[-1]) == 1).all()
 
 
 def _exact_counts(a, active):
@@ -97,7 +95,7 @@ def test_counting_depth_equals_window_count():
     ctx = SimContext(n, 5, Adversary(), seed=2)
     fast_counting(ctx, np.zeros(n, dtype=int), ConsensusParams(x, d, alpha))
     levels = partition_levels(n, x)
-    sizes = [n] + [max(len(g) for g in lvl) for lvl in levels[:-1]]
+    sizes = [n] + [np.diff(lvl).max() for lvl in levels[:-1]]
     expect = sum(Window.for_size(m, d, alpha).rounds for m in sizes)
     assert ctx.round == expect
     assert len(sizes) == math.ceil(math.log2(n) / math.log2(x))

@@ -310,8 +310,8 @@ def test_private_layers_marginals():
 
 def test_shared_layers_nested_and_symmetric():
     n = 24
-    groups = [np.arange(12), np.arange(12, 24)]
-    layers, k_caps = shared_group_layers(n, groups, 3, 2, seed=4, tag="t")
+    layers, k_caps = shared_group_layers(n, [0, 12, 24], 3, 2, seed=4,
+                                         tag="t")
     for i in range(layers.shape[0]):
         assert (layers[i] == layers[i].T).all()
         if i > 0:
@@ -322,8 +322,7 @@ def test_shared_layers_nested_and_symmetric():
 
 def test_shared_layers_base_connected_within_budget():
     n = 40
-    groups = [np.arange(40)]
-    layers, _ = shared_group_layers(n, groups, 3, 2, seed=9, tag="t",
+    layers, _ = shared_group_layers(n, [0, n], 3, 2, seed=9, tag="t",
                                     max_steps=64)
     reach = layers[0] | np.eye(n, dtype=bool)
     for _ in range(7):
@@ -332,9 +331,8 @@ def test_shared_layers_base_connected_within_budget():
 
 
 def test_shared_layers_deterministic():
-    groups = [np.arange(10)]
-    a, _ = shared_group_layers(10, groups, 2, 2, seed=5, tag=("x", 1))
-    b, _ = shared_group_layers(10, groups, 2, 2, seed=5, tag=("x", 1))
+    a, _ = shared_group_layers(10, [0, 10], 2, 2, seed=5, tag=("x", 1))
+    b, _ = shared_group_layers(10, [0, 10], 2, 2, seed=5, tag=("x", 1))
     assert (a == b).all()
 
 
@@ -371,11 +369,11 @@ def _outcome(build, *args, **kwargs):
 
 
 @st.composite
-def _contiguous_groups(draw, n):
-    """[0, n) cut into contiguous groups, singletons among them."""
+def _group_bounds(draw, n):
+    """The bounds of [0, n) cut into contiguous groups, singletons among
+    them."""
     cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=min(5, n - 1))))
-    bounds = [0, *cuts, n]
-    return [np.arange(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    return [0, *cuts, n]
 
 
 # a singleton and a group of 27 = 3 * 3**2, whose layer 2 has probability
@@ -392,11 +390,12 @@ def test_shared_layers_match_per_attempt_oracle(data, shape, seed, max_steps):
     forces resampling attempts, and a group that never certifies raises the
     same RuntimeError in both."""
     n, d, alpha = shape
-    groups = ([np.arange(0, 1), np.arange(1, n)] if data is None
-              else data.draw(_contiguous_groups(n)))
-    args = (n, groups, d, alpha, seed, ("count", 2))
-    got = _outcome(shared_group_layers, *args, max_steps=max_steps)
-    want = _outcome(shared_group_layers_oracle, *args, max_steps=max_steps)
+    bounds = [0, 1, n] if data is None else data.draw(_group_bounds(n))
+    groups = [np.arange(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    rest = (d, alpha, seed, ("count", 2))
+    got = _outcome(shared_group_layers, n, bounds, *rest, max_steps=max_steps)
+    want = _outcome(shared_group_layers_oracle, n, groups, *rest,
+                    max_steps=max_steps)
     if isinstance(want, str):
         assert got == want
     else:
@@ -412,12 +411,6 @@ def test_shared_layers_oracle_example_resamples():
                                max_steps=_RESAMPLED["max_steps"],
                                attempts=attempts)
     assert attempts == [68]
-
-
-def test_shared_layers_reject_non_contiguous_group():
-    groups = [np.array([0, 2, 3]), np.array([1, 4, 5])]
-    with pytest.raises(ValueError, match="contiguous"):
-        shared_group_layers(6, groups, 2, 2, seed=1, tag="t")
 
 
 # -- relay schedule ---------------------------------------------------------
@@ -492,16 +485,17 @@ def _relay_setup(kind, n, seed, x):
         window = Window.for_size(n, d, alpha)
         keys = rng.integers(0, 4, n) * n + np.arange(n)
         return layers, k_caps, window, KeyCarrier(keys, bits=3, qubits=5)
-    groups = [np.array(g) for g in partition(list(range(n)), x) if g]
-    window = Window.for_size(max(len(g) for g in groups), d, alpha)
+    bounds = partition([0, n], x)
+    window = Window.for_size(np.diff(bounds).max(), d, alpha)
     layers, k_caps = shared_group_layers(
-        n, groups, d, alpha, seed, "oracle",
+        n, bounds, d, alpha, seed, "oracle",
         max_steps=window.epochs * window.iterations)
     rumors = np.full((n, 2 * x), -1, dtype=np.int64)
-    for g in groups:
-        for ci, child in enumerate(partition(g.tolist(), x)):
-            rumors[child, ci] = rng.integers(0, 2, len(child))
-            rumors[child, x + ci] = 1 - rumors[child, ci]
+    for lo, hi in zip(bounds, bounds[1:]):
+        kids = partition([lo, hi], x)
+        for ci, (a, b) in enumerate(zip(kids, kids[1:])):
+            rumors[a:b, ci] = rng.integers(0, 2, b - a)
+            rumors[a:b, x + ci] = 1 - rumors[a:b, ci]
     return layers, k_caps, window, RumorCarrier([rumors], bits=7)
 
 

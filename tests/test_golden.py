@@ -15,6 +15,7 @@ only; every other pinned value must stay as it is.
 
 import numpy as np
 import pytest
+from oracles import StateReader
 
 from qconsim.adversaries import make_adversary
 from qconsim.coin import CoinParams, run_coin
@@ -314,6 +315,26 @@ GOLDEN = [
       "fallback_triggers": 0,
       "digest": "7c43edc68b8b9cc9b949a9d0ec4dc4c7"
                 "ebc8213be3716bc9672071703d92dde8"}),
+    # crashes chosen from view.state: the oracles' StateReader takes the
+    # lowest-id undecided holder of b = 1 every 61st round
+    ("n32-polylog-state_reader-split", 32, 11, "polylog", None,
+     "state_reader", {}, 5, "01" * 16,
+     {"decisions": [0, -1] * 5 + [0] * 22,
+      "phases": 5, "rounds": 2005,
+      "total_bits": 6816109, "total_qubits": 2128000,
+      "crashed": [1, 3, 5, 7, 9],
+      "fallback_triggers": 0,
+      "digest": "4a0694bd4cfbca06194b8dd184692948"
+                "53961186d9908d0464af57088c900096"}),
+    ("n32-constant-state_reader-split", 32, 11, "constant", 0.5,
+     "state_reader", {}, 5, "01" * 16,
+     {"decisions": [0, -1] * 3 + [0] * 26,
+      "phases": 4, "rounds": 932,
+      "total_bits": 8359327, "total_qubits": 1505424,
+      "crashed": [1, 3, 5],
+      "fallback_triggers": 0,
+      "digest": "02277629cbe3ed0939afde2d0e78e5eb"
+                "917bb06d0eeb447470684c8a12afa161"}),
 ]
 
 
@@ -326,8 +347,9 @@ def test_golden_run(n, t, preset, epsilon, adversary, params, seed, inputs,
                         if preset == "constant"
                         else ConsensusParams.polylog(n))
     bits = np.array([int(c) for c in inputs], dtype=np.int64)
-    result = run_consensus(bits, consensus_params, t,
-                           make_adversary(adversary, **params), seed)
+    adv = (StateReader() if adversary == StateReader.name
+           else make_adversary(adversary, **params))
+    result = run_consensus(bits, consensus_params, t, adv, seed)
     transcript = result.transcript
     got = {
         "decisions": result.decisions.tolist(),

@@ -1,6 +1,7 @@
 import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
+from oracles import philox_stream
 
 from qconsim.rng import Restream, adversary_rng, substream
 
@@ -58,15 +59,25 @@ _COORD = st.one_of(st.integers(-5, 10 ** 6), st.text(max_size=4),
 @example(addresses=[(1, ["proc", 0, ("coin", 1), "register"], 1, 3),
                     (1, ["private-layers", "coin", 7], 0, 1)])
 def test_restream_readdresses_to_fresh_substream(addresses):
-    """Re-addressing the shared generator yields exactly the stream a fresh
-    substream gives, whatever was drawn from it before: part of Philox's
-    output block (a buffered position) or an odd number of 32-bit draws
-    (a buffered half-word)."""
+    """Re-addressing the shared generator, and ``substream``, yield exactly
+    the stream of a Philox generator built from the address's key, whatever
+    was drawn from the shared one before: part of Philox's output block (a
+    buffered position) or an odd number of 32-bit draws (a buffered
+    half-word)."""
     streams = Restream()
     for seed, coords, doubles, halves in addresses:
+        want = _draws(philox_stream(seed, *coords))
+        assert _draws(substream(seed, *coords)) == want
         gen = streams.at(seed, *coords)
-        assert _draws(gen) == _draws(substream(seed, *coords))
+        assert _draws(gen) == want
         # leave the shared generator mid-block and, by an odd number of
         # 32-bit draws, with a half-word buffered
         gen.random(doubles)
         gen.integers(0, 2 ** 32, size=2 * halves + 1, dtype=np.uint32)
+
+
+def test_live_substreams_at_one_address_do_not_share_state():
+    a, b = substream(9, "proc", 3), substream(9, "proc", 3)
+    first = a.random(5)
+    assert a.random(5).tolist() != first.tolist()
+    assert b.random(5).tolist() == first.tolist()  # a's draws left b alone
