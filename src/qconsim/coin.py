@@ -55,7 +55,7 @@ class CoinParams:
 
     @property
     def response_bits(self) -> int:
-        return clog2(self.n) + clog2(self.window.k + 1)
+        return clog2(self.n)  # a register's; the relay adds the degree's
 
 
 def run_coin(ctx: SimContext, params: CoinParams, tag="coin") -> np.ndarray:

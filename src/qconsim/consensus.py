@@ -25,7 +25,7 @@ import numpy as np
 
 from .coin import CoinParams, run_coin
 from .counting import fast_counting
-from .engine import CapExceeded, SimContext, Transcript
+from .engine import ROUND_CAP, CapExceeded, SimContext, Transcript
 from .exchange import clog2
 
 
@@ -85,19 +85,18 @@ class ConsensusParams:
     x: int
     d: int
     alpha: int
-    preset: str = "custom"
 
     @classmethod
     def constant(cls, n: int, epsilon: float = 0.5) -> "ConsensusParams":
         """x = alpha = n^epsilon (rounded, floored at 2), d = log n."""
         scale = max(2, round(n ** epsilon))
-        return cls(x=scale, d=max(2, clog2(n)), alpha=scale, preset="constant")
+        return cls(x=scale, d=max(2, clog2(n)), alpha=scale)
 
     @classmethod
     def polylog(cls, n: int) -> "ConsensusParams":
         """x = 2, d = alpha = log n."""
         base = max(2, clog2(n))
-        return cls(x=2, d=base, alpha=base, preset="polylog")
+        return cls(x=2, d=base, alpha=base)
 
     def coin_params(self, n: int) -> CoinParams:
         return CoinParams.make(n, d=self.d, alpha=self.alpha)
@@ -228,7 +227,7 @@ def _consensus_protocol(ctx: SimContext, inputs: np.ndarray,
 
 def run_consensus(inputs: np.ndarray, params: ConsensusParams, t: int,
                   adversary, seed: int, phase_cap: int = 120,
-                  round_cap: int = 5_000_000,
+                  round_cap: int = ROUND_CAP,
                   record_rounds: bool = False) -> ConsensusResult:
     """Full protocol run; raises PhaseCapExceeded (or RoundCapExceeded) if it
     cannot terminate, with the phases it completed attached."""

@@ -47,12 +47,6 @@ def partition_levels(n: int, x: int) -> list[np.ndarray]:
     return levels
 
 
-def rumor_response_bits(n_keys: int, value_bits: int, k: int,
-                        instances: int) -> int:
-    """Bits per response: the encoded rumor sets plus the adaptive degree."""
-    return n_keys * value_bits * instances + clog2(k + 1)
-
-
 def fast_counting(ctx: SimContext, a: np.ndarray, params, tag="count"
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Count processes holding a=1 and a=0 among the currently active set,
@@ -89,9 +83,7 @@ def fast_counting(ctx: SimContext, a: np.ndarray, params, tag="count"
         layers, k_caps = shared_group_layers(
             n, bounds, params.d, params.alpha, ctx.seed, (tag, lvl_idx),
             max_steps=window.epochs * window.iterations)
-        bits = rumor_response_bits(x, clog2(n + 1), int(k_caps.max(initial=0)),
-                                   instances=2)
-        carrier = RumorCarrier([rumors], bits)
+        carrier = RumorCarrier([rumors], 2 * x * clog2(n + 1))  # 2x subtotals
         run_relay(ctx, layers, k_caps, window, carrier)
         ones = np.where(r1 >= 0, r1, 0).sum(axis=1)
         zeros = np.where(r0 >= 0, r0, 0).sum(axis=1)

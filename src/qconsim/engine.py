@@ -56,6 +56,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 DIGEST_VERSION = 2
+ROUND_CAP = 5_000_000  # default round cap of every run
 
 
 class SimulationError(Exception):
@@ -87,10 +88,10 @@ class AdversaryViolation(SimulationError):
 class CrashDecision:
     """Adversary output for one round.
 
-    ``newly_crashed`` lists 0-based sender indices to crash this round.
-    ``partial_delivery`` maps a newly crashed sender to a boolean recipient
-    mask selecting which of its intended messages are still delivered
-    (missing entry means nothing is delivered).
+    ``newly_crashed`` lists distinct 0-based ids of alive senders to crash
+    this round.  ``partial_delivery`` maps a newly crashed sender to a
+    boolean recipient mask selecting which of its intended messages are
+    still delivered (missing entry means nothing is delivered).
     """
 
     newly_crashed: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
@@ -112,6 +113,7 @@ def _empty_decision() -> CrashDecision:
 EMPTY_DECISION = _empty_decision()
 
 
+@dataclass(eq=False, slots=True)  # array fields: compare views by identity
 class AdversaryView:
     """Read-only classical snapshot handed to the adversary each round.
 
@@ -119,33 +121,17 @@ class AdversaryView:
     are the protocol's own).  Hidden state is not reachable from a view.
     """
 
-    __slots__ = (
-        "round",
-        "n",
-        "t",
-        "alive",
-        "halted",
-        "targets",
-        "bits_per_message",
-        "qubits_per_message",
-        "payload",
-        "state",
-        "crashes_used",
-    )
-
-    def __init__(self, round_, n, t, alive, halted, targets, bits, qubits,
-                 payload, state, crashes_used):
-        self.round = round_
-        self.n = n
-        self.t = t
-        self.alive = alive
-        self.halted = halted
-        self.targets = targets
-        self.bits_per_message = bits
-        self.qubits_per_message = qubits
-        self.payload = payload
-        self.state = state
-        self.crashes_used = crashes_used
+    round: int
+    n: int
+    t: int
+    alive: np.ndarray
+    halted: np.ndarray
+    targets: np.ndarray
+    bits_per_message: np.ndarray
+    qubits_per_message: np.ndarray
+    payload: Optional[dict]
+    state: Optional[dict]
+    crashes_used: int
 
     @property
     def crash_budget_left(self) -> int:
@@ -237,7 +223,7 @@ class SimContext:
     """
 
     def __init__(self, n: int, t: int, adversary, seed: int,
-                 round_cap: int = 2_000_000, record_rounds: bool = False):
+                 round_cap: int = ROUND_CAP, record_rounds: bool = False):
         if n < 1:
             raise ValueError("n must be >= 1")
         if not (0 <= t <= n):
@@ -262,7 +248,6 @@ class SimContext:
         adversary.reset(n, t, seed)
         self._hash = hashlib.sha256(
             f"v{DIGEST_VERSION}|{n}|{t}|{seed}".encode())
-        self.record_rounds = record_rounds
         self.round_records: list = [] if record_rounds else None
 
     # -- state queries -------------------------------------------------
@@ -326,6 +311,9 @@ class SimContext:
         newly = np.asarray(decision.newly_crashed, dtype=np.int64)
         sent = prep.sent
         if newly.size:
+            ids = newly.tolist()
+            if len(set(ids)) < len(ids) or min(ids) < 0 or max(ids) >= n:
+                raise AdversaryViolation("crash ids must be distinct, in [0, n)")
             if not self.alive[newly].all():
                 raise AdversaryViolation("adversary crashed a dead process")
             if self.crashes_used + newly.size >= self.t:
@@ -337,7 +325,7 @@ class SimContext:
             # get nothing; a sender crashed this round delivers its kept
             # subset only, and pays for that subset only
             delivered = prep.targets & self.active[None, :]
-            for s in newly.tolist():
+            for s in ids:
                 keep = decision.partial_delivery.get(s)
                 if keep is None:
                     delivered[s] = False
@@ -367,7 +355,7 @@ class SimContext:
         h.update(self.alive.tobytes())
         h.update(self.halted.tobytes())
 
-        if self.record_rounds:
+        if self.round_records is not None:
             self.round_records.append({
                 "round": self.round,
                 "crashed": [int(p) + 1 for p in newly.tolist()],

@@ -22,16 +22,19 @@ Several disjoint groups can run the pattern in lock-step: each process uses
 the layer caps of its own group while the epoch/iteration counts come from
 the window parameters (derived from the largest group).
 
-Payloads are max-merged by a carrier after each response round.  Only the
-carrier's classical payload is handed to the engine, and so to the
-adversary; the coin's register keys never leave the carrier.  Both carriers
-first mask, on the dense delivered matrix, the edges that can change their
-recipient: for rumors (counting) an edge whose sender row differs from the
-recipient row, for keys (coin) an edge whose sender key is the larger.  Once
-the payloads have spread that mask is empty and the merge ends there;
-otherwise only the masked edges are listed and max-merged.  Responder counts
-for degree adaptation are a float32 BLAS product, exact below 2**24
-processes; the diameter certificate of the shared layers ORs packed rows.
+``run_relay`` owns each response's adaptive degree field: it prices it at
+clog2(k_max + 1) bits and sends it as ``adaptive_degree``.  A carrier owns
+the rest: its ``bits``, its ``qubits`` and its ``classical`` payload part,
+which the engine, and so the adversary, sees; the coin's register keys never
+leave the carrier.  Payloads are max-merged after each response round.  Both
+carriers first mask, on the dense delivered matrix, the edges that can
+change their recipient: for rumors (counting) an edge whose sender row
+differs from the recipient row, for keys (coin) an edge whose sender key is
+the larger.  Once the payloads have spread that mask is empty and the merge
+ends there; otherwise only the masked edges are listed and max-merged.
+Responder counts for degree adaptation are a float32 BLAS product, exact
+below 2**24 processes; the diameter certificate of the shared layers ORs
+packed rows.
 
 The relay's matrices stay dense (n, n) bool on purpose.  At the sizes the
 protocol runs, the top layers it climbs to are dense: at n = 384 under the
@@ -47,13 +50,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import SimContext
-from .graphs import layer_count
 from .rng import Restream
 
 
 def clog2(x: int) -> int:
     """ceil(log2(x)); 0 for x <= 1."""
     return (x - 1).bit_length() if x > 1 else 0
+
+
+def layer_count(m: int, d: int, alpha: int) -> int:
+    """Smallest k with d*alpha^k >= m (equals ceil(log(m/d)/log alpha), floored at 0)."""
+    k, cap = 0, d
+    while cap < m:
+        k, cap = k + 1, cap * alpha
+    return k
 
 
 def end_epoch_update(degree_level: np.ndarray, adaptive_level: np.ndarray,
@@ -92,6 +102,9 @@ def _adapt_vec(ad: np.ndarray, delivered: np.ndarray, delta: int,
 class KeyCarrier:
     """Payload for the coin: one hidden max-mergeable key per process.
 
+    ``bits`` and ``qubits`` price a register, not the adaptive degree (the
+    relay's); ``classical`` is empty, as the keys are hidden.
+
     An edge p -> q can change q's key only if keys[p] > keys[q].  ``merge``
     masks those edges on the delivered matrix, comparing narrow dense ranks
     of the keys instead of the int64 keys, and returns at once when there is
@@ -104,10 +117,8 @@ class KeyCarrier:
         self.keys = keys.astype(np.int64)
         self.bits = bits
         self.qubits = qubits
+        self.classical = {}
         self.ranks = None  # dense ranks of the keys, kept until they change
-
-    def payloads(self, ad: np.ndarray) -> dict:
-        return {"adaptive_degree": ad}
 
     def merge(self, delivered: np.ndarray) -> bool:
         n = self.keys.size
@@ -127,7 +138,8 @@ class RumorCarrier:
     """Payload for counting: per-key max-mergeable rumor matrices.
 
     Each matrix is (n, n_keys) with -1 marking an absent rumor; all matrices
-    ride in the same message (one classical payload).
+    ride in the same message, priced by ``bits`` without the adaptive degree
+    (the relay's) and shown, live, as ``classical["rumors{i}"]``.
 
     ``merge`` works on the delivered edges, not on an (n, n, n_keys)
     temporary.  Per matrix it labels rows by exact byte equality and masks,
@@ -145,13 +157,8 @@ class RumorCarrier:
         self.matrices = matrices
         self.bits = bits
         self.qubits = 0
+        self.classical = {f"rumors{i}": m for i, m in enumerate(matrices)}
         self.labels = [None] * len(matrices)  # row labels, kept until changed
-
-    def payloads(self, ad: np.ndarray) -> dict:
-        classical = {"adaptive_degree": ad}
-        for i, m in enumerate(self.matrices):
-            classical[f"rumors{i}"] = m
-        return classical
 
     def merge(self, delivered: np.ndarray) -> bool:
         changed = False
@@ -231,7 +238,8 @@ def run_relay(ctx: SimContext, layers: np.ndarray, k_caps: np.ndarray,
 
     ``layers`` is (k_max+1, n, n) bool with layers[i][p] the targets of p at
     level i; rows above a process's own cap must repeat its top layer.
-    ``k_caps`` is the per-process top level.
+    ``k_caps`` is the per-process top level.  The relay adds each response's
+    degree field: ``adaptive_degree`` in the payload, clog2(k_max + 1) bits.
 
     Exact reuse: the inquiry rows depend on the levels only, so they are
     gathered and prepared (``SimContext.prepare``) again only when the
@@ -247,6 +255,7 @@ def run_relay(ctx: SimContext, layers: np.ndarray, k_caps: np.ndarray,
     rows = np.arange(n)
     lvl = np.zeros(n, dtype=np.int64)
     k_max = int(k_caps.max(initial=0))
+    resp_bits = carrier.bits + clog2(k_max + 1)
     ask = ask_lvl = heard = answer = idle = None
     adapted = (None, None, None)  # (response, ad before, ad after)
     for _ in range(window.epochs):
@@ -258,8 +267,9 @@ def run_relay(ctx: SimContext, layers: np.ndarray, k_caps: np.ndarray,
             got_inq = ctx.exchange(ask, 1)
             if got_inq is not heard:
                 heard, answer = got_inq, ctx.prepare(got_inq.T, answer)
-            got_resp = ctx.exchange(answer, carrier.bits, carrier.qubits,
-                                    payload=carrier.payloads(ad))
+            got_resp = ctx.exchange(answer, resp_bits, carrier.qubits,
+                                    payload={"adaptive_degree": ad,
+                                             **carrier.classical})
             if got_resp is not idle:
                 idle = None if carrier.merge(got_resp) else got_resp
             seen, before, after = adapted
@@ -298,7 +308,7 @@ def _diameter_within(adj: np.ndarray, limit: int) -> bool:
 
 
 def shared_group_layers(n: int, bounds, d: int, alpha: int,
-                        seed: int, tag, max_steps: int | None = None
+                        seed: int, tag, max_steps: int
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic (public-seed) undirected layered graphs per group of
     ids [bounds[i], bounds[i+1]), its blocks written through slices.
@@ -351,7 +361,7 @@ def shared_group_layers(n: int, bounds, d: int, alpha: int,
                 block = np.zeros((m, m), dtype=bool)
                 block[upper] = edges
                 blocks.append(block | block.T)
-            if max_steps is None or _diameter_within(blocks[0], max_steps):
+            if _diameter_within(blocks[0], max_steps):
                 break
         else:
             raise RuntimeError("could not certify a connected base layer")

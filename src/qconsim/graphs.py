@@ -1,10 +1,11 @@
-"""Random communication graphs and combinatorial property certification.
+"""G(n, y) samples and the property certifiers behind ``qconsim check-graphs``.
 
-Graphs are symmetric boolean adjacency matrices over nodes 0..n-1.  Property
-checks are exhaustive while the amount of work fits a configurable budget and
-fall back to one-sided randomized certification otherwise; every report
-records which method produced its verdict, and a found counterexample is
-always a valid witness.
+The protocol builds its own layers in ``qconsim.exchange``.  Graphs are
+symmetric boolean adjacency matrices over nodes 0..n-1.  Property checks are
+exhaustive while the amount of work fits a configurable budget and fall back
+to one-sided randomized certification otherwise; every report records which
+method produced its verdict, and a found counterexample is always a valid
+witness.
 """
 
 from __future__ import annotations
@@ -49,16 +50,6 @@ def sample_gnp(n: int, y: float, seed: int) -> np.ndarray:
     adj[iu] = edges
     adj |= adj.T
     return adj
-
-
-def layer_count(m: int, d: int, alpha: int) -> int:
-    """Smallest k with d*alpha^k >= m (equals ceil(log(m/d)/log alpha), floored at 0)."""
-    k = 0
-    cap = d
-    while cap < m:
-        cap *= alpha
-        k += 1
-    return k
 
 
 def _internal_edges(adj: np.ndarray, nodes: np.ndarray) -> int:

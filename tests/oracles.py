@@ -15,8 +15,7 @@ from qconsim.adversaries import Adversary
 from qconsim.consensus import PhaseAction
 from qconsim.engine import EMPTY_DECISION, CrashDecision
 from qconsim.exchange import (_adapt_vec, _diameter_within, clog2,
-                              end_epoch_update)
-from qconsim.graphs import layer_count
+                              end_epoch_update, layer_count)
 
 
 def philox_stream(seed: int, *coords) -> np.random.Generator:
@@ -134,7 +133,7 @@ def private_layers_oracle(n: int, d: int, alpha: int, seed: int, tag
 
 
 def shared_group_layers_oracle(n: int, groups: list, d: int, alpha: int,
-                               seed: int, tag, max_steps: int | None = None,
+                               seed: int, tag, max_steps: int,
                                attempts: list | None = None
                                ) -> tuple[np.ndarray, np.ndarray]:
     """``exchange.shared_group_layers`` as one fresh philox_stream per attempt
@@ -169,7 +168,7 @@ def shared_group_layers_oracle(n: int, groups: list, d: int, alpha: int,
                 block = np.zeros((m, m), dtype=bool)
                 block[iu] = edges
                 blocks.append(block | block.T)
-            if max_steps is None or _diameter_within(blocks[0], max_steps):
+            if _diameter_within(blocks[0], max_steps):
                 break
         else:
             raise RuntimeError("could not certify a connected base layer")
@@ -185,18 +184,21 @@ def run_relay_oracle(ctx, layers: np.ndarray, k_caps: np.ndarray, window,
     """``exchange.run_relay`` with nothing carried from one round to the
     next: every iteration gathers its inquiry rows afresh, both rounds hand
     the engine a raw matrix, so each is masked and delivered anew, and the
-    carrier merges every response round."""
+    carrier merges every response round.  It prices and builds each response
+    itself: the carrier's part plus a clog2(k_max + 1)-bit adaptive degree."""
     n = ctx.n
     rows = np.arange(n)
     lvl = np.zeros(n, dtype=np.int64)
     k_max = int(k_caps.max(initial=0))
+    degree_bits = clog2(k_max + 1)
     for _ in range(window.epochs):
         ad = lvl.copy()
         for _ in range(window.iterations):
             inq = layers[np.minimum(lvl, k_caps), rows, :]
             got_inq = ctx.exchange(inq, 1)
-            got_resp = ctx.exchange(got_inq.T, carrier.bits, carrier.qubits,
-                                    payload=carrier.payloads(ad))
+            payload = dict(carrier.classical, adaptive_degree=ad)
+            got_resp = ctx.exchange(got_inq.T, carrier.bits + degree_bits,
+                                    carrier.qubits, payload=payload)
             carrier.merge(got_resp)
             ad = _adapt_vec(ad, got_resp, window.delta, k_max)
         lvl = end_epoch_update(lvl, ad, k_caps)

@@ -97,6 +97,19 @@ def test_cannot_crash_dead_process():
         ctx.exchange(_full_targets(4), bits=1)
 
 
+@pytest.mark.parametrize("crash_ids", [[-1], [2, 2], [4]],
+                         ids=["negative", "repeated", "out-of-range"])
+def test_malformed_crash_ids_are_a_violation(crash_ids):
+    """Crash ids must be distinct and in [0, n): -1 would crash process 3
+    through negative indexing, [2, 2] would charge two crashes for one,
+    and 4 would be an IndexError.  Nothing is crashed or charged."""
+    script = [CrashDecision(np.array(crash_ids))]
+    ctx = SimContext(4, 4, ScriptedAdversary(script), seed=0)
+    with pytest.raises(AdversaryViolation, match="distinct"):
+        ctx.exchange(_full_targets(4), bits=1)
+    assert ctx.alive.all() and ctx.crashes_used == 0
+
+
 def test_round_cap():
     ctx = SimContext(2, 1, Adversary(), seed=0, round_cap=3)
     nobody = np.zeros((2, 2), dtype=bool)

@@ -11,8 +11,8 @@ from qconsim.counting import partition
 from qconsim.engine import EMPTY_DECISION, CrashDecision, SimContext
 from qconsim.exchange import (KeyCarrier, RumorCarrier, Window, _adapt_vec,
                               _diameter_within, clog2, end_epoch_update,
-                              run_relay, shared_group_layers, private_layers)
-from qconsim.graphs import layer_count
+                              layer_count, run_relay, shared_group_layers,
+                              private_layers)
 from qconsim.rng import substream
 
 
@@ -311,7 +311,7 @@ def test_private_layers_marginals():
 def test_shared_layers_nested_and_symmetric():
     n = 24
     layers, k_caps = shared_group_layers(n, [0, 12, 24], 3, 2, seed=4,
-                                         tag="t")
+                                         tag="t", max_steps=8)
     for i in range(layers.shape[0]):
         assert (layers[i] == layers[i].T).all()
         if i > 0:
@@ -331,8 +331,10 @@ def test_shared_layers_base_connected_within_budget():
 
 
 def test_shared_layers_deterministic():
-    a, _ = shared_group_layers(10, [0, 10], 2, 2, seed=5, tag=("x", 1))
-    b, _ = shared_group_layers(10, [0, 10], 2, 2, seed=5, tag=("x", 1))
+    a, _ = shared_group_layers(10, [0, 10], 2, 2, seed=5, tag=("x", 1),
+                               max_steps=8)
+    b, _ = shared_group_layers(10, [0, 10], 2, 2, seed=5, tag=("x", 1),
+                               max_steps=8)
     assert (a == b).all()
 
 
@@ -383,7 +385,7 @@ _RESAMPLED = dict(shape=(28, 3, 3), seed=4, max_steps=3)
 
 @settings(deadline=None)
 @given(data=st.data(), shape=_layer_shapes(), seed=st.integers(0, 2 ** 32),
-       max_steps=st.sampled_from([None, 3, 4, 8]))
+       max_steps=st.sampled_from([3, 4, 8, 64]))
 @example(data=None, **_RESAMPLED)
 def test_shared_layers_match_per_attempt_oracle(data, shape, seed, max_steps):
     """Several contiguous groups, singletons among them; a small max_steps
@@ -434,16 +436,28 @@ def test_relay_consumes_exact_rounds_and_propagates_max():
     assert (carrier.keys == 110).all()  # everyone holds the max
 
 
-def test_relay_charges_inquiry_and_response_costs():
+@pytest.mark.parametrize("make,response_keys", [
+    (lambda n: KeyCarrier(np.zeros(n, dtype=np.int64), bits=7, qubits=13),
+     ["adaptive_degree"]),
+    (lambda n: RumorCarrier([np.zeros((n, 2), dtype=np.int64)], bits=7),
+     ["adaptive_degree", "rumors0"])], ids=["key", "rumor"])
+def test_relay_charges_inquiry_and_response_costs(make, response_keys):
+    """A response costs the carrier's bits plus the relay's
+    clog2(k_max + 1)-bit adaptive degree, and its payload is the degree
+    next to the carrier's classical part."""
     n = 6
-    ctx = SimContext(n, 2, Adversary(), seed=1)
+    adversary = DrawnCrasher([], seed=0)  # records payloads, crashes nobody
+    ctx = SimContext(n, 2, adversary, seed=1)
     layers, k_caps = private_layers(n, 2, 2, ctx.seed, "t")
-    carrier = KeyCarrier(np.zeros(n, dtype=np.int64), bits=7, qubits=13)
+    carrier = make(n)
     one_iteration = Window(k=-1, gamma=0, delta=2)  # 1 epoch of 1 iteration
     run_relay(ctx, layers, k_caps, one_iteration, carrier)
     inquiries = int(layers[0].sum())
-    assert ctx.ledger.bits.sum() == inquiries * (1 + 7)
-    assert ctx.ledger.qubits.sum() == inquiries * 13
+    k_max = int(k_caps.max())
+    assert ctx.ledger.bits.sum() == inquiries * (1 + 7 + clog2(k_max + 1))
+    assert ctx.ledger.qubits.sum() == inquiries * carrier.qubits
+    assert [[k for k, _ in p] for p in adversary.payloads] == [
+        [], response_keys]
 
 
 # -- relay reuse: per-round oracle ------------------------------------------

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qconsim.exchange import private_layers
+from qconsim.exchange import layer_count, private_layers
 from qconsim.graphs import (delta_core, is_compact, is_edge_dense,
-                            is_expanding, layer_count, sample_gnp)
+                            is_expanding, sample_gnp)
 from qconsim.rng import substream
 
 
