@@ -20,12 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
+from types import MappingProxyType
 
 import numpy as np
 
 from .coin import CoinParams, run_coin
 from .counting import fast_counting
-from .engine import ROUND_CAP, CapExceeded, SimContext, Transcript
+from .engine import ROUND_CAP, CapExceeded, SimContext, Transcript, read_only
 from .exchange import clog2
 
 
@@ -146,13 +147,14 @@ def _fallback_window(ctx: SimContext, b: np.ndarray, trigger: np.ndarray,
     """
     n = ctx.n
     val = b.astype(np.int64).copy()
+    shown = {"bit": read_only(val)}
     everyone = ~np.eye(n, dtype=bool)
     announce = everyone & trigger[:, None]
-    delivered = ctx.exchange(announce, 1, payload={"bit": val})
+    delivered = ctx.exchange(announce, 1, payload=shown)
     joined = trigger | delivered.any(axis=0)
     for _ in range(fallback_rounds(n)):
         sending = everyone & joined[:, None]
-        delivered = ctx.exchange(sending, 1, payload={"bit": val})
+        delivered = ctx.exchange(sending, 1, payload=shown)
         if delivered.any():
             incoming = np.where(delivered, val[:, None], 2).min(axis=0)
             heard = delivered.any(axis=0)
@@ -175,11 +177,12 @@ def _consensus_protocol(ctx: SimContext, inputs: np.ndarray,
         return decisions
     coin = params.coin_params(n)
     threshold = fallback_threshold(n)
+    shown = {"b": read_only(b), "decided": read_only(decided)}
     totals_history: list[np.ndarray] = []
     for phase in range(1, phase_cap + 1):
         if not ctx.active.any():
             return decisions
-        ctx.state = {"phase": phase, "b": b, "decided": decided}
+        ctx.state = MappingProxyType({"phase": phase, **shown})
         ones, zeros = fast_counting(ctx, b, params, tag=("count", phase))
         totals = ones + zeros
         totals_history.append(totals.copy())

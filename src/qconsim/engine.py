@@ -6,10 +6,12 @@ plus per-sender cost in classical bits and qubits and an optional classical
 payload (dict of per-sender arrays).  The adversary is consulted with a view
 of everything the engine holds -- targets, costs, classical payloads,
 protocol state (``SimContext.state``), the full crash/halt picture.
-Hidden state (the coin's registers) is never handed to the engine, so no
-view can reach it.  The adversary may crash senders mid-multicast, choosing
-which subset of their messages is still delivered, subject to a strict
-total budget of fewer than t crashes.
+Every array in a view is read-only, and the payload's and state's stay
+live: the protocol publishes them as ``read_only`` views, built once where
+each array is made.  Hidden state (the coin's registers) is never handed to
+the engine, so no view can reach it.  The adversary may crash senders
+mid-multicast, choosing which subset of their messages is still delivered,
+subject to a strict total budget of fewer than t crashes.
 
 Cost accounting: an alive sender pays for every message it attempts; a sender
 crashed in the very round of its multicast pays only for the delivered
@@ -98,27 +100,28 @@ class CrashDecision:
     partial_delivery: Mapping[int, np.ndarray] = field(default_factory=dict)
 
 
-def _empty_decision() -> CrashDecision:
-    """The no-crash decision, shared by every adversary that passes a round.
-
-    Its array is read-only and its mapping a read-only proxy, so an
-    adversary that mutates the shared instance fails at once instead of
-    leaking crashes into every later round that returns it.
-    """
-    nobody = np.zeros(0, dtype=np.int64).view()  # a view cannot be resized
-    nobody.flags.writeable = False
-    return CrashDecision(nobody, MappingProxyType({}))
+def read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a``, live while ``a`` is written in place."""
+    shown = a.view()
+    shown.flags.writeable = False
+    return shown
 
 
-EMPTY_DECISION = _empty_decision()
+# The no-crash decision, shared by every adversary that passes a round.  Its
+# array is a read-only view (which cannot be resized either) and its mapping
+# a read-only proxy, so an adversary that mutates the shared instance fails
+# at once instead of leaking crashes into every later round that returns it.
+EMPTY_DECISION = CrashDecision(read_only(np.zeros(0, dtype=np.int64)),
+                               MappingProxyType({}))
 
 
 @dataclass(eq=False, slots=True)  # array fields: compare views by identity
 class AdversaryView:
     """Read-only classical snapshot handed to the adversary each round.
 
-    Holds read-only views of live engine arrays (the payload and state
-    are the protocol's own).  Hidden state is not reachable from a view.
+    Every array in it is read-only, so a write raises ``ValueError``; the
+    masks, targets, payload and state arrays are live views, and the state
+    a read-only mapping.  Hidden state is not reachable from a view.
     """
 
     round: int
@@ -130,7 +133,7 @@ class AdversaryView:
     bits_per_message: np.ndarray
     qubits_per_message: np.ndarray
     payload: Optional[dict]
-    state: Optional[dict]
+    state: Optional[Mapping]
     crashes_used: int
 
     @property
@@ -237,12 +240,10 @@ class SimContext:
         self.halted = np.zeros(n, dtype=bool)
         # what adversary views show: live but read-only, so that no write
         # changes the active set without moving the version on
-        self._shown = (self.alive.view(), self.halted.view())
-        for mask in self._shown:
-            mask.flags.writeable = False
+        self._shown = (read_only(self.alive), read_only(self.halted))
         self.crashes_used = 0
         self.version = 0  # moved on by every halt and crash
-        self.state: Optional[dict] = None  # set by the protocol, in views
+        self.state: Optional[Mapping] = None  # set by the protocol, read-only
         self.ledger = CostLedger.empty(n)
         self.adversary = adversary
         adversary.reset(n, t, seed)
@@ -299,6 +300,7 @@ class SimContext:
         n = self.n
         bits_arr = np.full(n, bits, dtype=np.int64)
         qubits_arr = np.full(n, qubits, dtype=np.int64)
+        bits_arr.flags.writeable = qubits_arr.flags.writeable = False
         prep = (targets if isinstance(targets, PreparedRound)
                 else self.prepare(targets))
         if prep.version != self.version:

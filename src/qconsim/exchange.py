@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import SimContext
+from .engine import SimContext, read_only
 from .rng import Restream
 
 
@@ -139,7 +139,8 @@ class RumorCarrier:
 
     Each matrix is (n, n_keys) with -1 marking an absent rumor; all matrices
     ride in the same message, priced by ``bits`` without the adaptive degree
-    (the relay's) and shown, live, as ``classical["rumors{i}"]``.
+    (the relay's) and shown as ``classical["rumors{i}"]``, a read-only view
+    that stays live as ``merge`` writes the matrix in place.
 
     ``merge`` works on the delivered edges, not on an (n, n, n_keys)
     temporary.  Per matrix it labels rows by exact byte equality and masks,
@@ -157,7 +158,8 @@ class RumorCarrier:
         self.matrices = matrices
         self.bits = bits
         self.qubits = 0
-        self.classical = {f"rumors{i}": m for i, m in enumerate(matrices)}
+        self.classical = {f"rumors{i}": read_only(m)
+                          for i, m in enumerate(matrices)}
         self.labels = [None] * len(matrices)  # row labels, kept until changed
 
     def merge(self, delivered: np.ndarray) -> bool:
@@ -262,7 +264,7 @@ def run_relay(ctx: SimContext, layers: np.ndarray, k_caps: np.ndarray,
         if not np.array_equal(lvl, ask_lvl):
             ask_lvl = lvl
             ask = ctx.prepare(layers[np.minimum(lvl, k_caps), rows], ask)
-        ad = lvl.copy()
+        ad = read_only(lvl)  # levels and degrees are never written in place
         for _ in range(window.iterations):
             got_inq = ctx.exchange(ask, 1)
             if got_inq is not heard:
@@ -274,7 +276,8 @@ def run_relay(ctx: SimContext, layers: np.ndarray, k_caps: np.ndarray,
                 idle = None if carrier.merge(got_resp) else got_resp
             seen, before, after = adapted
             if got_resp is not seen or not np.array_equal(ad, before):
-                after = _adapt_vec(ad, got_resp, window.delta, k_max)
+                after = read_only(_adapt_vec(ad, got_resp, window.delta,
+                                             k_max))
                 adapted = got_resp, ad, after
             ad = after
         lvl = end_epoch_update(lvl, ad, k_caps)

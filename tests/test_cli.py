@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import multiprocessing
 import os
@@ -318,6 +319,67 @@ def test_entry_point_runs():
         assert cmd in result.stdout
 
 
+# -- output pins --------------------------------------------------------------
+
+def _readme_json(label):
+    """The JSON block that follows ``label`` in the README."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(re.escape(label) + r"[^`]*```json\n(.*?)```", readme,
+                      re.S)
+    return json.loads(block.group(1))
+
+
+_PIN_RUN = _readme_json("Example `run.json`:")
+_PIN_SWEEP = {"n_list": [8, 12], "seeds": 2, "presets": ["polylog", "constant"],
+              "adversary": {"name": "random_crasher", "params": {"rate": 0.01}},
+              "inputs": "split"}
+# sha256 of each command's output on fixed configs, so that a refactor of
+# the CLI shows it changed no byte
+_PIN_CSV = ("91f9d7a2d6d4d85d71aaf6ff59944ecc"
+            "859a9743b1013929f44bfbf000cc503f")
+_PIN_JSON = ("92941498faf53dbe0f8a34533ce8f601"
+             "abf408b73a38bca21d0b4928d708298c")
+_PINS = {
+    "run": ("run", _PIN_RUN, [],
+            "6e290878198f65ab9cf8957a613ca5cb"
+            "bc94fe4eff7f768d85092198cf5a7646"),
+    "run-record-rounds": ("run", {**_PIN_RUN, "record_rounds": True}, [],
+                          "a3a301835c99db0bd61a93328da4778e"
+                          "10f8bb35c192f126b1d172d512891495"),
+    "sweep-csv-jobs1": ("sweep", _PIN_SWEEP, ["--jobs", "1"], _PIN_CSV),
+    "sweep-csv-jobs2": ("sweep", _PIN_SWEEP, ["--jobs", "2"], _PIN_CSV),
+    "sweep-json-jobs1": ("sweep", _PIN_SWEEP,
+                         ["--format", "json", "--jobs", "1"], _PIN_JSON),
+    "sweep-json-jobs2": ("sweep", _PIN_SWEEP,
+                         ["--format", "json", "--jobs", "2"], _PIN_JSON),
+    "coin-stats": ("coin-stats",
+                   {"n": 16, "seeds": 12, "seed": 5,
+                    "adversary": {"name": "degree_targeter"}},
+                   ["--jobs", "2"],
+                   "7ef8cb852529a70893281e8b0b30a7a9"
+                   "36621737d8c717a07bb13970663d947d"),
+    "check-graphs": ("check-graphs",
+                     {"n": 16, "y": 0.5, "seed": 2,
+                      "checks": [{"property": "expanding", "ell": 2},
+                                 {"property": "edge_dense", "ell": 3},
+                                 {"property": "compact", "ell": 3,
+                                  "eps": 0.5, "delta": 2}]},
+                     [],
+                     "c251618054e3dd59d5ea6db41d2e200c"
+                     "2a16e2ed28dc217561a57312ac546066"),
+}
+
+
+@pytest.mark.parametrize("pin", _PINS)
+def test_output_is_pinned(pin, tmp_path, monkeypatch):
+    command, cfg, flags, digest = _PINS[pin]
+    monkeypatch.delenv("QSIM_SEED", raising=False)
+    out = tmp_path / "out"
+    assert main([command, "--config", write_cfg(tmp_path, "c.json", cfg),
+                 *flags, "--out", str(out)]) == cli.EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 # -- config fuzzing -----------------------------------------------------------
 
 _SMALL_N = st.integers(1, 8)
@@ -356,7 +418,8 @@ _FIELDS = {
               "presets": st.lists(st.sampled_from(["constant", "polylog"]),
                                   min_size=1, max_size=2),
               "epsilon": st.floats(0.01, 1), "adversary": _ADVERSARY,
-              "inputs": st.sampled_from(["random", "split"])},
+              "inputs": st.sampled_from(["random", "all-zero", "all-one",
+                                         "split"])},
     "coin-stats": {"n": _SMALL_N, "t": st.integers(0, 9),
                    "d": st.integers(1, 4), "alpha": st.integers(2, 4),
                    "seeds": st.integers(1, 3), "seed": st.integers(0, 9),

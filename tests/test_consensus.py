@@ -201,3 +201,62 @@ def test_cap_exceptions_carry_progress():
                       round_cap=per_phase + 5)
     assert (info.value.phases, info.value.rounds) == (1, per_phase + 5)
     assert info.value.total_qubits > 0
+
+
+class Writer(Adversary):
+    """In the first round of one kind (counting, coin or fallback, told apart
+    by the payload keys) it writes zeros into one array of its view, and
+    records whether the write raised."""
+
+    name = "writer"
+
+    def __init__(self, kind, where, key):
+        super().__init__()
+        self.kind, self.where, self.key = kind, where, key
+        self.raised = []
+
+    def decide(self, view):
+        payload = view.payload or {}
+        kind = ("count" if "rumors0" in payload else
+                "fallback" if "bit" in payload else
+                "coin" if payload else None)
+        if kind != self.kind or self.raised:
+            return EMPTY_DECISION
+        arrays = {"payload": payload, "state": view.state,
+                  "view": {"bits_per_message": view.bits_per_message,
+                           "qubits_per_message": view.qubits_per_message}}
+        try:
+            arrays[self.where][self.key][...] = 0
+        except ValueError:
+            self.raised.append(True)
+        else:
+            self.raised.append(False)
+        if self.where == "state":
+            with pytest.raises(TypeError):
+                view.state[self.key] = None
+        return EMPTY_DECISION
+
+
+_ROUND_PAYLOADS = {"count": ["rumors0", "adaptive_degree"],
+                   "coin": ["adaptive_degree"], "fallback": ["bit"]}
+_WRITES = [(kind, where, key) for kind, keys in _ROUND_PAYLOADS.items()
+           for where, key in [("payload", k) for k in keys]
+           + [("state", "b"), ("state", "decided"),
+              ("view", "bits_per_message"), ("view", "qubits_per_message")]]
+
+
+@pytest.mark.parametrize("kind,where,key", _WRITES)
+def test_adversary_cannot_write_through_its_view(kind, where, key):
+    """Every payload, state and cost array in a view is read-only, in
+    counting, coin and fallback rounds alike, so a writing adversary leaves
+    the run exactly as a passive one does (all inputs 1, no crash)."""
+    n = 8
+    params = ConsensusParams.polylog(n)
+    inputs = np.ones(n, dtype=np.int64)
+    writer = Writer(kind, where, key)
+    r = run_consensus(inputs, params, 2, writer, seed=3)
+    clean = run_consensus(inputs, params, 2, Adversary(), seed=3)
+    assert writer.raised == [True]
+    assert r.valid(inputs) and (r.decisions == 1).all()
+    assert r.transcript.ledger == clean.transcript.ledger
+    assert r.transcript.digest == clean.transcript.digest
