@@ -97,13 +97,14 @@ class DegreeTargeter(Adversary):
         budget = view.crash_budget_left
         if budget <= 0:
             return EMPTY_DECISION
-        deg = view.targets.sum(axis=1)
+        deg = view.attempts
         eligible = np.nonzero(deg >= self.min_degree)[0]
         if eligible.size == 0:
             return EMPTY_DECISION
         take = min(self.per_round, budget, eligible.size)
-        # stable top-`take` by degree, lowest id wins ties
-        order = np.lexsort((eligible, -deg[eligible]))
+        # stable top-`take` by degree, lowest id wins ties (attempts are
+        # unsigned, so widen before negating)
+        order = np.lexsort((eligible, -deg[eligible].astype(np.int64)))
         hit = np.sort(eligible[order[:take]])
         return CrashDecision(hit)
 

@@ -38,12 +38,16 @@ n is in the header, so the packed bytes still determine the matrix exactly.
 Prepared rounds.  ``exchange`` masks a round's targets to the senders that
 can send (C-ordered, diagonal cleared) into a ``PreparedRound`` with their
 attempt counts, which a caller sending the same targets again passes back
-(``SimContext.prepare``).  A round without a crash delivers exactly
-``targets & active``, so the first one stores that matrix and its digest
-bytes for the next.  Halts and crashes move ``SimContext.version`` on, and
-``exchange`` then re-masks the round in place.  Returned deliveries and the
-view's ``targets`` are read-only: a returned matrix's identity stands for
-its contents.
+(``SimContext.prepare``).  It keeps what depends only on the round, the
+version and the cost scalars: the delivery of its first round without a
+crash (exactly ``targets & active``) with its digest bytes, and one entry
+for scalar ``bits``/``qubits`` (cost arrays, ledger increments, digest
+bytes; per-sender arrays are not kept).  Per version ``SimContext`` keeps
+the active mask and the masks' digest bytes.  Halts and crashes move the
+version on, and ``exchange`` then re-masks the round in place, dropping
+both of its caches.  Deliveries, the active mask and the view's arrays are
+read-only: a returned matrix's identity stands for its contents, and an
+active mask taken earlier keeps its values.
 """
 
 from __future__ import annotations
@@ -121,7 +125,10 @@ class AdversaryView:
 
     Every array in it is read-only, so a write raises ``ValueError``; the
     masks, targets, payload and state arrays are live views, and the state
-    a read-only mapping.  Hidden state is not reachable from a view.
+    a read-only mapping.  ``attempts[p]`` is the number of messages sender
+    p attempts this round, the row sums of ``targets`` (unsigned, the
+    narrowest type that holds n).  Hidden state is not reachable from a
+    view.
     """
 
     round: int
@@ -130,6 +137,7 @@ class AdversaryView:
     alive: np.ndarray
     halted: np.ndarray
     targets: np.ndarray
+    attempts: np.ndarray
     bits_per_message: np.ndarray
     qubits_per_message: np.ndarray
     payload: Optional[dict]
@@ -215,7 +223,17 @@ class Transcript:
 class PreparedRound:
     """One round's targets as ``exchange`` uses them (see module docstring)."""
 
-    __slots__ = ("raw", "targets", "sent", "version", "delivered", "packed")
+    __slots__ = ("raw", "targets", "sent", "version", "delivered", "packed",
+                 "cost_key", "cost")
+
+
+def _cost_entry(bits, qubits, sent: np.ndarray) -> tuple:
+    """Read-only cost arrays, crash-free ledger increments, digest bytes."""
+    bits_arr = np.full(sent.size, bits, dtype=np.int64)
+    qubits_arr = np.full(sent.size, qubits, dtype=np.int64)
+    bits_arr.flags.writeable = qubits_arr.flags.writeable = False
+    return (bits_arr, qubits_arr, bits_arr * sent, qubits_arr * sent,
+            bits_arr.tobytes() + qubits_arr.tobytes())
 
 
 class SimContext:
@@ -242,7 +260,8 @@ class SimContext:
         # changes the active set without moving the version on
         self._shown = (read_only(self.alive), read_only(self.halted))
         self.crashes_used = 0
-        self.version = 0  # moved on by every halt and crash
+        self.version = -1  # moved on by every halt and crash
+        self._moved_on()
         self.state: Optional[Mapping] = None  # set by the protocol, read-only
         self.ledger = CostLedger.empty(n)
         self.adversary = adversary
@@ -255,13 +274,21 @@ class SimContext:
 
     @property
     def active(self) -> np.ndarray:
-        """Alive and not halted."""
-        return self.alive & ~self.halted
+        """Alive and not halted (read-only; later changes do not reach it)."""
+        return self._active
+
+    def _moved_on(self) -> None:
+        """A new version: a new active mask (old ones stay snapshots) and
+        the masks' digest bytes."""
+        self.version += 1
+        self._active = self.alive & ~self.halted
+        self._active.flags.writeable = False
+        self._mask_bytes = self.alive.tobytes() + self.halted.tobytes()
 
     def halt(self, mask: np.ndarray) -> None:
         """Remove processes from the computation (they keep their output)."""
         self.halted |= mask
-        self.version += 1
+        self._moved_on()
 
     def prepare(self, targets: np.ndarray,
                 prep: Optional[PreparedRound] = None) -> PreparedRound:
@@ -273,13 +300,14 @@ class SimContext:
         prep.raw, t = targets, prep.targets
         t.flags.writeable = True
         # one pass that also turns a transposed (F-ordered) matrix into C order
-        np.logical_and(targets, self.active[:, None], out=t)
+        np.logical_and(targets, self._active[:, None], out=t)
         np.fill_diagonal(t, False)
         t.flags.writeable = False
         # a row holds at most n - 1 messages
         prep.sent = np.add.reduce(t, axis=1, dtype=np.min_scalar_type(self.n))
+        prep.sent.flags.writeable = False
         prep.version = self.version
-        prep.delivered = prep.packed = None
+        prep.delivered = prep.packed = prep.cost_key = prep.cost = None
         return prep
 
     # -- the one communication primitive --------------------------------
@@ -298,20 +326,25 @@ class SimContext:
             raise RoundCapExceeded(f"round cap {self.round_cap} reached",
                                    self)
         n = self.n
-        bits_arr = np.full(n, bits, dtype=np.int64)
-        qubits_arr = np.full(n, qubits, dtype=np.int64)
-        bits_arr.flags.writeable = qubits_arr.flags.writeable = False
         prep = (targets if isinstance(targets, PreparedRound)
                 else self.prepare(targets))
         if prep.version != self.version:
             self.prepare(prep.raw, prep)
+        kept = (isinstance(bits, (int, np.integer))
+                and isinstance(qubits, (int, np.integer)))
+        if kept and prep.cost_key == (bits, qubits):
+            cost = prep.cost
+        else:
+            cost = _cost_entry(bits, qubits, prep.sent)
+            if kept:  # per-sender cost arrays are not kept
+                prep.cost_key, prep.cost = (bits, qubits), cost
+        bits_arr, qubits_arr, add_bits, add_qubits, cost_bytes = cost
 
         view = AdversaryView(self.round, n, self.t, *self._shown,
-                             prep.targets, bits_arr, qubits_arr, payload,
-                             self.state, self.crashes_used)
+                             prep.targets, prep.sent, bits_arr, qubits_arr,
+                             payload, self.state, self.crashes_used)
         decision = self.adversary.decide(view)
         newly = np.asarray(decision.newly_crashed, dtype=np.int64)
-        sent = prep.sent
         if newly.size:
             ids = newly.tolist()
             if len(set(ids)) < len(ids) or min(ids) < 0 or max(ids) >= n:
@@ -322,40 +355,39 @@ class SimContext:
                 raise AdversaryViolation("crash budget exceeded")
             self.crashes_used += int(newly.size)
             self.alive[newly] = False
-            self.version += 1
+            self._moved_on()
             # recipients crashed or halted (including crashed this round)
             # get nothing; a sender crashed this round delivers its kept
             # subset only, and pays for that subset only
-            delivered = prep.targets & self.active[None, :]
+            delivered = prep.targets & self._active[None, :]
             for s in ids:
                 keep = decision.partial_delivery.get(s)
                 if keep is None:
                     delivered[s] = False
                 else:
                     delivered[s] &= keep
-            sent = sent.copy()
+            sent = prep.sent.copy()
             sent[newly] = delivered[newly].sum(axis=1)
+            add_bits, add_qubits = bits_arr * sent, qubits_arr * sent
             delivered.flags.writeable = False
             packed = np.packbits(delivered)  # row-major, zero-padded bytes
         else:
             if prep.delivered is None:
-                prep.delivered = prep.targets & self.active[None, :]
+                prep.delivered = prep.targets & self._active[None, :]
                 prep.delivered.flags.writeable = False
                 prep.packed = np.packbits(prep.delivered)
             delivered, packed = prep.delivered, prep.packed
 
-        self.ledger.bits += bits_arr * sent
-        self.ledger.qubits += qubits_arr * sent
-        self.ledger.rounds_active += self.active
+        self.ledger.bits += add_bits
+        self.ledger.qubits += add_qubits
+        self.ledger.rounds_active += self._active
 
         h = self._hash
         h.update(self.round.to_bytes(4, "little"))
         h.update(packed)
         h.update(newly.tobytes())
-        h.update(bits_arr.tobytes())
-        h.update(qubits_arr.tobytes())
-        h.update(self.alive.tobytes())
-        h.update(self.halted.tobytes())
+        h.update(cost_bytes)
+        h.update(self._mask_bytes)
 
         if self.round_records is not None:
             self.round_records.append({

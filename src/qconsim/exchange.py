@@ -90,13 +90,10 @@ def _adapt_vec(ad: np.ndarray, delivered: np.ndarray, delta: int,
     # product for all levels, exact while n < 2**24
     levels = np.arange(k_max + 1)[:, None]
     counts = (ad >= levels).astype(np.float32) @ delivered
-    new = np.full_like(ad, -1)
-    unset = np.ones(ad.size, dtype=bool)
-    for lv in range(k_max, -1, -1):
-        take = unset & (ad >= lv) & (counts[lv] >= delta)
-        new[take] = lv
-        unset &= ~take
-    return new
+    # counts[lv, q] falls as lv grows, so the levels with at least delta
+    # responders are 0 .. (their number - 1); the loop stops at the highest
+    # of them that is <= ad[q], or at -1 when there is none
+    return np.minimum(ad, (counts >= delta).sum(axis=0) - 1)
 
 
 class KeyCarrier:
@@ -247,11 +244,13 @@ def run_relay(ctx: SimContext, layers: np.ndarray, k_caps: np.ndarray,
     gathered and prepared (``SimContext.prepare``) again only when the
     levels change; the response round, only when the inquiry round returns
     a new matrix object (returned matrices are read-only), each into the
-    buffer it had; the adaptive degrees, unless the same response matrix
-    and degrees were just adapted; and the carrier's merge, unless the same
-    response matrix was just merged without a change (the payloads are then
-    a fixed point of it).  The engine re-masks after a halt or crash and
-    reuses a delivery while nobody crashes.
+    buffer it had; the response payload, only when the adaptive degrees are
+    a new array; the adaptive degrees, unless the same response matrix and
+    degrees were just adapted (the same degree array, or equal ones); and
+    the carrier's merge, unless the same response matrix was just merged
+    without a change (the payloads are then a fixed point of it).  The
+    engine re-masks after a halt or crash and reuses a delivery while
+    nobody crashes.
     """
     n = ctx.n
     rows = np.arange(n)
@@ -260,6 +259,7 @@ def run_relay(ctx: SimContext, layers: np.ndarray, k_caps: np.ndarray,
     resp_bits = carrier.bits + clog2(k_max + 1)
     ask = ask_lvl = heard = answer = idle = None
     adapted = (None, None, None)  # (response, ad before, ad after)
+    payload = {"adaptive_degree": None}  # rebuilt when ad changes
     for _ in range(window.epochs):
         if not np.array_equal(lvl, ask_lvl):
             ask_lvl = lvl
@@ -269,16 +269,20 @@ def run_relay(ctx: SimContext, layers: np.ndarray, k_caps: np.ndarray,
             got_inq = ctx.exchange(ask, 1)
             if got_inq is not heard:
                 heard, answer = got_inq, ctx.prepare(got_inq.T, answer)
+            if payload["adaptive_degree"] is not ad:
+                payload = {"adaptive_degree": ad, **carrier.classical}
             got_resp = ctx.exchange(answer, resp_bits, carrier.qubits,
-                                    payload={"adaptive_degree": ad,
-                                             **carrier.classical})
+                                    payload=payload)
             if got_resp is not idle:
                 idle = None if carrier.merge(got_resp) else got_resp
             seen, before, after = adapted
-            if got_resp is not seen or not np.array_equal(ad, before):
+            if got_resp is not seen or (ad is not before
+                                        and not np.array_equal(ad, before)):
                 after = read_only(_adapt_vec(ad, got_resp, window.delta,
                                              k_max))
-                adapted = got_resp, ad, after
+            # ad (equal to before) adapts to after; naming it lets the
+            # identity test hit from the next iteration
+            adapted = got_resp, ad, after
             ad = after
         lvl = end_epoch_update(lvl, ad, k_caps)
     return lvl

@@ -397,3 +397,110 @@ def test_returned_delivery_and_view_masks_are_read_only():
             delivered[1, 2] = False
     assert adversary.write_raised == [True] * 9
     assert ctx.alive[1:].all() and not ctx.halted.any()
+
+
+class CostRecorder(ScriptedAdversary):
+    """A ScriptedAdversary that keeps what each view's attempts and costs
+    held, and whether writing into its attempts raised."""
+
+    name = "cost-recorder"
+
+    def __init__(self, script):
+        super().__init__(script)
+        self.seen = []
+
+    def decide(self, view):
+        self.seen.append((view.attempts.copy(), view.bits_per_message.copy(),
+                          view.qubits_per_message.copy()))
+        with pytest.raises(ValueError):
+            view.attempts[0] = 0
+        return super().decide(view)
+
+
+def test_cost_entry_follows_costs_halts_and_crashes():
+    """One prepared round sent again and again: scalar costs alternate, a
+    per-sender cost array comes in between, then a halt and a crash with
+    partial delivery.  The digest is the documented v2 byte sequence and
+    the ledger the sum, round by round, of each sender's attempts (its
+    delivered messages in its crash round) times its costs."""
+    n = 5
+    targets = substream(3, "cost-entry").random((n, n)) < 0.7
+    targets[0] = targets[:, 1] = True  # sender 0 reaches all, all reach 1
+    per_sender = np.array([3, 1, 4, 1, 5])
+    keep = np.array([True, True, False, True, True])
+    halt = np.arange(n) == 4
+    # (bits, qubits, crashed, partial delivery), or a halt mask
+    events = [(1, 0, [], {}), (5, 2, [], {}), (1, 0, [], {}), (1, 2, [], {}),
+              (per_sender, 2, [], {}), (1, 2, [], {}), (1, 0, [], {}), halt,
+              (1, 0, [], {}),
+              (5, 2, [0], {0: keep}), (5, 2, [], {}), (1, 0, [], {})]
+    script = [CrashDecision(np.array(e[2], dtype=np.int64), e[3])
+              for e in events if isinstance(e, tuple)]
+    adversary = CostRecorder(script)
+    ctx = SimContext(n, 3, adversary, seed=11)
+    prep = ctx.prepare(targets)
+
+    alive, halted = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
+    bits = np.zeros(n, dtype=np.int64)
+    qubits = np.zeros(n, dtype=np.int64)
+    active_rounds = np.zeros(n, dtype=np.int64)
+    rounds = []
+    for event in events:
+        if not isinstance(event, tuple):
+            ctx.halt(event)
+            halted |= event
+            continue
+        b, q, crashed, partial = event
+        delivered = ctx.exchange(prep, b, q)
+        can_send = alive & ~halted
+        attempted = targets & can_send[:, None] & ~np.eye(n, dtype=bool)
+        alive[crashed] = False
+        expected = attempted & (alive & ~halted)[None, :]
+        for s in crashed:
+            expected[s] &= partial.get(s, False)
+        assert (delivered == expected).all()
+        attempts = attempted.sum(axis=1)
+        seen_attempts, seen_bits, seen_qubits = adversary.seen[len(rounds)]
+        assert (seen_attempts == attempts).all()
+        attempts[crashed] = expected[crashed].sum(axis=1)
+        b_vec, q_vec = np.broadcast_to(b, n), np.broadcast_to(q, n)
+        assert (seen_bits == b_vec).all() and (seen_qubits == q_vec).all()
+        bits += b_vec * attempts
+        qubits += q_vec * attempts
+        active_rounds += alive & ~halted
+        rounds.append((expected, crashed, b_vec.tolist(), q_vec.tolist(),
+                       alive.astype(int).tolist(),
+                       halted.astype(int).tolist()))
+    transcript = ctx.finish({}, "cost-recorder")
+
+    assert (ctx.ledger.bits == bits).all()
+    assert (ctx.ledger.qubits == qubits).all()
+    assert (ctx.ledger.rounds_active == active_rounds).all()
+    assert transcript.digest == _v2_digest(n, 3, 11, rounds, {},
+                                           transcript.ledger)
+
+
+def test_active_mask_is_a_read_only_snapshot():
+    """A mask taken from ``ctx.active`` keeps its values across a halt and
+    a crash, and writing into it raises and leaves delivery unchanged."""
+    n = 4
+    ctx = SimContext(n, 3, ScriptedAdversary([CrashDecision(np.array([1]))]),
+                     seed=0)
+    first = ctx.active
+    ctx.halt(np.arange(n) == 3)
+    second = ctx.active
+    ctx.exchange(_full_targets(n), bits=1)  # crashes process 1
+    third = ctx.active
+    assert first.tolist() == [True, True, True, True]
+    assert second.tolist() == [True, True, True, False]
+    assert third.tolist() == [True, False, True, False]
+    for mask in (first, second, third):
+        with pytest.raises(ValueError):
+            mask[0] = False
+        with pytest.raises(ValueError):
+            mask |= True
+    delivered = ctx.exchange(_full_targets(n), bits=1)
+    assert delivered.tolist() == [[False, False, True, False],
+                                  [False, False, False, False],
+                                  [True, False, False, False],
+                                  [False, False, False, False]]

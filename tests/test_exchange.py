@@ -91,17 +91,37 @@ def adapt_case(draw):
     k_max = draw(st.integers(0, 4))
     ad = np.array(draw(st.lists(st.integers(-1, k_max), min_size=n,
                                 max_size=n)), dtype=np.int64)
-    return ad, draw(delivered_matrix(n)), draw(st.integers(1, 5)), k_max
+    # delta > n - 1 leaves no level with enough responders
+    return ad, draw(delivered_matrix(n)), draw(st.integers(1, n + 2)), k_max
+
+
+def _check_adapt(ad, delivered, delta, k_max):
+    out = _adapt_vec(ad, delivered, delta, k_max)
+    assert out.dtype == ad.dtype
+    for q in range(ad.size):
+        levels = ad[delivered[:, q]].tolist()  # q's own responders
+        assert out[q] == adapt_degree(levels, int(ad[q]), delta)
 
 
 @settings(max_examples=300, deadline=None)
 @given(adapt_case())
 def test_vectorized_adapt_matches_reference_on_every_recipient(case):
-    ad, delivered, delta, k_max = case
-    out = _adapt_vec(ad, delivered, delta, k_max)
-    for q in range(ad.size):
-        levels = ad[delivered[:, q]].tolist()  # q's own responders
-        assert out[q] == adapt_degree(levels, int(ad[q]), delta)
+    _check_adapt(*case)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+@pytest.mark.parametrize("delta", [1, 2, 9])
+def test_vectorized_adapt_edge_cases(n, delta):
+    """Everyone already at the underflow level -1, and windows whose only
+    layer is level 0 (k_max = 0), on empty, full and mixed deliveries."""
+    mixed = np.add.outer(np.arange(n), np.arange(n)) % 3 == 1
+    for delivered in (np.zeros((n, n), dtype=bool), ~np.eye(n, dtype=bool),
+                      mixed):
+        _check_adapt(np.full(n, -1, dtype=np.int64), delivered, delta, 3)
+        _check_adapt(np.full(n, -1, dtype=np.int64), delivered, delta, 0)
+        _check_adapt(np.zeros(n, dtype=np.int64), delivered, delta, 0)
+        _check_adapt(np.arange(n, dtype=np.int64) % 2 - 1, delivered, delta,
+                     0)
 
 
 # -- diameter certificate: BFS reference -------------------------------------
