@@ -98,7 +98,8 @@ class DegreeTargeter(Adversary):
         if budget <= 0:
             return EMPTY_DECISION
         deg = view.attempts
-        eligible = np.nonzero(deg >= self.min_degree)[0]
+        # a crashed sender attempts nothing, but min_degree 0 admits it
+        eligible = np.nonzero((deg >= self.min_degree) & view.alive)[0]
         if eligible.size == 0:
             return EMPTY_DECISION
         take = min(self.per_round, budget, eligible.size)

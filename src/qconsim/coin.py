@@ -79,6 +79,7 @@ def run_coin(ctx: SimContext, params: CoinParams, tag="coin") -> np.ndarray:
     keys = leaders * n + np.arange(n)
     layers, k_caps = private_layers(n, params.d, params.alpha, ctx.seed, tag)
     carrier = KeyCarrier(keys, params.response_bits, params.register_qubits)
-    run_relay(ctx, layers, k_caps, params.window, carrier)
+    run_relay(ctx, layers, np.ascontiguousarray(layers.transpose(0, 2, 1)),
+              k_caps, params.window, carrier)
     origin = carrier.keys % n
     return coin_bits[origin]

@@ -84,7 +84,8 @@ def fast_counting(ctx: SimContext, a: np.ndarray, params, tag="count"
             n, bounds, params.d, params.alpha, ctx.seed, (tag, lvl_idx),
             max_steps=window.epochs * window.iterations)
         carrier = RumorCarrier([rumors], 2 * x * clog2(n + 1))  # 2x subtotals
-        run_relay(ctx, layers, k_caps, window, carrier)
+        # every layer is symmetric, so it is its own transpose
+        run_relay(ctx, layers, layers, k_caps, window, carrier)
         ones = np.where(r1 >= 0, r1, 0).sum(axis=1)
         zeros = np.where(r0 >= 0, r0, 0).sum(axis=1)
     return ones, zeros

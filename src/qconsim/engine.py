@@ -44,10 +44,13 @@ crash (exactly ``targets & active``) with its digest bytes, and one entry
 for scalar ``bits``/``qubits`` (cost arrays, ledger increments, digest
 bytes; per-sender arrays are not kept).  Per version ``SimContext`` keeps
 the active mask and the masks' digest bytes.  Halts and crashes move the
-version on, and ``exchange`` then re-masks the round in place, dropping
-both of its caches.  Deliveries, the active mask and the view's arrays are
-read-only: a returned matrix's identity stands for its contents, and an
-active mask taken earlier keeps its values.
+version on.  The active set only shrinks, so ``exchange`` then re-masks
+the round by rows: it clears the rows of the senders that left the mask
+the round was masked with (``PreparedRound.active``), zeroes their attempt
+counts in a copy and drops both caches.  Deliveries, the active mask and
+the view's arrays are read-only: a returned matrix's identity stands for
+its contents, and an active mask or attempt counts taken earlier keep
+their values.
 """
 
 from __future__ import annotations
@@ -223,8 +226,8 @@ class Transcript:
 class PreparedRound:
     """One round's targets as ``exchange`` uses them (see module docstring)."""
 
-    __slots__ = ("raw", "targets", "sent", "version", "delivered", "packed",
-                 "cost_key", "cost")
+    __slots__ = ("active", "targets", "sent", "version", "delivered",
+                 "packed", "cost_key", "cost")
 
 
 def _cost_entry(bits, qubits, sent: np.ndarray) -> tuple:
@@ -293,11 +296,12 @@ class SimContext:
     def prepare(self, targets: np.ndarray,
                 prep: Optional[PreparedRound] = None) -> PreparedRound:
         """``targets`` masked for the current active set, in place into
-        ``prep`` if given; ``targets`` must not change while it is used."""
+        ``prep`` if given; after a halt or crash ``exchange`` re-masks its
+        rows, so ``targets`` may change or go once this returns."""
         if prep is None:
             prep = PreparedRound()
             prep.targets = np.empty((self.n,) * 2, dtype=bool)
-        prep.raw, t = targets, prep.targets
+        t = prep.targets
         t.flags.writeable = True
         # one pass that also turns a transposed (F-ordered) matrix into C order
         np.logical_and(targets, self._active[:, None], out=t)
@@ -306,7 +310,7 @@ class SimContext:
         # a row holds at most n - 1 messages
         prep.sent = np.add.reduce(t, axis=1, dtype=np.min_scalar_type(self.n))
         prep.sent.flags.writeable = False
-        prep.version = self.version
+        prep.active, prep.version = self._active, self.version
         prep.delivered = prep.packed = prep.cost_key = prep.cost = None
         return prep
 
@@ -328,8 +332,16 @@ class SimContext:
         n = self.n
         prep = (targets if isinstance(targets, PreparedRound)
                 else self.prepare(targets))
-        if prep.version != self.version:
-            self.prepare(prep.raw, prep)
+        if prep.version != self.version:  # re-mask by rows
+            gone = prep.active & ~self._active
+            prep.targets.flags.writeable = True
+            prep.targets[gone] = False
+            prep.targets.flags.writeable = False
+            prep.sent = prep.sent.copy()  # earlier views keep their counts
+            prep.sent[gone] = 0
+            prep.sent.flags.writeable = False
+            prep.active, prep.version = self._active, self.version
+            prep.delivered = prep.packed = prep.cost_key = prep.cost = None
         kept = (isinstance(bits, (int, np.integer))
                 and isinstance(qubits, (int, np.integer)))
         if kept and prep.cost_key == (bits, qubits):
@@ -345,6 +357,8 @@ class SimContext:
                              payload, self.state, self.crashes_used)
         decision = self.adversary.decide(view)
         newly = np.asarray(decision.newly_crashed, dtype=np.int64)
+        if newly.ndim != 1:
+            raise AdversaryViolation("crash ids must be a 1-D array")
         if newly.size:
             ids = newly.tolist()
             if len(set(ids)) < len(ids) or min(ids) < 0 or max(ids) >= n:

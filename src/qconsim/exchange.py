@@ -40,7 +40,9 @@ The relay's matrices stay dense (n, n) bool on purpose.  At the sizes the
 protocol runs, the top layers it climbs to are dense: at n = 384 under the
 constant preset, layer 1 has edge probability 180/384, about 47%, so an edge
 list would be about as large as the matrix.  The kernels instead read each
-matrix a small, fixed number of times.
+matrix a small, fixed number of times.  A response round, the transpose of
+its inquiry delivery, is built C-ordered from the transposed layers, so no
+delivery is ever transposed (an F-to-C copy that misses cache at large n).
 """
 
 from __future__ import annotations
@@ -230,27 +232,33 @@ class Window:
         return self.epochs * self.iterations * 2
 
 
-def run_relay(ctx: SimContext, layers: np.ndarray, k_caps: np.ndarray,
-              window: Window, carrier) -> np.ndarray:
+def run_relay(ctx: SimContext, layers: np.ndarray, flipped: np.ndarray,
+              k_caps: np.ndarray, window: Window, carrier) -> np.ndarray:
     """Run one full adaptive-relay window, mutating ``carrier`` in place;
     return the final degree levels.
 
     ``layers`` is (k_max+1, n, n) bool with layers[i][p] the targets of p at
     level i; rows above a process's own cap must repeat its top layer.
-    ``k_caps`` is the per-process top level.  The relay adds each response's
-    degree field: ``adaptive_degree`` in the payload, clog2(k_max + 1) bits.
+    ``flipped`` is the transposed stack, C-ordered: flipped[i][r, q] ==
+    layers[i][q, r] (symmetric layers are their own).  ``k_caps`` is the
+    per-process top level.  The relay adds each response's degree field:
+    ``adaptive_degree`` in the payload, clog2(k_max + 1) bits.
 
     Exact reuse: the inquiry rows depend on the levels only, so they are
     gathered and prepared (``SimContext.prepare``) again only when the
-    levels change; the response round, only when the inquiry round returns
-    a new matrix object (returned matrices are read-only), each into the
-    buffer it had; the response payload, only when the adaptive degrees are
-    a new array; the adaptive degrees, unless the same response matrix and
-    degrees were just adapted (the same degree array, or equal ones); and
-    the carrier's merge, unless the same response matrix was just merged
-    without a change (the payloads are then a fixed point of it).  The
-    engine re-masks after a halt or crash and reuses a delivery while
-    nobody crashes.
+    levels change, and with them ``asked``, their transpose taken column by
+    column from ``flipped``; the response round, only when the inquiry
+    round returns a new matrix object (returned matrices are read-only),
+    each into the buffer it had.  It is built from the transposed layers,
+    not the delivery: ``asked`` masked to the inquirers that could send,
+    with the columns of those that crashed asking copied from their
+    delivered rows; the engine's masking does the rest.  The response
+    payload is rebuilt only when the adaptive degrees are a new array; the
+    adaptive degrees, unless the same response matrix and degrees were just
+    adapted (the same degree array, or equal ones); and the carrier's
+    merge, unless the same response matrix was just merged without a change
+    (the payloads are then a fixed point of it).  The engine re-masks after
+    a halt or crash and reuses a delivery while nobody crashes.
     """
     n = ctx.n
     rows = np.arange(n)
@@ -262,13 +270,20 @@ def run_relay(ctx: SimContext, layers: np.ndarray, k_caps: np.ndarray,
     payload = {"adaptive_degree": None}  # rebuilt when ad changes
     for _ in range(window.epochs):
         if not np.array_equal(lvl, ask_lvl):
-            ask_lvl = lvl
-            ask = ctx.prepare(layers[np.minimum(lvl, k_caps), rows], ask)
+            ask_lvl, sel = lvl, np.minimum(lvl, k_caps)
+            ask = ctx.prepare(layers[sel, rows], ask)
+            asked = flipped[0] & (sel == 0)
+            for i in range(1, k_max + 1):
+                asked |= flipped[i] & (sel == i)
         ad = read_only(lvl)  # levels and degrees are never written in place
         for _ in range(window.iterations):
             got_inq = ctx.exchange(ask, 1)
             if got_inq is not heard:
-                heard, answer = got_inq, ctx.prepare(got_inq.T, answer)
+                heard, reply = got_inq, asked & ask.active
+                if ctx.active is not ask.active:  # a sender crashed asking
+                    gone = np.flatnonzero(ask.active & ~ctx.active)
+                    reply[:, gone] = got_inq[gone].T
+                answer = ctx.prepare(reply, answer)
             if payload["adaptive_degree"] is not ad:
                 payload = {"adaptive_degree": ad, **carrier.classical}
             got_resp = ctx.exchange(answer, resp_bits, carrier.qubits,

@@ -62,6 +62,16 @@ def test_degree_targeter_skips_silent_rounds():
     assert ctx.alive.all()
 
 
+def test_degree_targeter_min_degree_zero_spares_the_dead():
+    """With min_degree=0 a silent sender is eligible, but a crashed one is
+    not: after process 0 is crashed in an all-to-all round, an empty round
+    crashes the lowest-id alive process instead of process 0 again."""
+    ctx = SimContext(4, 4, DegreeTargeter(min_degree=0), seed=0)
+    ctx.exchange(_full(4), bits=1)
+    ctx.exchange(np.zeros((4, 4), dtype=bool), bits=1)
+    assert ctx.alive.tolist() == [False, False, True, True]
+
+
 def test_split_attacker_crashes_first_bridge():
     n = 4
     ctx = SimContext(n, 2, SplitAttacker(pair=(0, 3)), seed=0)

@@ -97,15 +97,17 @@ def test_cannot_crash_dead_process():
         ctx.exchange(_full_targets(4), bits=1)
 
 
-@pytest.mark.parametrize("crash_ids", [[-1], [2, 2], [4]],
-                         ids=["negative", "repeated", "out-of-range"])
-def test_malformed_crash_ids_are_a_violation(crash_ids):
-    """Crash ids must be distinct and in [0, n): -1 would crash process 3
-    through negative indexing, [2, 2] would charge two crashes for one,
-    and 4 would be an IndexError.  Nothing is crashed or charged."""
+@pytest.mark.parametrize("crash_ids,message", [
+    ([-1], "distinct"), ([2, 2], "distinct"), ([4], "distinct"),
+    (1, "1-D")], ids=["negative", "repeated", "out-of-range", "scalar"])
+def test_malformed_crash_ids_are_a_violation(crash_ids, message):
+    """Crash ids must be a 1-D array of distinct ids in [0, n): -1 would
+    crash process 3 through negative indexing, [2, 2] would charge two
+    crashes for one, 4 would be an IndexError and a zero-dimensional array
+    a TypeError.  Nothing is crashed or charged."""
     script = [CrashDecision(np.array(crash_ids))]
     ctx = SimContext(4, 4, ScriptedAdversary(script), seed=0)
-    with pytest.raises(AdversaryViolation, match="distinct"):
+    with pytest.raises(AdversaryViolation, match=message):
         ctx.exchange(_full_targets(4), bits=1)
     assert ctx.alive.all() and ctx.crashes_used == 0
 
@@ -307,18 +309,20 @@ def test_empty_decision_is_immutable():
 
 class TargetRecorder(Adversary):
     """Replays a script like ScriptedAdversary and records what each view's
-    targets hold, and whether writing into its targets, alive and halted
-    masks raised."""
+    targets hold, each view's attempt counts (the array shown, and a copy),
+    and whether writing into its targets, alive and halted masks raised."""
 
     name = "recorder"
 
     def __init__(self, script=()):
         self.script = list(script)
         self.seen = []
+        self.attempts = []
         self.write_raised = []
 
     def decide(self, view):
         self.seen.append(view.targets.copy())
+        self.attempts.append((view.attempts, view.attempts.copy()))
         for mask in (view.targets, view.alive, view.halted):
             try:
                 mask[0] = False
@@ -331,8 +335,9 @@ class TargetRecorder(Adversary):
 
 def _prepared_vs_raw(n, t, script, events, targets):
     """Runs ``events`` ("x" = exchange, or a halt mask) twice: once passing
-    one prepared round every time, once passing the raw matrix; returns
-    (deliveries, views, ledger, digest) of each run."""
+    one prepared round every time, once passing the raw matrix, which
+    ``exchange`` prepares afresh each round; returns (deliveries, views'
+    targets, views' attempts, ledger, digest) of each run."""
     runs = []
     for prepared in (True, False):
         adversary = TargetRecorder([CrashDecision(d.newly_crashed.copy(),
@@ -343,11 +348,12 @@ def _prepared_vs_raw(n, t, script, events, targets):
         delivered = []
         for event in events:
             if isinstance(event, str):
-                delivered.append(ctx.exchange(prep or targets, bits=2))
+                delivered.append(ctx.exchange(prep or targets, bits=2,
+                                              qubits=1))
             else:
                 ctx.halt(event)
-        runs.append((delivered, adversary.seen, ctx.ledger,
-                     ctx.finish({}, "recorder").digest))
+        runs.append((delivered, adversary.seen, adversary.attempts,
+                     ctx.ledger, ctx.finish({}, "recorder").digest))
     return runs
 
 
@@ -355,7 +361,8 @@ def test_prepared_round_is_remasked_after_halt():
     n = 5
     stop = np.arange(n) == 3
     events = ["x", "x", stop, "x", "x"]
-    (got, seen, ledger, digest), (ref, ref_seen, ref_ledger, ref_digest) = (
+    (got, seen, _, ledger, digest), (ref, ref_seen, _, ref_ledger,
+                                     ref_digest) = (
         _prepared_vs_raw(n, 2, [], events, _full_targets(n)))
     assert got[0] is got[1]  # nobody crashed: the same delivery
     assert not got[2][3].any() and not got[2][:, 3].any()
@@ -374,7 +381,8 @@ def test_prepared_round_is_remasked_after_crash():
     keep = np.array([True, False, True, False, False])
     script = [EMPTY_DECISION, CrashDecision(np.array([1]), {1: keep}),
               EMPTY_DECISION, CrashDecision(np.array([4])), EMPTY_DECISION]
-    (got, seen, ledger, digest), (ref, ref_seen, ref_ledger, ref_digest) = (
+    (got, seen, _, ledger, digest), (ref, ref_seen, _, ref_ledger,
+                                     ref_digest) = (
         _prepared_vs_raw(n, 4, script, ["x"] * 5, _full_targets(n)))
     assert got[1] is not got[0]
     assert got[1][1].tolist() == [True, False, True, False, False]
@@ -384,6 +392,36 @@ def test_prepared_round_is_remasked_after_crash():
     for a, b in zip(got + seen, ref + ref_seen):
         assert (a == b).all()
     assert (ledger.bits == ref_ledger.bits).all()
+    assert digest == ref_digest
+
+
+def test_row_remask_matches_fresh_prepare():
+    """One prepared round of drawn targets, re-masked by rows after halts
+    and after crashes with partial delivery, shows the adversary the
+    targets and attempt counts a fresh ``prepare`` of the original targets
+    gives, and delivers, charges and hashes the same.  Attempt counts shown
+    before a re-mask keep their values."""
+    n = 9
+    rng = substream(6, "row-remask")
+    targets = rng.random((n, n)) < 0.6
+    keep = rng.random(n) < 0.5
+    script = [EMPTY_DECISION, CrashDecision(np.array([1, 7]), {1: keep}),
+              EMPTY_DECISION, CrashDecision(np.array([3])),
+              CrashDecision(np.array([0]), {0: ~keep}), EMPTY_DECISION,
+              EMPTY_DECISION]
+    events = ["x", "x", "x", np.arange(n) == 5, "x", "x", "x",
+              np.arange(n) == 2, "x", "x"]
+    (got, seen, attempts, ledger, digest), (ref, ref_seen, ref_attempts,
+                                            ref_ledger, ref_digest) = (
+        _prepared_vs_raw(n, 5, script, events, targets))
+    assert not got[1][1].all() and got[1][1].any()  # a partial delivery
+    assert attempts[0][0] is not attempts[-1][0]  # re-masked
+    for a, b in zip(got + seen, ref + ref_seen):
+        assert (a == b).all()
+    for (shown, then), (ref_shown, _) in zip(attempts, ref_attempts):
+        assert (shown == then).all() and (shown == ref_shown).all()
+    for field in ("bits", "qubits", "rounds_active"):
+        assert (getattr(ledger, field) == getattr(ref_ledger, field)).all()
     assert digest == ref_digest
 
 

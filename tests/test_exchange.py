@@ -410,7 +410,8 @@ _RESAMPLED = dict(shape=(28, 3, 3), seed=4, max_steps=3)
 def test_shared_layers_match_per_attempt_oracle(data, shape, seed, max_steps):
     """Several contiguous groups, singletons among them; a small max_steps
     forces resampling attempts, and a group that never certifies raises the
-    same RuntimeError in both."""
+    same RuntimeError in both.  Every layer is symmetric, which is what
+    lets counting pass the stack to ``run_relay`` as its own transpose."""
     n, d, alpha = shape
     bounds = [0, 1, n] if data is None else data.draw(_group_bounds(n))
     groups = [np.arange(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
@@ -422,6 +423,7 @@ def test_shared_layers_match_per_attempt_oracle(data, shape, seed, max_steps):
         assert got == want
     else:
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert np.array_equal(got[0], got[0].transpose(0, 2, 1))
 
 
 def test_shared_layers_oracle_example_resamples():
@@ -437,6 +439,11 @@ def test_shared_layers_oracle_example_resamples():
 
 # -- relay schedule ---------------------------------------------------------
 
+def _flip(layers):
+    """The transposed layer stack ``run_relay`` takes, as the coin builds it."""
+    return np.ascontiguousarray(layers.transpose(0, 2, 1))
+
+
 def test_window_round_count():
     w = Window.for_size(16, 2, 2)
     assert (w.k, w.gamma, w.delta) == (3, 4, 2)
@@ -451,7 +458,7 @@ def test_relay_consumes_exact_rounds_and_propagates_max():
     window = Window.for_size(n, 4, 2)
     keys = np.arange(n, dtype=np.int64) * 10
     carrier = KeyCarrier(keys, bits=4, qubits=8)
-    run_relay(ctx, layers, k_caps, window, carrier)
+    run_relay(ctx, layers, _flip(layers), k_caps, window, carrier)
     assert ctx.round == window.rounds
     assert (carrier.keys == 110).all()  # everyone holds the max
 
@@ -471,7 +478,7 @@ def test_relay_charges_inquiry_and_response_costs(make, response_keys):
     layers, k_caps = private_layers(n, 2, 2, ctx.seed, "t")
     carrier = make(n)
     one_iteration = Window(k=-1, gamma=0, delta=2)  # 1 epoch of 1 iteration
-    run_relay(ctx, layers, k_caps, one_iteration, carrier)
+    run_relay(ctx, layers, _flip(layers), k_caps, one_iteration, carrier)
     inquiries = int(layers[0].sum())
     k_max = int(k_caps.max())
     assert ctx.ledger.bits.sum() == inquiries * (1 + 7 + clog2(k_max + 1))
@@ -510,15 +517,16 @@ class DrawnCrasher(Adversary):
 
 
 def _relay_setup(kind, n, seed, x):
-    """(layers, k_caps, window, carrier) as the coin ("key") or one counting
-    level ("rumor") builds them."""
+    """(layers, flipped, k_caps, window, carrier) as the coin ("key") or one
+    counting level ("rumor") builds them and hands them to ``run_relay``."""
     rng = np.random.default_rng(seed)
     d = alpha = max(2, clog2(n))
     if kind == "key":
         layers, k_caps = private_layers(n, d, alpha, seed, "oracle")
         window = Window.for_size(n, d, alpha)
         keys = rng.integers(0, 4, n) * n + np.arange(n)
-        return layers, k_caps, window, KeyCarrier(keys, bits=3, qubits=5)
+        return (layers, _flip(layers), k_caps, window,
+                KeyCarrier(keys, bits=3, qubits=5))
     bounds = partition([0, n], x)
     window = Window.for_size(np.diff(bounds).max(), d, alpha)
     layers, k_caps = shared_group_layers(
@@ -530,7 +538,7 @@ def _relay_setup(kind, n, seed, x):
         for ci, (a, b) in enumerate(zip(kids, kids[1:])):
             rumors[a:b, ci] = rng.integers(0, 2, b - a)
             rumors[a:b, x + ci] = 1 - rumors[a:b, ci]
-    return layers, k_caps, window, RumorCarrier([rumors], bits=7)
+    return layers, layers, k_caps, window, RumorCarrier([rumors], bits=7)
 
 
 @st.composite
@@ -539,12 +547,14 @@ def relay_case(draw):
     kind = draw(st.sampled_from(["key", "rumor"]))
     seed = draw(st.integers(0, 2**16))
     x = draw(st.integers(2, 4))
-    rounds = _relay_setup(kind, n, seed, x)[2].rounds
+    rounds = _relay_setup(kind, n, seed, x)[3].rounds
     # crashes anywhere, including response rounds (odd) and rounds after
-    # long steady stretches near the end of the window
+    # long steady stretches near the end of the window; or, as
+    # degree_targeter does, in every inquiry round until the budget is spent
     crash_rounds = draw(st.lists(st.integers(0, rounds - 1), max_size=4)
                         | st.lists(st.integers(rounds // 2, rounds - 1),
-                                   max_size=2))
+                                   max_size=2)
+                        | st.just(list(range(0, rounds, 2))))
     halted = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     return kind, n, seed, x, crash_rounds, np.array(halted)
 
@@ -553,19 +563,25 @@ def relay_case(draw):
 @given(relay_case())
 @example(("key", 24, 5, 2, [1, 40, 121], np.zeros(24, dtype=bool)))
 @example(("rumor", 40, 9, 3, [3, 60, 275], np.arange(40) == 7))
+@example(("key", 24, 5, 2, list(range(0, 54, 2)), np.arange(24) == 3))
+@example(("rumor", 40, 9, 3, list(range(0, 54, 2)), np.arange(40) == 7))
 def test_relay_reuse_matches_per_round_oracle(case):
     """Reusing prepared rounds, deliveries, digest bytes, idle carrier merges
-    and settled degree adaptations changes nothing: same digest, ledger,
-    crashes, payload in every round, carrier state and final degree levels
-    as the loop that rebuilds every round."""
+    and settled degree adaptations, and building response rounds from the
+    transposed layers, changes nothing: same digest, ledger, crashes,
+    payload in every round, carrier state and final degree levels as the
+    loop that rebuilds every round and answers ``got_inq.T``."""
     kind, n, seed, x, crash_rounds, halted = case
     runs = []
-    for relay in (run_relay, run_relay_oracle):
+    for oracle in (False, True):
         adversary = DrawnCrasher(crash_rounds, seed)
         ctx = SimContext(n, n, adversary, seed)
         ctx.halt(halted)
-        layers, k_caps, window, carrier = _relay_setup(kind, n, seed, x)
-        lvl = relay(ctx, layers, k_caps, window, carrier)
+        layers, flipped, k_caps, window, carrier = _relay_setup(kind, n,
+                                                                seed, x)
+        lvl = (run_relay_oracle(ctx, layers, k_caps, window, carrier)
+               if oracle else
+               run_relay(ctx, layers, flipped, k_caps, window, carrier))
         state = (carrier.keys.copy() if kind == "key"
                  else carrier.matrices[0].copy())
         runs.append((ctx, lvl, state, ctx.finish({}, "drawn").digest,
@@ -601,7 +617,7 @@ def test_relay_skips_a_delivery_only_after_a_merge_left_it_unchanged(make):
     layers = np.zeros((1, 3, 3), dtype=bool)
     layers[0, 1, 0] = layers[0, 2, 1] = True  # 1 asks 0, 2 asks 1
     ctx = SimContext(3, 1, Adversary(), seed=0)
-    run_relay(ctx, layers, np.zeros(3, dtype=np.int64),
+    run_relay(ctx, layers, _flip(layers), np.zeros(3, dtype=np.int64),
               Window(k=-1, gamma=3, delta=1), carrier)
     held = (carrier.keys if isinstance(carrier, KeyCarrier)
             else carrier.matrices[0].ravel())
