@@ -7,6 +7,14 @@ the lexicographically larger (leader_value, origin) pair, so the tie-break is
 exact and the surviving register is the max over every relay path.  The final
 output of a process is the coin bit of the register it holds.
 
+Registers are decoded from two raw Philox words per process
+(``draw_registers``), exactly as ``integers(0, 2**b)`` then ``integers(0,
+2)`` would draw them (b = 3*ceil(log2 n)): numpy draws a range of at most
+2**32 with Lemire's method on a 32-bit word (a Philox word's low half
+first, then its buffered high half), a larger one on a 64-bit word, and
+with a power-of-two range it never rejects, so each draw is the top bits
+of its word.
+
 Register contents are hidden: the relay hands only the adaptive degrees to
 the engine, so the adversary schedules crashes with full classical
 information but never observes leader values or coin bits, and it cannot
@@ -58,23 +66,32 @@ class CoinParams:
         return clog2(self.n)  # a register's; the relay adds the degree's
 
 
+def draw_registers(n: int, seed: int, tag) -> tuple[np.ndarray, np.ndarray]:
+    """(leader values, coin bits) of every process, each decoded from the
+    first two words w0, w1 of its own stream.  With b = 3*ceil(log2 n) the
+    leader is 0 (b = 0), the top b bits of w0's low half (b <= 32) or of w0
+    (b > 32), and the coin bit is bit 31 of w0, bit 63 of w0 or bit 31 of
+    w1 in the same three cases."""
+    b = 3 * clog2(n)
+    streams = Restream().each(seed, ("proc", ..., tag, "register"), range(n))
+    w0, w1 = np.array([rng.bit_generator.random_raw(2) for rng in streams],
+                      dtype=np.uint64).T
+    if b > 32:
+        leaders, coins = w0 >> (64 - b), w1 >> 31
+    else:
+        leaders, coins = (w0 & 0xFFFFFFFF) >> (32 - b), w0 >> (63 if b else 31)
+    return leaders.astype(np.int64), (coins & 1).astype(np.int64)
+
+
 def run_coin(ctx: SimContext, params: CoinParams, tag="coin") -> np.ndarray:
     """One coin invocation; returns the per-process output bit array.
 
+    Registers are decoded from raw Philox words (``draw_registers``).
     Output bits of crashed/halted processes are whatever register they last
     held; callers ignore them.
     """
     n = ctx.n
-    leader_bits = 3 * clog2(n)
-    leaders = np.zeros(n, dtype=np.int64)
-    coin_bits = np.zeros(n, dtype=np.int64)
-    streams = Restream()
-    for p in range(n):
-        # process p's register: a leader value, then a coin bit
-        rng = streams.at(ctx.seed, "proc", p, tag, "register")
-        if leader_bits:
-            leaders[p] = rng.integers(0, 2 ** leader_bits)
-        coin_bits[p] = rng.integers(0, 2)
+    leaders, coin_bits = draw_registers(n, ctx.seed, tag)
     # (leader_value, origin) as a single max-comparable key
     keys = leaders * n + np.arange(n)
     layers, k_caps = private_layers(n, params.d, params.alpha, ctx.seed, tag)

@@ -99,8 +99,9 @@ class CrashDecision:
 
     ``newly_crashed`` lists distinct 0-based ids of alive senders to crash
     this round.  ``partial_delivery`` maps a newly crashed sender to a
-    boolean recipient mask selecting which of its intended messages are
-    still delivered (missing entry means nothing is delivered).
+    bool recipient mask of shape (n,) selecting which of its intended
+    messages are still delivered (missing entry means nothing is delivered;
+    anything else is an ``AdversaryViolation``).
     """
 
     newly_crashed: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
@@ -305,7 +306,7 @@ class SimContext:
         t.flags.writeable = True
         # one pass that also turns a transposed (F-ordered) matrix into C order
         np.logical_and(targets, self._active[:, None], out=t)
-        np.fill_diagonal(t, False)
+        t.reshape(-1)[::self.n + 1] = False  # the diagonal
         t.flags.writeable = False
         # a row holds at most n - 1 messages
         prep.sent = np.add.reduce(t, axis=1, dtype=np.min_scalar_type(self.n))
@@ -359,8 +360,13 @@ class SimContext:
         newly = np.asarray(decision.newly_crashed, dtype=np.int64)
         if newly.ndim != 1:
             raise AdversaryViolation("crash ids must be a 1-D array")
-        if newly.size:
-            ids = newly.tolist()
+        ids, partial = newly.tolist(), decision.partial_delivery
+        if partial and (not set(partial) <= set(ids) or any(
+                np.asarray(m).dtype != bool or np.shape(m) != (n,)
+                for m in partial.values())):
+            raise AdversaryViolation("partial delivery must map ids crashed "
+                                     "this round to bool masks of shape (n,)")
+        if ids:
             if len(set(ids)) < len(ids) or min(ids) < 0 or max(ids) >= n:
                 raise AdversaryViolation("crash ids must be distinct, in [0, n)")
             if not self.alive[newly].all():
@@ -375,7 +381,7 @@ class SimContext:
             # subset only, and pays for that subset only
             delivered = prep.targets & self._active[None, :]
             for s in ids:
-                keep = decision.partial_delivery.get(s)
+                keep = partial.get(s)
                 if keep is None:
                     delivered[s] = False
                 else:

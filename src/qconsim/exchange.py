@@ -105,11 +105,12 @@ class KeyCarrier:
     relay's); ``classical`` is empty, as the keys are hidden.
 
     An edge p -> q can change q's key only if keys[p] > keys[q].  ``merge``
-    masks those edges on the delivered matrix, comparing narrow dense ranks
-    of the keys instead of the int64 keys, and returns at once when there is
-    none.  Otherwise it max-scatters the senders' keys into their recipients.
-    It returns True exactly when a key changed; skipping a repeated delivery
-    is ``run_relay``'s decision.
+    masks those edges on the delivered matrix with ``larger``, the (n, n)
+    comparison of narrow dense ranks of the keys (not the int64 keys), kept
+    until a key changes, and returns at once when there is none.  Otherwise
+    it max-scatters the senders' keys into their recipients.  It returns
+    True exactly when a key changed; skipping a repeated delivery is
+    ``run_relay``'s decision.
     """
 
     def __init__(self, keys: np.ndarray, bits: int, qubits: int):
@@ -117,17 +118,18 @@ class KeyCarrier:
         self.bits = bits
         self.qubits = qubits
         self.classical = {}
-        self.ranks = None  # dense ranks of the keys, kept until they change
+        self.larger = None  # larger[p, q]: keys[p] > keys[q]
 
     def merge(self, delivered: np.ndarray) -> bool:
         n = self.keys.size
-        if self.ranks is None:
-            self.ranks = np.unique(self.keys, return_inverse=True)[1].astype(
+        if self.larger is None:
+            ranks = np.unique(self.keys, return_inverse=True)[1].astype(
                 np.min_scalar_type(n))
-        useful = delivered & (self.ranks[:, None] > self.ranks[None, :])
+            self.larger = ranks[:, None] > ranks[None, :]
+        useful = delivered & self.larger
         if not useful.any():
             return False
-        self.ranks = None
+        self.larger = None
         src, dst = np.divmod(np.flatnonzero(useful), n)
         np.maximum.at(self.keys, dst, self.keys[src])
         return True
@@ -406,9 +408,9 @@ def private_layers(n: int, d: int, alpha: int, seed: int, tag
     drawn = int((probs < 1.0).sum())
     layers = np.ones((k + 1, n, n), dtype=bool)
     draws = np.empty((drawn, n))
-    streams = Restream()
-    for p in range(n):
-        streams.at(seed, "private-layers", tag, p).random(out=draws)
+    streams = Restream().each(seed, ("private-layers", tag, ...), range(n))
+    for p, rng in enumerate(streams):
+        rng.random(out=draws)
         np.less(draws, probs[:drawn, None], out=layers[:drawn, p])
     layers[:, np.arange(n), np.arange(n)] = False
     return layers, np.full(n, k, dtype=np.int64)

@@ -15,11 +15,16 @@ empty buffer and no buffered 32-bit half-word.  That is exactly the state
 stream a generator keyed that way gives, without drawing the OS entropy
 that Philox then discards.  Loops that need one stream per process
 re-address one ``Restream``; ``substream`` gives each call its own.
+``Restream.each`` addresses in bulk, one id of a template at a time: it
+hashes the text before the id once and feeds copies of that SHA-256 state
+the rest, so keys and streams are unchanged.  Philox states are set from
+Python ints, which numpy takes faster than arrays.
 """
 
 from __future__ import annotations
 
 import hashlib
+import struct
 
 import numpy as np
 
@@ -46,21 +51,33 @@ class Restream:
     re-addressed too, so use each stream before asking for the next.
     """
 
-    _EMPTY = np.zeros(4, dtype=np.uint64)
-
     def __init__(self):
         self._bits = np.random.Philox(0)  # an int seed draws no OS entropy
         self._gen = np.random.Generator(self._bits)
 
-    def at(self, seed: int, *coords) -> np.random.Generator:
+    def _start(self, key: bytes) -> np.random.Generator:
+        zeros = [0, 0, 0, 0]
         self._bits.state = {
             "bit_generator": "Philox",
-            "state": {"counter": self._EMPTY,
-                      "key": np.frombuffer(_key(seed, coords), "<u8")},
-            "buffer": self._EMPTY, "buffer_pos": 4,
-            "has_uint32": 0, "uinteger": 0,
+            "state": {"counter": zeros, "key": struct.unpack("<2Q", key)},
+            "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
         }
         return self._gen
+
+    def at(self, seed: int, *coords) -> np.random.Generator:
+        return self._start(_key(seed, coords))
+
+    def each(self, seed: int, template: tuple, ids):
+        """``at(seed, *template)`` for each id in ``ids`` in turn, the id in
+        place of the template's ``...``."""
+        i = template.index(...)
+        head = hashlib.sha256("|".join(map(str, (seed, *template[:i], "")))
+                              .encode())
+        rest = "|".join(map(str, ("", *template[i + 1:])))
+        for id_ in ids:
+            h = head.copy()
+            h.update(f"{id_!s}{rest}".encode())
+            yield self._start(h.digest()[:16])
 
 
 def adversary_rng(seed: int, name: str) -> np.random.Generator:

@@ -1,13 +1,14 @@
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import HiddenRegister, draw_register, merge_registers
 from qconsim import coin
 from qconsim.adversaries import Adversary, RandomCrasher
-from qconsim.coin import CoinParams, run_coin
+from qconsim.coin import CoinParams, draw_registers, run_coin
 from qconsim.engine import CrashDecision, SimContext
 from qconsim.exchange import KeyCarrier, Window
 
@@ -52,6 +53,17 @@ def test_coin_registers_uniform_leader_bits(monkeypatch):
     assert leaders.max() < 2 ** 24
     assert len(set(leaders.tolist())) > 190  # collisions rare at 24 bits
     assert 0.3 < bits.mean() < 0.7
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 1024, 1025, 2048])
+def test_registers_decode_as_numpy_draws(n):
+    """Registers decoded from raw words equal the oracle's integers draws
+    for leader widths 3*ceil(log2 n) = 0, 3, 6, 18, 30, 33 and 33: no
+    leader, 32-bit draws, and a 64-bit draw followed by a 32-bit one."""
+    leaders, coins = draw_registers(n, 5, ("coin", 2))
+    regs = [draw_register(5, p, n, ("coin", 2)) for p in range(n)]
+    assert leaders.tolist() == [r.leader_value for r in regs]
+    assert coins.tolist() == [r.coin_bit for r in regs]
 
 
 def test_merge_keeps_lexicographic_max():

@@ -47,16 +47,16 @@ def test_no_self_delivery():
 
 def test_partial_delivery_on_crash():
     n = 4
-    keep = np.zeros(n, dtype=bool)
-    keep[2] = True
-    script = [CrashDecision(np.array([0]), {0: keep})]
-    ctx = SimContext(n, 2, ScriptedAdversary(script), seed=0)
-    delivered = ctx.exchange(_full_targets(n), bits=5)
-    assert delivered[0].sum() == 1 and delivered[0, 2]
-    assert not ctx.alive[0]
-    # crashed sender pays only for the delivered subset
-    assert ctx.ledger.bits[0] == 5
-    assert ctx.ledger.bits[1] == 15
+    # a bool mask, or a list of bools
+    for keep in (np.arange(n) == 2, [False, False, True, False]):
+        script = [CrashDecision(np.array([0]), {0: keep})]
+        ctx = SimContext(n, 2, ScriptedAdversary(script), seed=0)
+        delivered = ctx.exchange(_full_targets(n), bits=5)
+        assert delivered[0].sum() == 1 and delivered[0, 2]
+        assert not ctx.alive[0]
+        # crashed sender pays only for the delivered subset
+        assert ctx.ledger.bits[0] == 5
+        assert ctx.ledger.bits[1] == 15
 
 
 def test_crash_with_no_partial_drops_everything():
@@ -110,6 +110,23 @@ def test_malformed_crash_ids_are_a_violation(crash_ids, message):
     with pytest.raises(AdversaryViolation, match=message):
         ctx.exchange(_full_targets(4), bits=1)
     assert ctx.alive.all() and ctx.crashes_used == 0
+
+
+@pytest.mark.parametrize("partial", [
+    {0: np.ones(5, dtype=bool)}, {0: np.ones((1, 4), dtype=bool)},
+    {0: np.ones(4, dtype=np.int64)}, {0: [1, 0, 1, 0]},
+    {0: np.ones(4, dtype=bool), 1: np.ones(4, dtype=bool)}],
+    ids=["long", "2-D", "int", "int-list", "not-crashed"])
+def test_malformed_partial_delivery_is_a_violation(partial):
+    """A kept set must be a bool mask of shape (n,) for an id crashed this
+    round: a wrong shape would fail in numpy's broadcasting and an int mask
+    in its casting, after the crash was already counted, and a mask for a
+    process not crashed would be ignored.  The round leaves no trace."""
+    script = [CrashDecision(np.array([0]), partial)]
+    ctx = SimContext(4, 4, ScriptedAdversary(script), seed=0)
+    with pytest.raises(AdversaryViolation, match="partial delivery"):
+        ctx.exchange(_full_targets(4), bits=1)
+    assert ctx.alive.all() and ctx.crashes_used == 0 and ctx.round == 0
 
 
 def test_round_cap():

@@ -237,8 +237,20 @@ def delivery_sequence(draw, n):
     return [pool[i] for i in order]
 
 
+def _edges(n, *edges):
+    """A read-only delivered matrix holding the sender -> recipient edges."""
+    delivered = np.zeros((n, n), dtype=bool)
+    for p, q in edges:
+        delivered[p, q] = True
+    delivered.flags.writeable = False
+    return delivered
+
+
 @settings(max_examples=400, deadline=None)
 @given(key_merge_case())
+# 0 -> 1 lifts key 1 above key 2, so 1 -> 2 then needs the new order
+@example(([HiddenRegister(3, 0, 0), HiddenRegister(0, 1, 1),
+           HiddenRegister(2, 0, 2)], [_edges(3, (0, 1)), _edges(3, (1, 2))]))
 def test_key_merge_matches_register_fold(case):
     regs, deliveries = case
     n = len(regs)

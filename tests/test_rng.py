@@ -54,26 +54,41 @@ _COORD = st.one_of(st.integers(-5, 10 ** 6), st.text(max_size=4),
 
 @given(addresses=st.lists(
     st.tuples(st.integers(0, 2 ** 40), st.lists(_COORD, max_size=4),
-              st.integers(0, 5), st.integers(0, 5)),
+              st.integers(0, 5), st.integers(0, 5), st.integers(0, 4),
+              st.lists(_COORD, max_size=3)),
     min_size=1, max_size=4))
-@example(addresses=[(1, ["proc", 0, ("coin", 1), "register"], 1, 3),
-                    (1, ["private-layers", "coin", 7], 0, 1)])
+@example(addresses=[(1, ["proc", 0, ("coin", 1), "register"], 1, 3, 1,
+                     [0, 5, 1023]),  # the id in the middle
+                    (1, ["private-layers", "coin", 7], 0, 1, 2,
+                     [7, 8]),  # last
+                    (2, ["x"], 2, 0, 0, [0, -1, "y"])])  # first
 def test_restream_readdresses_to_fresh_substream(addresses):
-    """Re-addressing the shared generator, and ``substream``, yield exactly
-    the stream of a Philox generator built from the address's key, whatever
-    was drawn from the shared one before: part of Philox's output block (a
-    buffered position) or an odd number of 32-bit draws (a buffered
-    half-word)."""
+    """Re-addressing the shared generator, ``each`` id of a template, and
+    ``substream`` yield exactly the stream of a Philox generator built from
+    the address's key, whatever was drawn from the shared one before: part
+    of Philox's output block (a buffered position) or an odd number of
+    32-bit draws (a buffered half-word).  Each template puts ``...`` at
+    position ``slot`` of the coordinates (clipped to their end)."""
     streams = Restream()
-    for seed, coords, doubles, halves in addresses:
-        want = _draws(philox_stream(seed, *coords))
-        assert _draws(substream(seed, *coords)) == want
-        gen = streams.at(seed, *coords)
-        assert _draws(gen) == want
+
+    def leave_mid_block(gen):
         # leave the shared generator mid-block and, by an odd number of
         # 32-bit draws, with a half-word buffered
         gen.random(doubles)
         gen.integers(0, 2 ** 32, size=2 * halves + 1, dtype=np.uint32)
+
+    for seed, coords, doubles, halves, slot, ids in addresses:
+        want = _draws(philox_stream(seed, *coords))
+        assert _draws(substream(seed, *coords)) == want
+        gen = streams.at(seed, *coords)
+        assert _draws(gen) == want
+        leave_mid_block(gen)
+        head, tail = coords[:slot], coords[slot:]
+        for id_, gen in zip(ids, streams.each(seed, (*head, ..., *tail),
+                                              ids), strict=True):
+            assert _draws(gen) == _draws(philox_stream(seed, *head, id_,
+                                                       *tail))
+            leave_mid_block(gen)
 
 
 def test_live_substreams_at_one_address_do_not_share_state():
