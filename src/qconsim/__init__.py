@@ -8,7 +8,7 @@ from .consensus import (ConsensusParams, ConsensusResult, PhaseAction,
 from .counting import fast_counting, partition, partition_levels
 from .engine import CostLedger, CrashDecision, SimContext, Transcript
 from .graphs import (PropertyReport, delta_core, is_compact, is_edge_dense,
-                     is_expanding, sample_gnp)
+                     is_expanding)
 from .rng import substream
 
 __version__ = "0.1.0"

@@ -4,7 +4,7 @@ Subcommands:
   run          one consensus run, transcript JSON out
   sweep        batch of runs over sizes/seeds/presets, CSV or JSON out
   coin-stats   per-bit frequency and agreement stats for the weak coin
-  check-graphs property certification on a sampled G(n, y)
+  check-graphs property certification of phase 1's top-level counting layers
 
 All commands take --config (JSON, validated against a schema) and --out;
 sweep also takes --format and --jobs, and coin-stats --jobs.  --jobs is at
@@ -12,12 +12,12 @@ least 1 and starts no more worker processes than there are cells.  QSIM_SEED
 in the environment replaces the config's ``seed``: the seed of run and
 check-graphs, the first of a seed count in sweep and coin-stats (so a sweep
 with an explicit seed list ignores it).  Exit codes: 0 success, 2 bad
-configuration, 3 a protocol invariant (agreement/validity) was violated, 4 a
-run hit its phase or round cap without terminating (liveness failure).  run
-is a one-cell sweep: both make a non-terminating cell a row with
-``terminated`` false and the phases, rounds, bits and qubits it reached (run
-then writes no report), and exit 4 only if no cell disagreed or decided an
-invalid value (that exits 3).
+configuration (or one too large for memory), 3 a protocol invariant
+(agreement/validity) was violated, 4 a run hit its phase or round cap
+without terminating (liveness failure).  run is a one-cell sweep: both make
+a non-terminating cell a row with ``terminated`` false and the phases,
+rounds, bits and qubits it reached (run then writes no report), and exit 4
+only if no cell disagreed or decided an invalid value (that exits 3).
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import jsonschema
 import numpy as np
@@ -37,9 +38,10 @@ import numpy as np
 from .adversaries import ADVERSARY_NAMES, make_adversary
 from .coin import CoinParams, run_coin
 from .consensus import ConsensusParams, run_consensus
+from .counting import level_graph
 from .engine import CapExceeded, SimContext, SimulationError, Transcript
 from .graphs import (DEFAULT_BUDGET, DEFAULT_TRIALS, is_compact,
-                     is_edge_dense, is_expanding, sample_gnp)
+                     is_edge_dense, is_expanding)
 from .rng import substream
 
 EXIT_OK = 0
@@ -86,13 +88,15 @@ _COIN_SCHEMA = _object(
     alpha={"type": "integer", "minimum": 2}, seeds=_COUNT, seed=_SEED,
     adversary=_ADVERSARY_SCHEMA)
 
+_CERTIFIERS = {"expanding": (is_expanding, {}),
+               "edge_dense": (is_edge_dense, {"a": 1.0, "b": 1.0}),
+               "compact": (is_compact, {"eps": 0.75, "delta": 1})}
 _GRAPH_SCHEMA = _object(
-    ["n", "y", "checks"], n=_COUNT,
-    y={"type": "number", "minimum": 0, "maximum": 1}, seed=_SEED,
+    ["n", "preset", "checks"], n=_COUNT, preset=_PRESET, seed=_SEED,
     budget=_COUNT, trials=_COUNT,
     checks=_list(_object(
         ["property", "ell"],
-        property={"enum": ["expanding", "edge_dense", "compact"]},
+        property={"enum": list(_CERTIFIERS)},
         ell=_COUNT, a={"type": "number"}, b={"type": "number"},
         eps={"type": "number"}, delta={"type": "integer"})))
 
@@ -197,14 +201,18 @@ _SWEEP_COLUMNS = ["n", "t", "preset", "adversary", "seed", "phases", "rounds",
                   "valid"]
 
 
+def _params(preset: str, n: int, epsilon: float = 0.5) -> ConsensusParams:
+    return (ConsensusParams.constant(n, epsilon) if preset == "constant"
+            else ConsensusParams.polylog(n))
+
+
 def _cell(spec: dict) -> tuple[dict, Transcript | None, np.ndarray]:
     """One consensus run: its row (``_SWEEP_COLUMNS``), its transcript and
     its inputs.  A run that hits its phase or round cap is not an abort but
     a row with ``terminated`` false, the progress it reached and ``agreed``
     and ``valid`` empty, and no transcript."""
     n, t, seed, preset = spec["n"], spec["t"], spec["seed"], spec["preset"]
-    params = (ConsensusParams.constant(n, spec["epsilon"])
-              if preset == "constant" else ConsensusParams.polylog(n))
+    params = _params(preset, n, spec["epsilon"])
     adversary = _adversary(spec["adversary"], n, t, seed)
     inputs = _make_inputs(spec["inputs"], n, seed)
     # passed only when set, so run_consensus keeps its five-argument form
@@ -317,26 +325,24 @@ def cmd_coin_stats(args) -> int:
 
 def cmd_check_graphs(args) -> int:
     cfg = _load_config(args.config, _GRAPH_SCHEMA)
-    n, y = cfg["n"], cfg["y"]
-    seed = cfg.get("seed", 0)
-    budget = cfg.get("budget", DEFAULT_BUDGET)
-    trials = cfg.get("trials", DEFAULT_TRIALS)
-    adj = sample_gnp(n, y, seed)
-    reports = []
+    n, preset, seed = cfg["n"], cfg["preset"], cfg.get("seed", 0)
+    limits = {"budget": cfg.get("budget", DEFAULT_BUDGET),
+              "trials": cfg.get("trials", DEFAULT_TRIALS), "seed": seed}
+    params = _params(preset, n)
+    tag = (("count", 1), 0)  # phase 1's top-level counting, level 0
+    _, layers, _ = level_graph(n, [0, n], params, seed, tag)
+    checks = []
     for chk in cfg["checks"]:
-        prop = chk["property"]
-        if prop == "expanding":
-            rep = is_expanding(adj, chk["ell"], budget, trials, seed)
-        elif prop == "edge_dense":
-            rep = is_edge_dense(adj, chk["ell"], chk.get("a", 1.0),
-                                chk.get("b", 1.0), budget, trials, seed)
-        else:
-            rep = is_compact(adj, chk["ell"], chk.get("eps", 0.75),
-                             chk.get("delta", 1), budget, trials, seed)
-        reports.append(rep.to_dict())
-    body = {"n": n, "y": y, "seed": seed, "edges": int(adj.sum()) // 2,
-            "reports": reports,
-            "all_hold": all(r["verdict"] for r in reports)}
+        certify, defaults = _CERTIFIERS[chk["property"]]
+        options = {k: chk.get(k, v) for k, v in defaults.items()}
+        checks.append(partial(certify, ell=chk["ell"], **limits, **options))
+    rows = [{"layer": i, "edges": int(adj.sum()) // 2,
+             "y": min(1.0, params.d * params.alpha ** i / n),
+             "reports": [check(adj).to_dict() for check in checks]}
+            for i, adj in enumerate(layers)]
+    body = {"n": n, "preset": preset, "seed": seed, "layers": rows,
+            "all_hold": all(r["verdict"] for row in rows
+                            for r in row["reports"])}
     _emit(json.dumps(body, sort_keys=True, indent=2) + "\n", args.out)
     return EXIT_OK
 
@@ -383,8 +389,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, MemoryError) as exc:  # also a config too large
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG
     except SimulationError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

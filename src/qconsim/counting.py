@@ -47,6 +47,16 @@ def partition_levels(n: int, x: int) -> list[np.ndarray]:
     return levels
 
 
+def level_graph(n: int, bounds, params, seed: int, tag):
+    """(window, layers, k_caps) of the counting level with groups ``bounds``:
+    its relay window, and its shared layers certified for that window."""
+    window = Window.for_size(int(np.diff(bounds).max()), params.d,
+                             params.alpha)
+    return (window, *shared_group_layers(
+        n, bounds, params.d, params.alpha, seed, tag,
+        max_steps=window.epochs * window.iterations))
+
+
 def fast_counting(ctx: SimContext, a: np.ndarray, params, tag="count"
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Count processes holding a=1 and a=0 among the currently active set,
@@ -78,11 +88,8 @@ def fast_counting(ctx: SimContext, a: np.ndarray, params, tag="count"
         r1, r0 = rumors[:, :x], rumors[:, x:]
         r1[ids, key] = ones
         r0[ids, key] = zeros
-        window = Window.for_size(int(np.diff(bounds).max()),
-                                 params.d, params.alpha)
-        layers, k_caps = shared_group_layers(
-            n, bounds, params.d, params.alpha, ctx.seed, (tag, lvl_idx),
-            max_steps=window.epochs * window.iterations)
+        window, layers, k_caps = level_graph(n, bounds, params, ctx.seed,
+                                             (tag, lvl_idx))
         carrier = RumorCarrier([rumors], 2 * x * clog2(n + 1))  # 2x subtotals
         # every layer is symmetric, so it is its own transpose
         run_relay(ctx, layers, layers, k_caps, window, carrier)

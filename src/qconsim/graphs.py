@@ -1,11 +1,11 @@
-"""G(n, y) samples and the property certifiers behind ``qconsim check-graphs``.
+"""Property certifiers behind ``qconsim check-graphs``, which runs them on
+the layers fuzzy counting gossips over (``qconsim.counting.level_graph``).
 
-The protocol builds its own layers in ``qconsim.exchange``.  Graphs are
-symmetric boolean adjacency matrices over nodes 0..n-1.  Property checks are
-exhaustive while the amount of work fits a configurable budget and fall back
-to one-sided randomized certification otherwise; every report records which
-method produced its verdict, and a found counterexample is always a valid
-witness.
+Graphs are symmetric boolean adjacency matrices over nodes 0..n-1.  Property
+checks are exhaustive while the amount of work fits a configurable budget
+and fall back to one-sided randomized certification otherwise; every report
+records which method produced its verdict, and a found counterexample is
+always a valid witness.
 """
 
 from __future__ import annotations
@@ -37,19 +37,6 @@ class PropertyReport:
         if self.witness is not None:
             out["witness"] = self.witness
         return out
-
-
-def sample_gnp(n: int, y: float, seed: int) -> np.ndarray:
-    """G(n, y): each unordered pair is an edge independently with probability y."""
-    if not 0 <= y <= 1:
-        raise ValueError("edge probability must be in [0, 1]")
-    rng = substream(seed, "gnp", n, y)
-    adj = np.zeros((n, n), dtype=bool)
-    iu = np.triu_indices(n, k=1)
-    edges = rng.random(iu[0].size) < y
-    adj[iu] = edges
-    adj |= adj.T
-    return adj
 
 
 def _internal_edges(adj: np.ndarray, nodes: np.ndarray) -> int:

@@ -17,11 +17,11 @@ from qconsim.adversaries import Adversary, RandomCrasher, make_adversary
 from qconsim.cli import main as cli_main, wilson_lower
 from qconsim.coin import CoinParams, run_coin
 from qconsim.consensus import ConsensusParams, phase_rule, run_consensus
-from qconsim.counting import fast_counting, partition_levels
+from qconsim.counting import fast_counting, level_graph, partition_levels
 from qconsim.engine import SimContext
 from qconsim.exchange import KeyCarrier
 from qconsim.graphs import (delta_core, is_compact, is_edge_dense,
-                            is_expanding, sample_gnp)
+                            is_expanding)
 from qconsim.rng import substream
 
 
@@ -273,42 +273,64 @@ def _brute_compact(adj, ell, eps, delta):
     return True
 
 
+def _run_layers(n: int, preset: str, seed: int) -> np.ndarray:
+    """The shared layers of phase 1's top-level counting in a run of n
+    processes, as the relay receives them (and ``check-graphs`` certifies
+    them)."""
+    return level_graph(n, [0, n], _preset(preset, n), seed,
+                       (("count", 1), 0))[1]
+
+
 def test_criterion_7_graph_certification():
-    # the published parameter point: n=256, y = 64*log2(n)/n clamps to 1 and
-    # ell = 130*log2(n)/y makes 16*ell exceed n, so the compactness
-    # quantifier is empty -- the certifier must recognize and report that
+    # one run's graph at n = 256, constant preset: d = 8 and alpha = 16 give
+    # layers with y = 8/256, 128/256 and 1
     n = 256
+    layers = _run_layers(n, "constant", 0)
+    # the published parameter point: y = 64*log2(n)/n clamps to 1, so it
+    # runs on the complete top layer, and ell = 130*log2(n)/y makes 16*ell
+    # exceed n, so the compactness quantifier is empty -- the certifier must
+    # recognize and report that
     y = min(1.0, 64 * math.log2(n) / n)
     ell = math.ceil(130 * math.log2(n) / y)
-    adj = sample_gnp(n, y, seed=0)
+    adj = layers[-1]
+    complete = bool((adj == ~np.eye(n, dtype=bool)).all())
     delta = math.ceil((2 / 3) * y * ell)
     literal = is_compact(adj, 16 * ell, 0.75, delta, trials=10 ** 4, seed=1)
 
-    # non-vacuous companion at the same n: same 16x shape, scaled down
+    # non-vacuous companion on the same graph: same 16x shape, scaled down,
+    # on layer 1, whose edge probability is y2
     y2, ell2 = 0.5, 8
-    adj2 = sample_gnp(n, y2, seed=2)
+    adj2 = layers[1]
     delta2 = math.ceil((2 / 3) * y2 * ell2)
     scaled = is_compact(adj2, 16 * ell2, 0.75, delta2,
                         budget=10, trials=10 ** 4, seed=3)
 
+    # exact certifiers against brute force on every layer of small runs
+    # (constant preset: a base layer with y = 3/8, 4/10, 4/12, 4/14 or 4/9
+    # and a complete top layer)
     exact_ok = True
     for seed in range(6):
         m = 8 + 2 * (seed % 4)  # sizes 8..14
-        sub = sample_gnp(m, 0.45, seed=seed + 10)
-        exact_ok &= (is_expanding(sub, 2).verdict
-                     == _brute_expanding(sub, 2))
-        exact_ok &= (is_edge_dense(sub, 3, 0.5, 3.0).verdict
-                     == _brute_edge_dense(sub, 3, 0.5, 3.0))
+        for sub in _run_layers(m, "constant", seed):
+            exact_ok &= (is_expanding(sub, 2).verdict
+                         == _brute_expanding(sub, 2))
+            exact_ok &= (is_edge_dense(sub, 3, 0.5, 3.0).verdict
+                         == _brute_edge_dense(sub, 3, 0.5, 3.0))
     for seed in range(4):
-        sub = sample_gnp(9, 0.5, seed=seed + 30)
-        exact_ok &= (is_compact(sub, 7, 0.5, 2).verdict
-                     == _brute_compact(sub, 7, 0.5, 2))
+        for sub in _run_layers(9, "constant", seed):
+            exact_ok &= (is_compact(sub, 7, 0.5, 2).verdict
+                         == _brute_compact(sub, 7, 0.5, 2))
 
-    ok = literal.verdict and scaled.verdict and exact_ok
+    cp = _preset("constant", n)
+    on_layer = cp.d * cp.alpha == y2 * n  # layer 1's edge probability
+    ok = (complete and on_layer and literal.verdict and scaled.verdict
+          and exact_ok)
     _report(7, ok,
-            f"published point vacuously holds ({literal.method}); scaled "
-            f"point (ell'={16 * ell2}, delta={delta2}) zero counterexamples "
-            f"in {scaled.method}; exact-vs-brute-force n<=14: {exact_ok}")
+            f"published point on the complete top layer (complete: "
+            f"{complete}) vacuously holds ({literal.method}); scaled point "
+            f"on layer 1 (y={y2}, ell'={16 * ell2}, delta={delta2}) zero "
+            f"counterexamples in {scaled.method}; exact-vs-brute-force on "
+            f"run layers n<=14: {exact_ok}")
 
 
 # -- 8: oracle equivalence ---------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qconsim import cli
+from qconsim import cli, counting
 from qconsim.cli import build_parser, main, wilson_lower
 from qconsim.consensus import PhaseCapExceeded
 
@@ -293,16 +293,87 @@ def test_coin_stats(tmp_path):
 
 
 def test_check_graphs(tmp_path):
+    """n = 12 under the constant preset has d = 4 and alpha = 3: a base
+    layer with y = 1/3 and a complete top layer, on which both checks
+    hold."""
     cfg = write_cfg(tmp_path, "g.json",
-                    {"n": 12, "y": 1.0, "seed": 0,
+                    {"n": 12, "preset": "constant", "seed": 0,
                      "checks": [{"property": "expanding", "ell": 2},
                                 {"property": "compact", "ell": 3,
                                  "eps": 0.5, "delta": 2}]})
     out = tmp_path / "o.json"
     assert main(["check-graphs", "--config", cfg, "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
-    assert rep["all_hold"]
-    assert {r["property"] for r in rep["reports"]} == {"expanding", "compact"}
+    base, top = rep["layers"]
+    assert (base["layer"], base["y"], top["layer"], top["y"]) == (
+        0, 4 / 12, 1, 1.0)
+    assert top["edges"] == 66 and 0 < base["edges"] < 66
+    for layer in rep["layers"]:
+        assert [r["property"] for r in layer["reports"]] == ["expanding",
+                                                             "compact"]
+    assert all(r["verdict"] for r in top["reports"])
+    assert rep["all_hold"] == all(r["verdict"] for layer in rep["layers"]
+                                  for r in layer["reports"])
+
+
+@pytest.mark.parametrize("preset", ["constant", "polylog"])
+def test_check_graphs_certifies_the_layers_counting_relays(preset, tmp_path,
+                                                           monkeypatch):
+    """Every layer check-graphs certifies is, byte for byte, the layer that
+    phase 1's top-level counting relay receives in a run of the same n,
+    preset and seed."""
+    relayed, certified = [], []
+    relay = counting.run_relay
+
+    def spy_relay(ctx, layers, *rest):
+        if ctx.state["phase"] == 1:
+            relayed.append(layers.copy())
+        return relay(ctx, layers, *rest)
+
+    def spy_certifier(adj, ell, **limits):
+        certified.append(adj.copy())
+        return cli.is_expanding(adj, ell, **limits)
+
+    monkeypatch.setattr(counting, "run_relay", spy_relay)
+    monkeypatch.setitem(cli._CERTIFIERS, "expanding", (spy_certifier, {}))
+    monkeypatch.delenv("QSIM_SEED", raising=False)
+    cfg = {"n": 32, "seed": 5, "preset": preset}
+    out = tmp_path / "o.json"
+    assert main(["run", "--config", write_cfg(tmp_path, "r.json", cfg),
+                 "--out", str(out)]) == 0
+    checks = [{"property": "expanding", "ell": 2}]
+    assert main(["check-graphs", "--config",
+                 write_cfg(tmp_path, "g.json", {**cfg, "checks": checks}),
+                 "--out", str(out)]) == 0
+    top = relayed[-1]  # levels run deepest first; the top level is last
+    assert len(relayed) > 1 and len(top) == len(certified) >= 2
+    for layer, adj in zip(top, certified):
+        assert adj.dtype == layer.dtype and adj.tobytes() == layer.tobytes()
+    edges = [row["edges"] for row in json.loads(out.read_text())["layers"]]
+    assert edges == [int(layer.sum()) // 2 for layer in top]
+
+
+@pytest.mark.parametrize("command", ["run", "check-graphs"])
+def test_out_of_memory_is_one_error_line(command, tmp_path, monkeypatch,
+                                         capsys):
+    """An allocation that fails (here a raise, so that nothing is really
+    allocated) exits 2 with one ``error:`` line, with or without a
+    message."""
+    cfg = write_cfg(tmp_path, "c.json",
+                    {"n": 8, "seed": 1, "preset": "polylog",
+                     **({"checks": [{"property": "expanding", "ell": 2}]}
+                        if command == "check-graphs" else {})})
+    for exc, line in ((MemoryError("Unable to allocate 7.28 TiB"),
+                       "error: Unable to allocate 7.28 TiB"),
+                      (MemoryError(), "error: out of memory")):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "level_graph", fail)
+        monkeypatch.setattr(cli, "run_consensus", fail)
+        assert main([command, "--config", cfg]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [line] and not captured.out
 
 
 def test_wilson_lower_bound_values():
@@ -330,6 +401,7 @@ def _readme_json(label):
 
 
 _PIN_RUN = _readme_json("Example `run.json`:")
+_PIN_GRAPHS = _readme_json("Example `graphs.json`:")
 _PIN_SWEEP = {"n_list": [8, 12], "seeds": 2, "presets": ["polylog", "constant"],
               "adversary": {"name": "random_crasher", "params": {"rate": 0.01}},
               "inputs": "split"}
@@ -358,15 +430,9 @@ _PINS = {
                    ["--jobs", "2"],
                    "7ef8cb852529a70893281e8b0b30a7a9"
                    "36621737d8c717a07bb13970663d947d"),
-    "check-graphs": ("check-graphs",
-                     {"n": 16, "y": 0.5, "seed": 2,
-                      "checks": [{"property": "expanding", "ell": 2},
-                                 {"property": "edge_dense", "ell": 3},
-                                 {"property": "compact", "ell": 3,
-                                  "eps": 0.5, "delta": 2}]},
-                     [],
-                     "c251618054e3dd59d5ea6db41d2e200c"
-                     "2a16e2ed28dc217561a57312ac546066"),
+    "check-graphs": ("check-graphs", _PIN_GRAPHS, [],
+                     "773ec65536054e81079454080bdbf8cb"
+                     "bef9926908fcabdb8d51f251115fb69b"),
 }
 
 
@@ -424,7 +490,8 @@ _FIELDS = {
                    "d": st.integers(1, 4), "alpha": st.integers(2, 4),
                    "seeds": st.integers(1, 3), "seed": st.integers(0, 9),
                    "adversary": _ADVERSARY},
-    "check-graphs": {"n": _SMALL_N, "y": st.floats(0, 1),
+    "check-graphs": {"n": _SMALL_N,
+                     "preset": st.sampled_from(["constant", "polylog"]),
                      "seed": st.integers(0, 9), "budget": st.integers(1, 50),
                      "trials": st.integers(1, 20),
                      "checks": st.lists(_CHECK, min_size=1, max_size=2)},
@@ -493,13 +560,14 @@ _FOUND = {
               {"n_list": [4], "seeds": 2.0, "presets": ["polylog"]}],
     "coin-stats": [{"n": 4.0, "seeds": 1}],
     "check-graphs": [
-        {"n": 3, "y": 0.5, "budget": 1,
+        {"n": 3, "preset": "constant", "budget": 1,
          "checks": [{"property": "expanding", "ell": 2}]},
-        {"n": 3, "y": 0.5, "budget": 1,
+        {"n": 3, "preset": "constant", "budget": 1,
          "checks": [{"property": "edge_dense", "ell": 4}]},
-        {"n": 6, "y": float("nan"),
-         "checks": [{"property": "compact", "ell": 2}]},
-        {"n": 2.0, "y": 0.5, "checks": [{"property": "compact", "ell": 1}]}],
+        {"n": 6, "preset": "constant",
+         "checks": [{"property": "compact", "ell": 2, "eps": float("nan")}]},
+        {"n": 2.0, "preset": "polylog",
+         "checks": [{"property": "compact", "ell": 1}]}],
 }
 
 

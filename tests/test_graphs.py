@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qconsim.exchange import layer_count, private_layers
+from qconsim.exchange import layer_count, private_layers, shared_group_layers
 from qconsim.graphs import (delta_core, is_compact, is_edge_dense,
-                            is_expanding, sample_gnp)
+                            is_expanding)
 from qconsim.rng import substream
 
 
@@ -39,26 +39,6 @@ def _random_adj(n, p, seed):
 
 # -- sampling ---------------------------------------------------------------
 
-def test_gnp_extremes():
-    assert sample_gnp(6, 0.0, 1).sum() == 0
-    assert (sample_gnp(6, 1.0, 1) == _complete(6)).all()
-
-
-def test_gnp_edge_count_within_4_sigma():
-    adj = sample_gnp(1000, 0.01, seed=5)
-    edges = adj.sum() // 2
-    mean = math.comb(1000, 2) * 0.01
-    sigma = math.sqrt(mean * 0.99)
-    assert abs(edges - mean) < 4 * sigma
-
-
-def test_gnp_deterministic_and_symmetric():
-    a = sample_gnp(50, 0.3, seed=2)
-    b = sample_gnp(50, 0.3, seed=2)
-    assert (a == b).all()
-    assert (a == a.T).all() and not a.diagonal().any()
-
-
 def test_layers_single_when_d_equals_n():
     layers, k_caps = private_layers(8, 8, 2, seed=0, tag="t")
     assert layers.shape[0] == 1 and (k_caps == 0).all()
@@ -81,6 +61,25 @@ def test_layer_degree_within_4_sigma():
         sigma = math.sqrt(mean * (1 - p_edge))
         avg = layers[i].sum(axis=1).mean()
         assert abs(avg - mean) < 4 * sigma / math.sqrt(n)
+
+
+def test_shared_layer_edge_counts_within_4_sigma():
+    """Above the base layer, whose certificate resamples it, each group's
+    layer i has an edge count within 4 sigma of C(m, 2) pairs at edge
+    probability min(1, d*alpha^i/m); layers with probability 1 are
+    complete."""
+    d, alpha, bounds = 32, 2, [0, 400, 1000]
+    layers, k_caps = shared_group_layers(1000, bounds, d, alpha, seed=4,
+                                         tag="t", max_steps=8)
+    for lo, hi in zip(bounds, bounds[1:]):
+        m, k = hi - lo, int(k_caps[lo])
+        assert k == layer_count(m, d, alpha)
+        for i in range(1, k + 1):
+            p_edge = min(1.0, d * alpha ** i / m)
+            mean = math.comb(m, 2) * p_edge
+            sigma = math.sqrt(mean * (1 - p_edge))
+            edges = layers[i, lo:hi, lo:hi].sum() // 2
+            assert abs(edges - mean) <= 4 * sigma, (m, i, edges, mean)
 
 
 def test_layer_count_matches_ceil_formula():
