@@ -7,6 +7,7 @@ it against the scalar or per-message forms kept here.
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Any
 
 import numpy as np
@@ -203,6 +204,52 @@ def run_relay_oracle(ctx, layers: np.ndarray, k_caps: np.ndarray, window,
             ad = _adapt_vec(ad, got_resp, window.delta, k_max)
         lvl = end_epoch_update(lvl, ad, k_caps)
     return lvl
+
+
+# -- graph properties by brute force: each returns the first counterexample
+# -- in combinations order (as the certifier's witness names it), or None
+
+def brute_expanding(adj, ell):
+    n = adj.shape[0]
+    for a_set in combinations(range(n), ell):
+        rest = [v for v in range(n) if v not in a_set]
+        for b_set in combinations(rest, ell):
+            if not adj[np.ix_(list(a_set), list(b_set))].any():
+                return {"A": list(a_set), "B": list(b_set)}
+    return None
+
+
+def brute_edge_dense(adj, ell, a, b):
+    n = adj.shape[0]
+    for size in range(1, n + 1):
+        for sub in combinations(range(n), size):
+            nodes = np.array(sub)
+            e = int(adj[np.ix_(nodes, nodes)].sum()) // 2
+            if size >= ell and e < a * size:
+                return {"X": list(sub), "edges": e}
+            if size <= ell and e > b * size:
+                return {"Y": list(sub), "edges": e}
+    return None
+
+
+def brute_compact(adj, ell, eps, delta):
+    n = adj.shape[0]
+    for size in range(ell, n + 1):
+        for sub in combinations(range(n), size):
+            best = 0
+            nodes = list(sub)
+            for inner_size in range(len(nodes), int(eps * ell) - 1, -1):
+                for cand in combinations(nodes, inner_size):
+                    idx = np.array(cand)
+                    deg = adj[np.ix_(idx, idx)].sum(axis=1)
+                    if (deg >= delta).all():
+                        best = inner_size
+                        break
+                if best:
+                    break
+            if best < eps * ell:
+                return {"B": list(sub)}
+    return None
 
 
 class StateReader(Adversary):

@@ -12,7 +12,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from oracles import HiddenRegister, merge_registers, phase_action_rational
+from oracles import (HiddenRegister, brute_compact, brute_edge_dense,
+                     brute_expanding, merge_registers, phase_action_rational)
 from qconsim.adversaries import Adversary, RandomCrasher, make_adversary
 from qconsim.cli import main as cli_main, wilson_lower
 from qconsim.coin import CoinParams, run_coin
@@ -230,49 +231,6 @@ def test_criterion_6_communication_shape():
 
 # -- 7: graph certification -------------------------------------------------------
 
-def _brute_expanding(adj, ell):
-    n = adj.shape[0]
-    for a_set in combinations(range(n), ell):
-        rest = [v for v in range(n) if v not in a_set]
-        for b_set in combinations(rest, ell):
-            if not adj[np.ix_(list(a_set), list(b_set))].any():
-                return False
-    return True
-
-
-def _brute_edge_dense(adj, ell, a, b):
-    n = adj.shape[0]
-    for size in range(1, n + 1):
-        for sub in combinations(range(n), size):
-            nodes = np.array(sub)
-            e = int(adj[np.ix_(nodes, nodes)].sum()) // 2
-            if size >= ell and e < a * size:
-                return False
-            if size <= ell and e > b * size:
-                return False
-    return True
-
-
-def _brute_compact(adj, ell, eps, delta):
-    n = adj.shape[0]
-    for size in range(ell, n + 1):
-        for sub in combinations(range(n), size):
-            best = 0
-            nodes = list(sub)
-            for inner_size in range(len(nodes), int(eps * ell) - 1, -1):
-                for cand in combinations(nodes, inner_size):
-                    idx = np.array(cand)
-                    deg = adj[np.ix_(idx, idx)].sum(axis=1)
-                    if (deg >= delta).all():
-                        best = inner_size
-                        break
-                if best:
-                    break
-            if best < eps * ell:
-                return False
-    return True
-
-
 def _run_layers(n: int, preset: str, seed: int) -> np.ndarray:
     """The shared layers of phase 1's top-level counting in a run of n
     processes, as the relay receives them (and ``check-graphs`` certifies
@@ -313,13 +271,13 @@ def test_criterion_7_graph_certification():
         m = 8 + 2 * (seed % 4)  # sizes 8..14
         for sub in _run_layers(m, "constant", seed):
             exact_ok &= (is_expanding(sub, 2).verdict
-                         == _brute_expanding(sub, 2))
+                         == (brute_expanding(sub, 2) is None))
             exact_ok &= (is_edge_dense(sub, 3, 0.5, 3.0).verdict
-                         == _brute_edge_dense(sub, 3, 0.5, 3.0))
+                         == (brute_edge_dense(sub, 3, 0.5, 3.0) is None))
     for seed in range(4):
         for sub in _run_layers(9, "constant", seed):
             exact_ok &= (is_compact(sub, 7, 0.5, 2).verdict
-                         == _brute_compact(sub, 7, 0.5, 2))
+                         == (brute_compact(sub, 7, 0.5, 2) is None))
 
     cp = _preset("constant", n)
     on_layer = cp.d * cp.alpha == y2 * n  # layer 1's edge probability

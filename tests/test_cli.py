@@ -431,8 +431,8 @@ _PINS = {
                    "7ef8cb852529a70893281e8b0b30a7a9"
                    "36621737d8c717a07bb13970663d947d"),
     "check-graphs": ("check-graphs", _PIN_GRAPHS, [],
-                     "773ec65536054e81079454080bdbf8cb"
-                     "bef9926908fcabdb8d51f251115fb69b"),
+                     "d3a9fed2484d37178df662081e76de93"
+                     "27b5932588127a2a6b36bd453d4f7ba8"),
 }
 
 

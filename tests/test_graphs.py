@@ -1,4 +1,5 @@
 import math
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -6,6 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import brute_compact, brute_edge_dense, brute_expanding
+from qconsim import graphs
+from qconsim.consensus import ConsensusParams
+from qconsim.counting import level_graph
 from qconsim.exchange import layer_count, private_layers, shared_group_layers
 from qconsim.graphs import (delta_core, is_compact, is_edge_dense,
                             is_expanding)
@@ -127,6 +132,17 @@ def test_delta_core_matches_brute_force(seed):
         assert (deg >= delta).all()
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_batched_delta_core_matches_row_by_row(seed):
+    rng = substream(seed, "core-batch-test")
+    n = int(rng.integers(4, 12))
+    adj = _random_adj(n, 0.4, seed + 200)
+    members = rng.random((20, n)) < 0.6
+    delta = int(rng.integers(1, 4))
+    rows = np.array([delta_core(adj, delta, row) for row in members])
+    assert (delta_core(adj, delta, members) == rows).all()
+
+
 def test_delta_core_is_superset_of_any_qualifying_set():
     adj = _random_adj(10, 0.5, 7)
     core = delta_core(adj, 3)
@@ -155,6 +171,19 @@ def test_expanding_path_fails_with_witness():
 def test_expanding_empty_graph_fails():
     rep = is_expanding(np.zeros((4, 4), dtype=bool), 2)
     assert not rep.verdict
+
+
+def test_randomized_expansion_finds_the_readme_base_layer_failure():
+    """The README's check-graphs example (n = 64, polylog, seed 1, 500
+    trials): its base layer has 8-subsets A with 8 nodes outside A and its
+    neighbourhood, and 500 draws of A find one."""
+    base = level_graph(64, [0, 64], ConsensusParams.polylog(64), 1,
+                       (("count", 1), 0))[1][0]
+    rep = is_expanding(base, 8, trials=500, seed=1)
+    assert not rep.verdict and rep.method == "randomized(500)"
+    a, b = rep.witness["A"], rep.witness["B"]
+    assert len(a) == len(b) == 8 and not set(a) & set(b)
+    assert not base[np.ix_(a, b)].any()
 
 
 def test_expanding_randomized_mode_on_large_graph():
@@ -217,3 +246,50 @@ def test_core_min_degree_invariant(seed, n, delta):
         idx = np.nonzero(core)[0]
         deg = adj[np.ix_(idx, idx)].sum(axis=1)
         assert (deg >= delta).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 9), st.floats(0.05, 0.95),
+       st.sampled_from(["expanding", "edge_dense", "compact"]), st.data())
+def test_exhaustive_certifiers_match_brute_force(seed, n, p, prop, data):
+    """Each exhaustive verdict is brute force's, and each witness is brute
+    force's first counterexample in combinations order."""
+    adj = _random_adj(n, p, seed)
+    # expansion is vacuous for 2 * ell > n, so draw it mostly below that
+    ell = data.draw(st.integers(1, n // 2 + 1 if prop == "expanding"
+                                else n + 1))
+    if prop == "expanding":
+        rep, first = is_expanding(adj, ell), brute_expanding(adj, ell)
+    elif prop == "edge_dense":
+        a, b = data.draw(st.floats(0, 1)), data.draw(st.floats(0, 4))
+        rep = is_edge_dense(adj, ell, a, b)
+        first = brute_edge_dense(adj, ell, a, b)
+    else:
+        # eps * ell >= 1 keeps the oracle's inner search off the empty set
+        eps = data.draw(st.floats(1 / ell, 1))
+        delta = data.draw(st.integers(1, 3))
+        rep = is_compact(adj, ell, eps, delta)
+        first = brute_compact(adj, ell, eps, delta)
+    assert rep.method == "exhaustive"
+    assert rep.verdict == (first is None)
+    if first is not None:
+        assert {key: rep.witness[key] for key in first} == first
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_exhaustive_reports_do_not_depend_on_the_chunk(chunk, monkeypatch):
+    """Batches split anywhere leave every exhaustive report, witness order
+    included, as it is."""
+    checks = []
+    for seed, p in ((1, 0.3), (2, 0.6), (3, 0.9)):
+        adj = _random_adj(8, p, seed)
+        checks += [partial(is_expanding, adj, 2),
+                   partial(is_edge_dense, adj, 3, 0.5, 2.0),
+                   partial(is_edge_dense, adj, 5, 1.5, 3.0),
+                   partial(is_compact, adj, 4, 0.5, 2),
+                   partial(is_compact, adj, 3, 1.0, 1)]
+    expected = [check().to_dict() for check in checks]
+    assert {r["method"] for r in expected} == {"exhaustive"}
+    assert {r["verdict"] for r in expected} == {True, False}
+    monkeypatch.setattr(graphs, "_CHUNK", chunk)
+    assert [check().to_dict() for check in checks] == expected
