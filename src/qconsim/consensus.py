@@ -156,10 +156,10 @@ def _fallback_window(ctx: SimContext, b: np.ndarray, trigger: np.ndarray,
         sending = everyone & joined[:, None]
         delivered = ctx.exchange(sending, 1, payload=shown)
         if delivered.any():
+            # 2, above any bit, where nothing was heard
             incoming = np.where(delivered, val[:, None], 2).min(axis=0)
-            heard = delivered.any(axis=0)
-            np.minimum(val, np.where(heard, incoming, 2), out=val)
-            joined |= heard
+            np.minimum(val, incoming, out=val)
+            joined |= delivered.any(axis=0)
     deciders = joined & ctx.active
     decisions[deciders] = val[deciders]
     ctx.halt(deciders)

@@ -2,8 +2,8 @@
 
 Execution proceeds in lock-step rounds.  Each round the protocol hands the
 engine an intent batch: a boolean (n, n) matrix of sender->recipient targets
-plus per-sender cost in classical bits and qubits and an optional classical
-payload (dict of per-sender arrays).  The adversary is consulted with a view
+plus an integer cost per message in classical bits and qubits and an
+optional classical payload (dict of per-sender arrays).  The adversary is consulted with a view
 of everything the engine holds -- targets, costs, classical payloads,
 protocol state (``SimContext.state``), the full crash/halt picture.
 Every array in a view is read-only, and the payload's and state's stay
@@ -35,22 +35,18 @@ Version 2 feeds, in order:
 
 n is in the header, so the packed bytes still determine the matrix exactly.
 
-Prepared rounds.  ``exchange`` masks a round's targets to the senders that
-can send (C-ordered, diagonal cleared) into a ``PreparedRound`` with their
-attempt counts, which a caller sending the same targets again passes back
-(``SimContext.prepare``).  It keeps what depends only on the round, the
-version and the cost scalars: the delivery of its first round without a
-crash (exactly ``targets & active``) with its digest bytes, and one entry
-for scalar ``bits``/``qubits`` (cost arrays, ledger increments, digest
-bytes; per-sender arrays are not kept).  Per version ``SimContext`` keeps
-the active mask and the masks' digest bytes.  Halts and crashes move the
-version on.  The active set only shrinks, so ``exchange`` then re-masks
-the round by rows: it clears the rows of the senders that left the mask
-the round was masked with (``PreparedRound.active``), zeroes their attempt
-counts in a copy and drops both caches.  Deliveries, the active mask and
-the view's arrays are read-only: a returned matrix's identity stands for
-its contents, and an active mask or attempt counts taken earlier keep
-their values.
+Prepared rounds.  ``SimContext.prepare`` copies a round's targets C-ordered
+into a ``PreparedRound``, clears the diagonal, counts each row's attempts
+and clears the rows of the senders outside the active mask, which the
+round keeps.  A caller sending the same targets again passes the round
+back; it caches its delivery when nobody crashes (exactly ``targets &
+active``) with that delivery's digest bytes, and one entry for its integer
+costs.  Each halt and crash makes a new active mask, so ``exchange`` finds
+a round masked with an older one stale and clears, with the same helper,
+the rows of the senders that left, which also drops both caches.
+Deliveries, active masks and attempt counts are read-only and never
+written once shown: a returned matrix's identity stands for its contents,
+and an active mask or attempt counts taken earlier keep their values.
 """
 
 from __future__ import annotations
@@ -227,11 +223,11 @@ class Transcript:
 class PreparedRound:
     """One round's targets as ``exchange`` uses them (see module docstring)."""
 
-    __slots__ = ("active", "targets", "sent", "version", "delivered",
-                 "packed", "cost_key", "cost")
+    __slots__ = ("active", "targets", "sent", "delivered", "packed",
+                 "cost_key", "cost")
 
 
-def _cost_entry(bits, qubits, sent: np.ndarray) -> tuple:
+def _cost_entry(bits: int, qubits: int, sent: np.ndarray) -> tuple:
     """Read-only cost arrays, crash-free ledger increments, digest bytes."""
     bits_arr = np.full(sent.size, bits, dtype=np.int64)
     qubits_arr = np.full(sent.size, qubits, dtype=np.int64)
@@ -261,10 +257,9 @@ class SimContext:
         self.alive = np.ones(n, dtype=bool)
         self.halted = np.zeros(n, dtype=bool)
         # what adversary views show: live but read-only, so that no write
-        # changes the active set without moving the version on
+        # changes the active set without a new active mask
         self._shown = (read_only(self.alive), read_only(self.halted))
         self.crashes_used = 0
-        self.version = -1  # moved on by every halt and crash
         self._moved_on()
         self.state: Optional[Mapping] = None  # set by the protocol, read-only
         self.ledger = CostLedger.empty(n)
@@ -282,9 +277,9 @@ class SimContext:
         return self._active
 
     def _moved_on(self) -> None:
-        """A new version: a new active mask (old ones stay snapshots) and
-        the masks' digest bytes."""
-        self.version += 1
+        """After every halt and crash: a new active mask (old ones stay
+        snapshots, and a round masked with one is stale) and the masks'
+        digest bytes."""
         self._active = self.alive & ~self.halted
         self._active.flags.writeable = False
         self._mask_bytes = self.alive.tobytes() + self.halted.tobytes()
@@ -304,16 +299,25 @@ class SimContext:
             prep.targets = np.empty((self.n,) * 2, dtype=bool)
         t = prep.targets
         t.flags.writeable = True
-        # one pass that also turns a transposed (F-ordered) matrix into C order
-        np.logical_and(targets, self._active[:, None], out=t)
+        t[...] = targets  # a transposed (F-ordered) matrix comes out C-ordered
         t.reshape(-1)[::self.n + 1] = False  # the diagonal
-        t.flags.writeable = False
         # a row holds at most n - 1 messages
         prep.sent = np.add.reduce(t, axis=1, dtype=np.min_scalar_type(self.n))
-        prep.sent.flags.writeable = False
-        prep.active, prep.version = self._active, self.version
-        prep.delivered = prep.packed = prep.cost_key = prep.cost = None
+        self._clear_rows(prep, ~self._active)
         return prep
+
+    def _clear_rows(self, prep: PreparedRound, gone: np.ndarray) -> None:
+        """Clear the targets and attempt counts of the senders in ``gone``
+        (the counts in a copy, so views taken earlier keep theirs), mask
+        ``prep`` with the current active mask and drop its caches."""
+        prep.targets.flags.writeable = True
+        prep.targets[gone] = False
+        prep.targets.flags.writeable = False
+        prep.sent = prep.sent.copy()
+        prep.sent[gone] = 0
+        prep.sent.flags.writeable = False
+        prep.active = self._active
+        prep.delivered = prep.packed = prep.cost_key = prep.cost = None
 
     # -- the one communication primitive --------------------------------
 
@@ -323,9 +327,9 @@ class SimContext:
         (read-only).
 
         ``targets`` is a raw (n, n) bool matrix or a ``PreparedRound``.
-        ``bits``/``qubits`` are per-message costs, scalar or per-sender
-        arrays.  ``payload`` (classical) is shown to the adversary, as is
-        ``self.state``.
+        ``bits``/``qubits`` are integer costs per message, the same for
+        every sender.  ``payload`` (classical) is shown to the adversary, as
+        is ``self.state``.
         """
         if self.round >= self.round_cap:
             raise RoundCapExceeded(f"round cap {self.round_cap} reached",
@@ -333,25 +337,12 @@ class SimContext:
         n = self.n
         prep = (targets if isinstance(targets, PreparedRound)
                 else self.prepare(targets))
-        if prep.version != self.version:  # re-mask by rows
-            gone = prep.active & ~self._active
-            prep.targets.flags.writeable = True
-            prep.targets[gone] = False
-            prep.targets.flags.writeable = False
-            prep.sent = prep.sent.copy()  # earlier views keep their counts
-            prep.sent[gone] = 0
-            prep.sent.flags.writeable = False
-            prep.active, prep.version = self._active, self.version
-            prep.delivered = prep.packed = prep.cost_key = prep.cost = None
-        kept = (isinstance(bits, (int, np.integer))
-                and isinstance(qubits, (int, np.integer)))
-        if kept and prep.cost_key == (bits, qubits):
-            cost = prep.cost
-        else:
-            cost = _cost_entry(bits, qubits, prep.sent)
-            if kept:  # per-sender cost arrays are not kept
-                prep.cost_key, prep.cost = (bits, qubits), cost
-        bits_arr, qubits_arr, add_bits, add_qubits, cost_bytes = cost
+        if prep.active is not self._active:  # stale: re-mask by rows
+            self._clear_rows(prep, prep.active & ~self._active)
+        if prep.cost_key != (bits, qubits):
+            prep.cost_key = bits, qubits
+            prep.cost = _cost_entry(bits, qubits, prep.sent)
+        bits_arr, qubits_arr, add_bits, add_qubits, cost_bytes = prep.cost
 
         view = AdversaryView(self.round, n, self.t, *self._shown,
                              prep.targets, prep.sent, bits_arr, qubits_arr,

@@ -272,11 +272,11 @@ def run_relay(ctx: SimContext, layers: np.ndarray, flipped: np.ndarray,
     payload = {"adaptive_degree": None}  # rebuilt when ad changes
     for _ in range(window.epochs):
         if not np.array_equal(lvl, ask_lvl):
-            ask_lvl, sel = lvl, np.minimum(lvl, k_caps)
-            ask = ctx.prepare(layers[sel, rows], ask)
-            asked = flipped[0] & (sel == 0)
+            ask_lvl = lvl  # end_epoch_update keeps it within k_caps
+            ask = ctx.prepare(layers[lvl, rows], ask)
+            asked = flipped[0] & (lvl == 0)
             for i in range(1, k_max + 1):
-                asked |= flipped[i] & (sel == i)
+                asked |= flipped[i] & (lvl == i)
         ad = read_only(lvl)  # levels and degrees are never written in place
         for _ in range(window.iterations):
             got_inq = ctx.exchange(ask, 1)
@@ -306,8 +306,7 @@ def run_relay(ctx: SimContext, layers: np.ndarray, flipped: np.ndarray,
 
 
 def _diameter_within(adj: np.ndarray, limit: int) -> bool:
-    """True iff the graph is connected with diameter <= the first power of
-    two >= limit (the bound an earlier radius-doubling form certified).
+    """True iff the graph is connected with diameter <= limit.
 
     Each hop ORs every node's packed reach row with its neighbours' rows
     (``bitwise_or.reduceat`` over the edges, each node its own neighbour)
@@ -322,7 +321,7 @@ def _diameter_within(adj: np.ndarray, limit: int) -> bool:
     rows = np.zeros((m, -(-m // 64) * 64), dtype=bool)
     rows[:, :m] = closed
     reach = np.packbits(rows, axis=1).view(np.uint64)
-    for _ in range(1, 1 << clog2(limit)):
+    for _ in range(1, limit):
         grown = np.bitwise_or.reduceat(reach[dst], starts, axis=0)
         if np.array_equal(grown, reach):
             break
@@ -342,12 +341,10 @@ def shared_group_layers(n: int, bounds, d: int, alpha: int,
     nested (layer i contains layer i-1) with exact per-layer marginals, so a
     process that grows its degree keeps pulling from its old neighbors.  The
     base layer of each group is certified connected with diameter at most
-    the first power of two >= ``max_steps`` (the relay iterations
-    available; see ``_diameter_within``), so a diameter between
-    ``max_steps`` and that power of two can pass.  Sampling is repeated
-    deterministically until the certificate holds -- this stands in for a
-    fixed graph family known to have the needed properties.  Returns
-    (layers, k_caps) in the format run_relay expects.
+    ``max_steps``, the relay iterations available (``_diameter_within``).
+    Sampling is repeated deterministically until the certificate holds --
+    this stands in for a fixed graph family known to have the needed
+    properties.  Returns (layers, k_caps) in the format run_relay expects.
 
     One stream per attempt draws a top-up per layer.  The top-up is exactly
     1 at the first layer whose probability reaches 1 and 0 above it, and

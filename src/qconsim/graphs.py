@@ -43,8 +43,8 @@ class PropertyReport:
 
 def _degrees(members: np.ndarray, adj: np.ndarray) -> np.ndarray:
     """Each node's neighbours inside each row's subset: one float32 product,
-    exact below 2**24 nodes."""
-    return members.astype(np.float32) @ adj.astype(np.float32)
+    exact below 2**24 nodes.  Each check converts ``adj`` to float32 once."""
+    return members.astype(np.float32) @ adj
 
 
 def _nodes(mask: np.ndarray) -> list:
@@ -58,6 +58,7 @@ def delta_core(adj: np.ndarray, delta: int, members: Optional[np.ndarray] = None
     which leaves the unique maximum such subgraph."""
     keep = np.ones(adj.shape[0], dtype=bool) if members is None \
         else members.copy()
+    adj = adj.astype(np.float32, copy=False)  # is_compact's is already
     while (bad := keep & (_degrees(keep, adj) < delta)).any():
         keep &= ~bad
     return keep
@@ -106,6 +107,7 @@ def is_expanding(adj: np.ndarray, ell: int, budget: int = DEFAULT_BUDGET,
         # no two disjoint ell-subsets exist: the quantifier is empty
         return PropertyReport("expanding", params, True, "exhaustive")
     rng = substream(seed, "check-expanding", ell)
+    adj = adj.astype(np.float32)
 
     def fails(masks, _slot):
         free = (_degrees(masks, adj) == 0) & ~masks
@@ -128,6 +130,7 @@ def is_edge_dense(adj: np.ndarray, ell: int, a: float, b: float,
     n = adj.shape[0]
     params = {"ell": ell, "a": a, "b": b}
     rng = substream(seed, "check-edge-dense", ell)
+    adj = adj.astype(np.float32)
 
     def draw():
         # no X reaches size ell > n, and no Y exceeds n
@@ -166,6 +169,7 @@ def is_compact(adj: np.ndarray, ell: int, eps: float, delta: int,
         # delta <= 0 holds trivially, and no B reaches size ell > n
         return PropertyReport("compact", params, True, "exhaustive")
     rng = substream(seed, "check-compact", ell)
+    adj = adj.astype(np.float32)
 
     def fails(masks, _slot):
         core = delta_core(adj, delta, masks).sum(axis=1)

@@ -15,8 +15,7 @@ import numpy as np
 from qconsim.adversaries import Adversary
 from qconsim.consensus import PhaseAction
 from qconsim.engine import EMPTY_DECISION, CrashDecision
-from qconsim.exchange import (_adapt_vec, _diameter_within, clog2,
-                              end_epoch_update, layer_count)
+from qconsim.exchange import _adapt_vec, clog2, end_epoch_update, layer_count
 
 
 def philox_stream(seed: int, *coords) -> np.random.Generator:
@@ -133,14 +132,36 @@ def private_layers_oracle(n: int, d: int, alpha: int, seed: int, tag
     return layers, np.full(n, k, dtype=np.int64)
 
 
+def bfs_diameter(adj):
+    """Largest shortest-path distance, or None if the graph is disconnected."""
+    m = adj.shape[0]
+    worst = 0
+    for start in range(m):
+        dist = {start: 0}
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for p in frontier:
+                for q in np.flatnonzero(adj[p]).tolist():
+                    if q not in dist:
+                        dist[q] = dist[p] + 1
+                        nxt.append(q)
+            frontier = nxt
+        if len(dist) < m:
+            return None
+        worst = max(worst, max(dist.values()))
+    return worst
+
+
 def shared_group_layers_oracle(n: int, groups: list, d: int, alpha: int,
                                seed: int, tag, max_steps: int,
                                attempts: list | None = None
                                ) -> tuple[np.ndarray, np.ndarray]:
     """``exchange.shared_group_layers`` as one fresh philox_stream per attempt
     that draws a top-up for every layer, 0 and 1 included, and writes the
-    blocks through ``np.ix_`` (so any group of ids works).  The resamples
-    each group needed are appended to ``attempts``."""
+    blocks through ``np.ix_`` (so any group of ids works), and certifies
+    each base layer by breadth-first search.  The resamples each group
+    needed are appended to ``attempts``."""
     k_caps = np.zeros(n, dtype=np.int64)
     k_max = 0
     for g in groups:
@@ -169,7 +190,8 @@ def shared_group_layers_oracle(n: int, groups: list, d: int, alpha: int,
                 block = np.zeros((m, m), dtype=bool)
                 block[iu] = edges
                 blocks.append(block | block.T)
-            if _diameter_within(blocks[0], max_steps):
+            diameter = bfs_diameter(blocks[0])
+            if diameter is not None and diameter <= max_steps:
                 break
         else:
             raise RuntimeError("could not certify a connected base layer")
@@ -240,7 +262,7 @@ def brute_compact(adj, ell, eps, delta):
             nodes = list(sub)
             for inner_size in range(len(nodes), int(eps * ell) - 1, -1):
                 for cand in combinations(nodes, inner_size):
-                    idx = np.array(cand)
+                    idx = np.array(cand, dtype=np.intp)  # () must index too
                     deg = adj[np.ix_(idx, idx)].sum(axis=1)
                     if (deg >= delta).all():
                         best = inner_size

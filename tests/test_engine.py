@@ -193,7 +193,7 @@ def test_transposed_targets_match_contiguous_copy():
         ctx.halt(np.arange(n) == 6)
         targets = [layout(m) for m in inquiries]
         assert targets[0].flags.f_contiguous != targets[0].flags.c_contiguous
-        delivered = [ctx.exchange(t, bits=np.arange(n) + 1, qubits=2)
+        delivered = [ctx.exchange(t, bits=3, qubits=2)
                      for t in targets]
         runs.append((delivered, ctx.ledger, ctx.finish({}, "scripted")))
     (d_view, ledger_view, tr_view), (d_copy, ledger_copy, tr_copy) = runs
@@ -258,7 +258,7 @@ def test_digest_v2_layout():
     keep = np.array([True, False, False])
     script = [CrashDecision(), CrashDecision(np.array([1]), {1: keep})]
     ctx = SimContext(3, 2, ScriptedAdversary(script), seed=6)
-    full = ctx.exchange(_full_targets(3), bits=np.array([1, 2, 3]), qubits=1)
+    full = ctx.exchange(_full_targets(3), bits=2, qubits=1)
     partial = ctx.exchange(_full_targets(3), bits=4)
     outputs = {"decisions": [0, 1, 1]}
     transcript = ctx.finish(outputs, "scripted")
@@ -267,7 +267,7 @@ def test_digest_v2_layout():
     assert partial.tolist() == [[False, False, True],
                                 [True, False, False],
                                 [True, False, False]]
-    rounds = [(full, [], [1, 2, 3], [1, 1, 1], [1, 1, 1], [0, 0, 0]),
+    rounds = [(full, [], [2, 2, 2], [1, 1, 1], [1, 1, 1], [0, 0, 0]),
               (partial, [1], [4, 4, 4], [0, 0, 0], [1, 0, 1], [0, 0, 0])]
     expected = _v2_digest(3, 2, 6, rounds, outputs, transcript.ledger)
     assert transcript.digest == expected
@@ -442,6 +442,21 @@ def test_row_remask_matches_fresh_prepare():
     assert digest == ref_digest
 
 
+def test_view_taken_before_a_halt_keeps_its_attempts():
+    """Re-masking a prepared round after a halt leaves the attempt counts
+    an earlier view was shown as they were."""
+    n = 4
+    adversary = TargetRecorder()
+    ctx = SimContext(n, 2, adversary, seed=0)
+    prep = ctx.prepare(_full_targets(n))
+    ctx.exchange(prep, bits=1)
+    ctx.halt(np.arange(n) == 2)
+    ctx.exchange(prep, bits=1)
+    (before, _), (after, _) = adversary.attempts
+    assert before.tolist() == [3, 3, 3, 3]
+    assert after.tolist() == [3, 3, 0, 3]
+
+
 def test_returned_delivery_and_view_masks_are_read_only():
     adversary = TargetRecorder([EMPTY_DECISION, CrashDecision(np.array([0]))])
     ctx = SimContext(4, 2, adversary, seed=0)
@@ -473,20 +488,19 @@ class CostRecorder(ScriptedAdversary):
 
 
 def test_cost_entry_follows_costs_halts_and_crashes():
-    """One prepared round sent again and again: scalar costs alternate, a
-    per-sender cost array comes in between, then a halt and a crash with
-    partial delivery.  The digest is the documented v2 byte sequence and
-    the ledger the sum, round by round, of each sender's attempts (its
-    delivered messages in its crash round) times its costs."""
+    """One prepared round sent again and again: cost pairs alternate, a new
+    pair comes in between, then a halt and a crash with partial delivery.
+    The digest is the documented v2 byte sequence and the ledger the sum,
+    round by round, of each sender's attempts (its delivered messages in
+    its crash round) times its costs."""
     n = 5
     targets = substream(3, "cost-entry").random((n, n)) < 0.7
     targets[0] = targets[:, 1] = True  # sender 0 reaches all, all reach 1
-    per_sender = np.array([3, 1, 4, 1, 5])
     keep = np.array([True, True, False, True, True])
     halt = np.arange(n) == 4
     # (bits, qubits, crashed, partial delivery), or a halt mask
     events = [(1, 0, [], {}), (5, 2, [], {}), (1, 0, [], {}), (1, 2, [], {}),
-              (per_sender, 2, [], {}), (1, 2, [], {}), (1, 0, [], {}), halt,
+              (3, 2, [], {}), (1, 2, [], {}), (1, 0, [], {}), halt,
               (1, 0, [], {}),
               (5, 2, [0], {0: keep}), (5, 2, [], {}), (1, 0, [], {})]
     script = [CrashDecision(np.array(e[2], dtype=np.int64), e[3])

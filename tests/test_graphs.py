@@ -265,8 +265,7 @@ def test_exhaustive_certifiers_match_brute_force(seed, n, p, prop, data):
         rep = is_edge_dense(adj, ell, a, b)
         first = brute_edge_dense(adj, ell, a, b)
     else:
-        # eps * ell >= 1 keeps the oracle's inner search off the empty set
-        eps = data.draw(st.floats(1 / ell, 1))
+        eps = data.draw(st.floats(0, 1))
         delta = data.draw(st.integers(1, 3))
         rep = is_compact(adj, ell, eps, delta)
         first = brute_compact(adj, ell, eps, delta)
