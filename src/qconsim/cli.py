@@ -12,12 +12,15 @@ least 1 and starts no more worker processes than there are cells.  QSIM_SEED
 in the environment replaces the config's ``seed``: the seed of run and
 check-graphs, the first of a seed count in sweep and coin-stats (so a sweep
 with an explicit seed list ignores it).  Exit codes: 0 success, 2 bad
-configuration (or one too large for memory), 3 a protocol invariant
-(agreement/validity) was violated, 4 a run hit its phase or round cap
-without terminating (liveness failure).  run is a one-cell sweep: both make
-a non-terminating cell a row with ``terminated`` false and the phases,
-rounds, bits and qubits it reached (run then writes no report), and exit 4
-only if no cell disagreed or decided an invalid value (that exits 3).
+configuration (or one too large for memory: run, sweep and coin-stats
+refuse, before any cell runs, a cell whose estimated peak exceeds the
+machine's physical memory, and a failed allocation exits 2 too), 3 a
+protocol invariant (agreement/validity) was violated, 4 a run hit its phase
+or round cap without terminating (liveness failure).  run is a one-cell
+sweep: both make a non-terminating cell a row with ``terminated`` false and
+the phases, rounds, bits and qubits it reached (run then writes no report),
+and exit 4 only if no cell disagreed or decided an invalid value (that
+exits 3).
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .coin import CoinParams, run_coin
 from .consensus import ConsensusParams, run_consensus
 from .counting import level_graph
 from .engine import CapExceeded, SimContext, SimulationError, Transcript
+from .exchange import block_rows, layer_count
 from .graphs import (DEFAULT_BUDGET, DEFAULT_TRIALS, is_compact,
                      is_edge_dense, is_expanding)
 from .rng import substream
@@ -184,13 +188,54 @@ def _adversary(adv_cfg: dict, n: int, t: int, seed: int):
     return adversary
 
 
+_BASE_BYTES = 40 << 20  # the interpreter with numpy and qconsim imported
+
+
+def _peak_bytes(n: int, k: int, counting: bool) -> int:
+    """Estimated peak bytes of one cell on n processes whose relays climb
+    to layer k.  A relay holds two packed (k+1, n, n/8) stacks (the coin's
+    layers and their transpose), about nine (n, n) bool matrices (two
+    prepared rounds with their cached deliveries, ``asked``,
+    ``KeyCarrier.larger``, a merge's mask and a few temporaries) and one
+    float32 block of ``_adapt_vec``.  Counting first samples each level's
+    bool stack, with its blocks, float64 draws and masks, about 2(k+1) + 8
+    (n, n) matrices at level 0; its rumor merge's edge lists are not
+    modelled.  Calibrated on the peak RSS of crash-free coins at n = 4096
+    and 8192 (191 and 639 MiB) and of a constant-preset consensus run at
+    n = 2048 (93 MiB)."""
+    square = n * n
+    relay = (2 * (k + 1) * n * -(-n // 8) + 9 * square
+             + 4 * n * block_rows(n))
+    build = (2 * (k + 1) + 8) * square if counting else 0
+    return _BASE_BYTES + max(relay, build)
+
+
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_memory(n: int, d: int, alpha: int, counting: bool) -> None:
+    """A config error if a cell's estimated peak exceeds physical memory."""
+    need = _peak_bytes(n, layer_count(n, d, alpha), counting)
+    have = _physical_memory()
+    if need > have:
+        raise ConfigError(f"n = {n} needs about {need / 2**30:.1f} GiB of "
+                          f"memory, more than the {have / 2**30:.1f} GiB "
+                          "of this machine")
+
+
 def _specs(cfg: dict, n_list: list, presets: list, seeds: list) -> list:
     """One consensus cell spec per (n, preset, seed), in that order, with
-    the config's t, epsilon, adversary, inputs and record_rounds."""
+    the config's t, epsilon, adversary, inputs and record_rounds; every
+    (n, preset) must pass the memory check."""
     shared = {"epsilon": cfg.get("epsilon", 0.5),
               "adversary": cfg.get("adversary", {"name": "none"}),
               "inputs": cfg.get("inputs", "random"),
               "record_rounds": cfg.get("record_rounds", False)}
+    for n in n_list:
+        for preset in presets:
+            params = _params(preset, n, shared["epsilon"])
+            _check_memory(n, params.d, params.alpha, counting=True)
     return [{"n": n, "t": _crash_bound(cfg, n), "seed": seed,
              "preset": preset, **shared}
             for n in n_list for preset in presets for seed in seeds]
@@ -301,6 +346,7 @@ def cmd_coin_stats(args) -> int:
     n = cfg["n"]
     t = _crash_bound(cfg, n)
     params = CoinParams.make(n, d=cfg.get("d"), alpha=cfg.get("alpha"))
+    _check_memory(n, params.d, params.alpha, counting=False)
     specs = [{"n": n, "t": t, "seed": seed, "coin": params,
               "adversary": cfg.get("adversary", {"name": "none"})}
              for seed in _seeds(cfg)]

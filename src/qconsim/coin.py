@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import SimContext
-from .exchange import KeyCarrier, Window, clog2, private_layers, run_relay
+from .exchange import (KeyCarrier, Window, clog2, flip_layers,
+                       private_layers, run_relay)
 from .rng import Restream
 
 
@@ -96,7 +97,7 @@ def run_coin(ctx: SimContext, params: CoinParams, tag="coin") -> np.ndarray:
     keys = leaders * n + np.arange(n)
     layers, k_caps = private_layers(n, params.d, params.alpha, ctx.seed, tag)
     carrier = KeyCarrier(keys, params.response_bits, params.register_qubits)
-    run_relay(ctx, layers, np.ascontiguousarray(layers.transpose(0, 2, 1)),
-              k_caps, params.window, carrier)
+    run_relay(ctx, layers, flip_layers(layers), k_caps, params.window,
+              carrier)
     origin = carrier.keys % n
     return coin_bits[origin]

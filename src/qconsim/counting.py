@@ -91,7 +91,9 @@ def fast_counting(ctx: SimContext, a: np.ndarray, params, tag="count"
         window, layers, k_caps = level_graph(n, bounds, params, ctx.seed,
                                              (tag, lvl_idx))
         carrier = RumorCarrier([rumors], 2 * x * clog2(n + 1))  # 2x subtotals
-        # every layer is symmetric, so it is its own transpose
+        # packed once, the bool stack dropped; every layer is symmetric, so
+        # the packed stack is its own transpose
+        layers = np.packbits(layers, axis=-1)
         run_relay(ctx, layers, layers, k_caps, window, carrier)
         ones = np.where(r1 >= 0, r1, 0).sum(axis=1)
         zeros = np.where(r0 >= 0, r0, 0).sum(axis=1)

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
@@ -328,9 +329,11 @@ class SimContext:
 
         ``targets`` is a raw (n, n) bool matrix or a ``PreparedRound``.
         ``bits``/``qubits`` are integer costs per message, the same for
-        every sender.  ``payload`` (classical) is shown to the adversary, as
-        is ``self.state``.
+        every sender; anything else (a float, a per-sender array) raises
+        ``TypeError`` here, whatever ``targets`` is.  ``payload``
+        (classical) is shown to the adversary, as is ``self.state``.
         """
+        bits, qubits = operator.index(bits), operator.index(qubits)
         if self.round >= self.round_cap:
             raise RoundCapExceeded(f"round cap {self.round_cap} reached",
                                    self)

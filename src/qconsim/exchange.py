@@ -33,16 +33,21 @@ differs from the recipient row, for keys (coin) an edge whose sender key is
 the larger.  Once the payloads have spread that mask is empty and the merge
 ends there; otherwise only the masked edges are listed and max-merged.
 Responder counts for degree adaptation are a float32 BLAS product, exact
-below 2**24 processes; the diameter certificate of the shared layers ORs
+below 2**24 processes, converted to float32 one block of responder rows at
+a time from n = 512 on; the diameter certificate of the shared layers ORs
 packed rows.
 
-The relay's matrices stay dense (n, n) bool on purpose.  At the sizes the
-protocol runs, the top layers it climbs to are dense: at n = 384 under the
-constant preset, layer 1 has edge probability 180/384, about 47%, so an edge
-list would be about as large as the matrix.  The kernels instead read each
-matrix a small, fixed number of times.  A response round, the transpose of
-its inquiry delivery, is built C-ordered from the transposed layers, so no
-delivery is ever transposed (an F-to-C copy that misses cache at large n).
+The relay's round matrices stay dense (n, n) bool on purpose.  At the sizes
+the protocol runs, the top layers it climbs to are dense: at n = 384 under
+the constant preset, layer 1 has edge probability 180/384, about 47%, so an
+edge list would be about as large as the matrix.  The kernels instead read
+each matrix a small, fixed number of times.  The layer stacks, read only
+when the levels change, are held bit-packed along their last axis, an
+eighth of the bool size: the private stack is drawn and packed a chunk of
+processes at a time, and counting packs each level's shared stack once.
+A response round, the transpose of its inquiry delivery, is built
+C-ordered from the packed transposed layers, so no delivery is ever
+transposed (an F-to-C copy that misses cache at large n).
 """
 
 from __future__ import annotations
@@ -76,6 +81,14 @@ def end_epoch_update(degree_level: np.ndarray, adaptive_level: np.ndarray,
                     np.minimum(degree_level + 1, k_caps), degree_level)
 
 
+def block_rows(n: int) -> int:
+    """Rows of an (n, n) delivery that ``_adapt_vec`` converts to float32 at
+    a time: all of them below n = 512, where one product is as fast as any
+    blocking, else a block of about 256 KB of float32, which stays in
+    cache (at n = 4096 a call takes about a fifth of the time)."""
+    return n if n < 512 else max(1, (1 << 16) // n)
+
+
 def _adapt_vec(ad: np.ndarray, delivered: np.ndarray, delta: int,
                k_max: int) -> np.ndarray:
     """New adaptive-degree level of every recipient after one response round.
@@ -88,10 +101,21 @@ def _adapt_vec(ad: np.ndarray, delivered: np.ndarray, delta: int,
     level drops by one.  The terminal level -1 is what makes the degree grow
     at the end of the epoch.
     """
-    # counts[lv, q]: responders to q that report a level >= lv; one float32
-    # product for all levels, exact while n < 2**24
-    levels = np.arange(k_max + 1)[:, None]
-    counts = (ad >= levels).astype(np.float32) @ delivered
+    # counts[lv, q]: responders to q that report a level >= lv; a float32
+    # product for all levels, one block of responder rows at a time, exact
+    # while n < 2**24
+    n = ad.size
+    above = (ad >= np.arange(k_max + 1)[:, None]).astype(np.float32)
+    rows = block_rows(n)
+    if rows >= n:
+        counts = above @ delivered
+    else:
+        block = np.empty((rows, n), dtype=np.float32)
+        counts = np.zeros((k_max + 1, n), dtype=np.float32)
+        for lo in range(0, n, rows):
+            part = block[:n - lo]  # the last block may be shorter
+            part[...] = delivered[lo:lo + rows]
+            counts += above[:, lo:lo + rows] @ part
     # counts[lv, q] falls as lv grows, so the levels with at least delta
     # responders are 0 .. (their number - 1); the loop stops at the highest
     # of them that is <= ad[q], or at -1 when there is none
@@ -239,19 +263,22 @@ def run_relay(ctx: SimContext, layers: np.ndarray, flipped: np.ndarray,
     """Run one full adaptive-relay window, mutating ``carrier`` in place;
     return the final degree levels.
 
-    ``layers`` is (k_max+1, n, n) bool with layers[i][p] the targets of p at
-    level i; rows above a process's own cap must repeat its top layer.
-    ``flipped`` is the transposed stack, C-ordered: flipped[i][r, q] ==
-    layers[i][q, r] (symmetric layers are their own).  ``k_caps`` is the
-    per-process top level.  The relay adds each response's degree field:
-    ``adaptive_degree`` in the payload, clog2(k_max + 1) bits.
+    ``layers`` is a (k_max+1, n, n) bool stack bit-packed along its last
+    axis (``np.packbits(..., axis=-1)``, zero pad bits): layers[i][p] packs
+    the targets of p at level i; rows above a process's own cap must repeat
+    its top layer.  ``flipped`` is the packed transposed stack, C-ordered:
+    row r of flipped[i] packs column r of layer i (symmetric layers are
+    their own).  ``k_caps`` is the per-process top level.  The relay adds
+    each response's degree field: ``adaptive_degree`` in the payload,
+    clog2(k_max + 1) bits.
 
     Exact reuse: the inquiry rows depend on the levels only, so they are
-    gathered and prepared (``SimContext.prepare``) again only when the
-    levels change, and with them ``asked``, their transpose taken column by
-    column from ``flipped``; the response round, only when the inquiry
-    round returns a new matrix object (returned matrices are read-only),
-    each into the buffer it had.  It is built from the transposed layers,
+    gathered, unpacked and prepared (``SimContext.prepare``) again only when
+    the levels change, and with them ``asked``, their transpose: column q
+    is picked from flipped[lvl[q]] by one packed level mask per layer, and
+    unpacked once; the response round, only when the inquiry round returns
+    a new matrix object (returned matrices are read-only), each into the
+    buffer it had.  It is built from the transposed layers,
     not the delivery: ``asked`` masked to the inquirers that could send,
     with the columns of those that crashed asking copied from their
     delivered rows; the engine's masking does the rest.  The response
@@ -264,6 +291,7 @@ def run_relay(ctx: SimContext, layers: np.ndarray, flipped: np.ndarray,
     """
     n = ctx.n
     rows = np.arange(n)
+    levels = np.arange(len(flipped))[:, None]
     lvl = np.zeros(n, dtype=np.int64)
     k_max = int(k_caps.max(initial=0))
     resp_bits = carrier.bits + clog2(k_max + 1)
@@ -273,10 +301,10 @@ def run_relay(ctx: SimContext, layers: np.ndarray, flipped: np.ndarray,
     for _ in range(window.epochs):
         if not np.array_equal(lvl, ask_lvl):
             ask_lvl = lvl  # end_epoch_update keeps it within k_caps
-            ask = ctx.prepare(layers[lvl, rows], ask)
-            asked = flipped[0] & (lvl == 0)
-            for i in range(1, k_max + 1):
-                asked |= flipped[i] & (lvl == i)
+            ask = ctx.prepare(_unpack_rows(layers[lvl, rows], n), ask)
+            picks = np.packbits(lvl == levels, axis=-1)[:, None]
+            asked = _unpack_rows(
+                np.bitwise_or.reduce(flipped & picks, axis=0), n)
         ad = read_only(lvl)  # levels and degrees are never written in place
         for _ in range(window.iterations):
             got_inq = ctx.exchange(ask, 1)
@@ -286,6 +314,7 @@ def run_relay(ctx: SimContext, layers: np.ndarray, flipped: np.ndarray,
                     gone = np.flatnonzero(ask.active & ~ctx.active)
                     reply[:, gone] = got_inq[gone].T
                 answer = ctx.prepare(reply, answer)
+                del reply  # prepared as a copy; an (n, n) matrix less
             if payload["adaptive_degree"] is not ad:
                 payload = {"adaptive_degree": ad, **carrier.classical}
             got_resp = ctx.exchange(answer, resp_bits, carrier.qubits,
@@ -391,23 +420,53 @@ def shared_group_layers(n: int, bounds, d: int, alpha: int,
     return layers, k_caps
 
 
+def _unpack_rows(packed: np.ndarray, n: int) -> np.ndarray:
+    """The bool rows of n columns that ``packed`` packs along its last axis."""
+    return np.unpackbits(packed, axis=-1, count=n).view(bool)
+
+
+_CHUNK = 256  # processes per chunk of a private stack: a multiple of 8
+
+
 def private_layers(n: int, d: int, alpha: int, seed: int, tag
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-process private directed layers over all n processes (coin style).
+    """Per-process private directed layers over all n processes (coin
+    style), bit-packed along the last axis as ``run_relay`` takes them.
 
     Process p draws row p of every layer from its own stream, layer by
     layer.  Probabilities grow with the layer, so the layers with
     probability 1 come last in each stream; a [0, 1) double is always below
-    1, so those rows are all True and are set without drawing.
+    1, so those rows are all True and are set without drawing.  The rows of
+    up to _CHUNK processes are drawn into one bool block and packed, so no
+    bool stack is held.
     """
     k = layer_count(n, d, alpha)
     probs = np.array([min(1.0, d * alpha ** i / n) for i in range(k + 1)])
     drawn = int((probs < 1.0).sum())
-    layers = np.ones((k + 1, n, n), dtype=bool)
+    layers = np.empty((k + 1, n, -(-n // 8)), dtype=np.uint8)
     draws = np.empty((drawn, n))
     streams = Restream().each(seed, ("private-layers", tag, ...), range(n))
-    for p, rng in enumerate(streams):
-        rng.random(out=draws)
-        np.less(draws, probs[:drawn, None], out=layers[:drawn, p])
-    layers[:, np.arange(n), np.arange(n)] = False
+    for lo in range(0, n, _CHUNK):
+        block = np.ones((k + 1, min(_CHUNK, n - lo), n), dtype=bool)
+        for row, rng in zip(block.transpose(1, 0, 2), streams):
+            rng.random(out=draws)
+            np.less(draws, probs[:drawn, None], out=row[:drawn])
+        own = np.arange(block.shape[1])
+        block[:, own, own + lo] = False
+        layers[:, lo:lo + _CHUNK] = np.packbits(block, axis=-1)
     return layers, np.full(n, k, dtype=np.int64)
+
+
+def flip_layers(layers: np.ndarray) -> np.ndarray:
+    """The packed transposed stack of a packed stack, C-ordered: row r of
+    layer i packs column r.  _CHUNK columns (whole bytes) at a time are
+    unpacked, copied transposed into C order and packed, so no bool stack
+    is held (packing a strided transposed view is several times slower)."""
+    n = layers.shape[1]
+    flipped = np.empty_like(layers)
+    for lo in range(0, n, _CHUNK):
+        cols = _unpack_rows(layers[..., lo // 8:(lo + _CHUNK) // 8],
+                           min(_CHUNK, n - lo))
+        flipped[:, lo:lo + _CHUNK] = np.packbits(
+            np.ascontiguousarray(cols.transpose(0, 2, 1)), axis=-1)
+    return flipped

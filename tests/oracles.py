@@ -15,7 +15,7 @@ import numpy as np
 from qconsim.adversaries import Adversary
 from qconsim.consensus import PhaseAction
 from qconsim.engine import EMPTY_DECISION, CrashDecision
-from qconsim.exchange import _adapt_vec, clog2, end_epoch_update, layer_count
+from qconsim.exchange import clog2, end_epoch_update, layer_count
 
 
 def philox_stream(seed: int, *coords) -> np.random.Generator:
@@ -205,10 +205,12 @@ def shared_group_layers_oracle(n: int, groups: list, d: int, alpha: int,
 def run_relay_oracle(ctx, layers: np.ndarray, k_caps: np.ndarray, window,
                      carrier) -> np.ndarray:
     """``exchange.run_relay`` with nothing carried from one round to the
-    next: every iteration gathers its inquiry rows afresh, both rounds hand
-    the engine a raw matrix, so each is masked and delivered anew, and the
-    carrier merges every response round.  It prices and builds each response
-    itself: the carrier's part plus a clog2(k_max + 1)-bit adaptive degree."""
+    next, on the bool (unpacked) layer stack: every iteration gathers its
+    inquiry rows afresh, both rounds hand the engine a raw matrix, so each
+    is masked and delivered anew, and the carrier merges every response
+    round.  It prices and builds each response itself: the carrier's part
+    plus a clog2(k_max + 1)-bit adaptive degree.  Each recipient adapts its
+    degree by ``adapt_degree``'s loop over its own responders."""
     n = ctx.n
     rows = np.arange(n)
     lvl = np.zeros(n, dtype=np.int64)
@@ -223,7 +225,9 @@ def run_relay_oracle(ctx, layers: np.ndarray, k_caps: np.ndarray, window,
             got_resp = ctx.exchange(got_inq.T, carrier.bits + degree_bits,
                                     carrier.qubits, payload=payload)
             carrier.merge(got_resp)
-            ad = _adapt_vec(ad, got_resp, window.delta, k_max)
+            ad = np.array([adapt_degree(ad[got_resp[:, q]].tolist(),
+                                        int(ad[q]), window.delta)
+                           for q in range(n)], dtype=np.int64)
         lvl = end_epoch_update(lvl, ad, k_caps)
     return lvl
 

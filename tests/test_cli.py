@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -326,8 +327,9 @@ def test_check_graphs_certifies_the_layers_counting_relays(preset, tmp_path,
     relay = counting.run_relay
 
     def spy_relay(ctx, layers, *rest):
-        if ctx.state["phase"] == 1:
-            relayed.append(layers.copy())
+        if ctx.state["phase"] == 1:  # the relay takes packed rows
+            relayed.append(np.unpackbits(layers, axis=-1,
+                                         count=ctx.n).view(bool))
         return relay(ctx, layers, *rest)
 
     def spy_certifier(adj, ell, **limits):
@@ -374,6 +376,51 @@ def test_out_of_memory_is_one_error_line(command, tmp_path, monkeypatch,
         assert main([command, "--config", cfg]) == cli.EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [line] and not captured.out
+
+
+_GUARDED = {"run": {"n": 8, "seed": 1, "preset": "polylog"},
+            "sweep": {"n_list": [4, 8], "seeds": 1,
+                      "presets": ["polylog", "constant"]},
+            "coin-stats": {"n": 8, "seeds": 2}}
+
+
+@pytest.mark.parametrize("command", list(_GUARDED))
+@pytest.mark.parametrize("patch", ["limit", "estimate"])
+def test_memory_guard_refuses_before_any_cell(command, patch, tmp_path,
+                                              monkeypatch, capsys):
+    """A cell whose estimated peak exceeds physical memory (here a limit or
+    an estimate monkeypatched, so that nothing large is allocated) exits 2
+    with one ``error:`` line before any cell runs."""
+    if patch == "limit":
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 1 << 20)
+    else:
+        monkeypatch.setattr(cli, "_peak_bytes", lambda n, k, counting: (
+            1 << 60 if n == 8 else 0))
+
+    def never(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(cli, "run_consensus", never)
+    monkeypatch.setattr(cli, "run_coin", never)
+    cfg = write_cfg(tmp_path, "c.json", _GUARDED[command])
+    assert main([command, "--config", cfg]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    line, = captured.err.splitlines()
+    first = 4 if command == "sweep" and patch == "limit" else 8
+    assert line.startswith(f"error: n = {first} needs about ")
+    assert not captured.out
+
+
+def test_memory_estimate_covers_measured_peaks():
+    """The estimate is at or above the peak RSS measured for crash-free
+    polylog coins at n = 4096 and 8192 and a constant-preset consensus run
+    at n = 2048, and within a quarter of it; it is arithmetic only."""
+    mib = 1 << 20
+    for n, k, counting, measured in ((4096, 3, False, 191),
+                                     (8192, 3, False, 639),
+                                     (2048, 2, True, 93)):
+        assert measured <= cli._peak_bytes(n, k, counting) / mib \
+            <= 1.25 * measured
 
 
 def test_wilson_lower_bound_values():

@@ -165,3 +165,26 @@ def test_fairness_rough_at_small_n():
         elif (bits == 0).all():
             zeros += 1
     assert ones / 120 > 0.3 and zeros / 120 > 0.3
+
+
+@pytest.mark.parametrize("n", [13, 300])
+def test_coin_relays_the_packed_transpose(n, monkeypatch):
+    """The coin hands ``run_relay`` its private layers packed and, as the
+    transposed stack, exactly the packed transpose of their bool stack,
+    C-ordered (n = 300 spans two chunks of columns, the second partial)."""
+    seen = []
+    relay = coin.run_relay
+
+    def spy(ctx, layers, flipped, *rest):
+        seen.append((layers, flipped))
+        return relay(ctx, layers, flipped, *rest)
+
+    monkeypatch.setattr(coin, "run_relay", spy)
+    run_coin(SimContext(n, 1, Adversary(), seed=2),
+             CoinParams.make(n, d=2, alpha=max(2, n // 4)))
+    (layers, flipped), = seen
+    bool_layers = np.unpackbits(layers, axis=-1, count=n).view(bool)
+    assert layers.dtype == flipped.dtype == np.uint8
+    assert flipped.flags.c_contiguous
+    assert np.array_equal(
+        flipped, np.packbits(bool_layers.transpose(0, 2, 1), axis=-1))

@@ -573,3 +573,21 @@ def test_active_mask_is_a_read_only_snapshot():
                                   [False, False, False, False],
                                   [True, False, False, False],
                                   [False, False, False, False]]
+
+
+@pytest.mark.parametrize("costs", [
+    {"bits": np.arange(4) + 1}, {"bits": 1, "qubits": np.full(4, 2)},
+    {"bits": 1.5}, {"bits": 1, "qubits": 2.0}],
+    ids=["bits-array", "qubits-array", "bits-float", "qubits-float"])
+def test_non_integer_costs_are_rejected_on_every_path(costs):
+    """A per-sender cost array or a float fails with the same TypeError on
+    a raw matrix, a fresh prepared round and a reused one, before the round
+    counts or the ledger moves."""
+    n = 4
+    ctx = SimContext(n, 2, Adversary(), seed=0)
+    prep = ctx.prepare(_full_targets(n))
+    ctx.exchange(prep, 1)  # the round is now cached
+    for targets in (_full_targets(n), ctx.prepare(_full_targets(n)), prep):
+        with pytest.raises(TypeError, match="integer"):
+            ctx.exchange(targets, **costs)
+    assert ctx.round == 1 and ctx.ledger.total_bits == n * (n - 1)

@@ -6,13 +6,14 @@ from hypothesis import strategies as st
 from oracles import (HiddenRegister, adapt_degree, bfs_diameter,
                      merge_registers, private_layers_oracle, run_relay_oracle,
                      shared_group_layers_oracle)
+from qconsim import exchange
 from qconsim.adversaries import Adversary
 from qconsim.counting import partition
 from qconsim.engine import EMPTY_DECISION, CrashDecision, SimContext
 from qconsim.exchange import (KeyCarrier, RumorCarrier, Window, _adapt_vec,
                               _diameter_within, clog2, end_epoch_update,
-                              layer_count, run_relay, shared_group_layers,
-                              private_layers)
+                              flip_layers, layer_count, run_relay,
+                              shared_group_layers, private_layers)
 from qconsim.rng import substream
 
 
@@ -318,11 +319,44 @@ def test_rumor_merge_matches_per_edge_reference(case):
 
 
 
+@pytest.mark.parametrize("n", [7, 10, 64])
+@pytest.mark.parametrize("rows", [lambda n: 1, lambda n: 3, lambda n: n - 1],
+                         ids=["1", "3", "n-1"])
+def test_blocked_adapt_matches_reference(n, rows, monkeypatch):
+    """Responder counts summed over row blocks of 1, 3 and n - 1 rows, each
+    but the first leaving a short last block, match the per-recipient
+    loop."""
+    block = rows(n)
+    monkeypatch.setattr(exchange, "block_rows", lambda _: block)
+    rng = np.random.default_rng(n * 10 + block)
+    for k_max in (0, 3):
+        ad = rng.integers(-1, k_max + 1, n)
+        for delivered in (rng.random((n, n)) < 0.4, ~np.eye(n, dtype=bool)):
+            for delta in (1, 2, 5):
+                _check_adapt(ad, delivered, delta, k_max)
+
+
+def test_default_blocks_match_reference():
+    """At n = 600 the default blocks (109 rows, so the last block is short)
+    give the counts of the per-recipient loop."""
+    n = 600
+    assert 1 < exchange.block_rows(n) < n and n % exchange.block_rows(n)
+    rng = np.random.default_rng(3)
+    ad = rng.integers(-1, 3, n)
+    _check_adapt(ad, rng.random((n, n)) < 0.02, 4, 2)
+
+
 # -- layers -------------------------------------------------------------
+
+def _unpacked(layers, n):
+    """The bool stack a packed layer stack packs (n columns)."""
+    return np.unpackbits(layers, axis=-1, count=n).view(bool)
+
 
 def test_private_layers_marginals():
     n, d, alpha = 400, 8, 4
     layers, k_caps = private_layers(n, d, alpha, seed=1, tag="t")
+    layers = _unpacked(layers, n)
     assert (k_caps == k_caps[0]).all()
     deg0 = layers[0].sum(axis=1).mean()
     assert abs(deg0 - d) < 1.5
@@ -379,8 +413,29 @@ def _layer_shapes(draw):
 def test_private_layers_match_per_process_oracle(shape, seed, tag):
     n, d, alpha = shape
     got = private_layers(n, d, alpha, seed, tag)
-    want = private_layers_oracle(n, d, alpha, seed, tag)
+    layers, k_caps = private_layers_oracle(n, d, alpha, seed, tag)
+    want = np.packbits(layers, axis=-1), k_caps
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("n", [1, 7, 13, 64, 1025])
+def test_private_layers_are_packed_oracle_layers(n):
+    """The stack is the oracle's bool stack packed along its last axis: pad
+    bits zero and the diagonal cleared, in every chunk of processes (n =
+    1025 ends in a chunk of one process).  Its flipped stack is the packed
+    transpose, C-ordered."""
+    d = alpha = max(2, clog2(n))
+    got, _ = private_layers(n, d, alpha, 5, "pin")
+    want, _ = private_layers_oracle(n, d, alpha, 5, "pin")
+    assert got.dtype == np.uint8 and got.shape == want.shape[:2] + (
+        -(-n // 8),)
+    assert np.array_equal(got, np.packbits(want, axis=-1))
+    assert not np.unpackbits(got, axis=-1)[..., n:].any()  # pad bits
+    assert not want[:, np.arange(n), np.arange(n)].any()
+    flipped = flip_layers(got)
+    assert flipped.flags.c_contiguous
+    assert np.array_equal(flipped,
+                          np.packbits(want.transpose(0, 2, 1), axis=-1))
 
 
 def _outcome(build, *args, **kwargs):
@@ -443,8 +498,9 @@ def test_shared_layers_oracle_example_resamples():
 # -- relay schedule ---------------------------------------------------------
 
 def _flip(layers):
-    """The transposed layer stack ``run_relay`` takes, as the coin builds it."""
-    return np.ascontiguousarray(layers.transpose(0, 2, 1))
+    """The packed transposed layer stack ``run_relay`` takes, as the coin
+    builds it."""
+    return flip_layers(layers)
 
 
 def test_window_round_count():
@@ -482,7 +538,7 @@ def test_relay_charges_inquiry_and_response_costs(make, response_keys):
     carrier = make(n)
     one_iteration = Window(k=-1, gamma=0, delta=2)  # 1 epoch of 1 iteration
     run_relay(ctx, layers, _flip(layers), k_caps, one_iteration, carrier)
-    inquiries = int(layers[0].sum())
+    inquiries = int(np.unpackbits(layers[0]).sum())  # pad bits are zero
     k_max = int(k_caps.max())
     assert ctx.ledger.bits.sum() == inquiries * (1 + 7 + clog2(k_max + 1))
     assert ctx.ledger.qubits.sum() == inquiries * carrier.qubits
@@ -521,7 +577,8 @@ class DrawnCrasher(Adversary):
 
 def _relay_setup(kind, n, seed, x):
     """(layers, flipped, k_caps, window, carrier) as the coin ("key") or one
-    counting level ("rumor") builds them and hands them to ``run_relay``."""
+    counting level ("rumor") builds them and hands them to ``run_relay``:
+    both stacks packed."""
     rng = np.random.default_rng(seed)
     d = alpha = max(2, clog2(n))
     if kind == "key":
@@ -541,6 +598,7 @@ def _relay_setup(kind, n, seed, x):
         for ci, (a, b) in enumerate(zip(kids, kids[1:])):
             rumors[a:b, ci] = rng.integers(0, 2, b - a)
             rumors[a:b, x + ci] = 1 - rumors[a:b, ci]
+    layers = np.packbits(layers, axis=-1)
     return layers, layers, k_caps, window, RumorCarrier([rumors], bits=7)
 
 
@@ -582,7 +640,8 @@ def test_relay_reuse_matches_per_round_oracle(case):
         ctx.halt(halted)
         layers, flipped, k_caps, window, carrier = _relay_setup(kind, n,
                                                                 seed, x)
-        lvl = (run_relay_oracle(ctx, layers, k_caps, window, carrier)
+        lvl = (run_relay_oracle(ctx, _unpacked(layers, n), k_caps, window,
+                                carrier)
                if oracle else
                run_relay(ctx, layers, flipped, k_caps, window, carrier))
         state = (carrier.keys.copy() if kind == "key"
@@ -619,6 +678,7 @@ def test_relay_skips_a_delivery_only_after_a_merge_left_it_unchanged(make):
     carrier.merge = counted
     layers = np.zeros((1, 3, 3), dtype=bool)
     layers[0, 1, 0] = layers[0, 2, 1] = True  # 1 asks 0, 2 asks 1
+    layers = np.packbits(layers, axis=-1)
     ctx = SimContext(3, 1, Adversary(), seed=0)
     run_relay(ctx, layers, _flip(layers), np.zeros(3, dtype=np.int64),
               Window(k=-1, gamma=3, delta=1), carrier)

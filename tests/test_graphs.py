@@ -44,22 +44,28 @@ def _random_adj(n, p, seed):
 
 # -- sampling ---------------------------------------------------------------
 
+def _private_bool_layers(n, d, alpha, seed, tag):
+    """``private_layers`` with its stack unpacked to bool."""
+    layers, k_caps = private_layers(n, d, alpha, seed=seed, tag=tag)
+    return np.unpackbits(layers, axis=-1, count=n).view(bool), k_caps
+
+
 def test_layers_single_when_d_equals_n():
-    layers, k_caps = private_layers(8, 8, 2, seed=0, tag="t")
+    layers, k_caps = _private_bool_layers(8, 8, 2, seed=0, tag="t")
     assert layers.shape[0] == 1 and (k_caps == 0).all()
     full = layers[0]
     assert (full.sum(axis=1) == 7).all()  # probability 1, no self
 
 
 def test_layers_k_formula_n16_d2_alpha2():
-    layers, k_caps = private_layers(16, 2, 2, seed=0, tag="t")
+    layers, k_caps = _private_bool_layers(16, 2, 2, seed=0, tag="t")
     assert layers.shape[0] == 4 and (k_caps == 3).all()  # 1/8, 1/4, 1/2, 1
     assert (layers[3].sum(axis=1) == 15).all()
 
 
 def test_layer_degree_within_4_sigma():
     n, d, alpha = 2000, 16, 4
-    layers, k_caps = private_layers(n, d, alpha, seed=3, tag="t")
+    layers, k_caps = _private_bool_layers(n, d, alpha, seed=3, tag="t")
     for i in range(int(k_caps[0])):
         p_edge = d * alpha ** i / n
         mean = p_edge * (n - 1)
