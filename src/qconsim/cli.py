@@ -205,7 +205,7 @@ def _peak_bytes(n: int, k: int, counting: bool) -> int:
     n = 2048 (93 MiB)."""
     square = n * n
     relay = (2 * (k + 1) * n * -(-n // 8) + 9 * square
-             + 4 * n * block_rows(n))
+             + 4 * n * min(n, block_rows(n)))
     build = (2 * (k + 1) + 8) * square if counting else 0
     return _BASE_BYTES + max(relay, build)
 

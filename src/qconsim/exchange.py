@@ -33,8 +33,8 @@ differs from the recipient row, for keys (coin) an edge whose sender key is
 the larger.  Once the payloads have spread that mask is empty and the merge
 ends there; otherwise only the masked edges are listed and max-merged.
 Responder counts for degree adaptation are a float32 BLAS product, exact
-below 2**24 processes, converted to float32 one block of responder rows at
-a time from n = 512 on; the diameter certificate of the shared layers ORs
+below 2**24 processes, converted to float32 one block of about 256 KB of
+responder rows at a time; the diameter certificate of the shared layers ORs
 packed rows.
 
 The relay's round matrices stay dense (n, n) bool on purpose.  At the sizes
@@ -83,39 +83,34 @@ def end_epoch_update(degree_level: np.ndarray, adaptive_level: np.ndarray,
 
 def block_rows(n: int) -> int:
     """Rows of an (n, n) delivery that ``_adapt_vec`` converts to float32 at
-    a time: all of them below n = 512, where one product is as fast as any
-    blocking, else a block of about 256 KB of float32, which stays in
-    cache (at n = 4096 a call takes about a fifth of the time)."""
-    return n if n < 512 else max(1, (1 << 16) // n)
+    a time: a block of about 256 KB of float32, which stays in cache (at
+    n = 4096 a call takes about a fifth of the time).  Up to n = 256 the
+    block holds every row."""
+    return max(1, (1 << 16) // n)
 
 
 def _adapt_vec(ad: np.ndarray, delivered: np.ndarray, delta: int,
-               k_max: int) -> np.ndarray:
+               levels: np.ndarray) -> np.ndarray:
     """New adaptive-degree level of every recipient after one response round.
 
     delivered[p, q] means responder p's payload reached q; responder p
-    reported level ad[p].  Levels encode degrees d*alpha^x, with level -1
-    standing for the underflow value d/alpha.  Per recipient this equals the
-    loop: while fewer than ``delta`` responders report a level >= the
-    current one and the current level is still >= 0 (degree >= d), the
-    level drops by one.  The terminal level -1 is what makes the degree grow
-    at the end of the epoch.
+    reported level ad[p]; ``levels`` is the column 0 .. k_max, shape
+    (k_max + 1, 1), that ``run_relay`` builds once.  Levels encode degrees
+    d*alpha^x, with level -1 standing for the underflow value d/alpha.  Per
+    recipient this equals the loop: while fewer than ``delta`` responders
+    report a level >= the current one and the current level is still >= 0
+    (degree >= d), the level drops by one.  The terminal level -1 is what
+    makes the degree grow at the end of the epoch.
     """
     # counts[lv, q]: responders to q that report a level >= lv; a float32
     # product for all levels, one block of responder rows at a time, exact
     # while n < 2**24
     n = ad.size
-    above = (ad >= np.arange(k_max + 1)[:, None]).astype(np.float32)
+    above = (ad >= levels).astype(np.float32)
     rows = block_rows(n)
-    if rows >= n:
-        counts = above @ delivered
-    else:
-        block = np.empty((rows, n), dtype=np.float32)
-        counts = np.zeros((k_max + 1, n), dtype=np.float32)
-        for lo in range(0, n, rows):
-            part = block[:n - lo]  # the last block may be shorter
-            part[...] = delivered[lo:lo + rows]
-            counts += above[:, lo:lo + rows] @ part
+    counts = above[:, :rows] @ delivered[:rows]
+    for lo in range(rows, n, rows):  # the last block may be shorter
+        counts += above[:, lo:lo + rows] @ delivered[lo:lo + rows]
     # counts[lv, q] falls as lv grows, so the levels with at least delta
     # responders are 0 .. (their number - 1); the loop stops at the highest
     # of them that is <= ad[q], or at -1 when there is none
@@ -291,9 +286,9 @@ def run_relay(ctx: SimContext, layers: np.ndarray, flipped: np.ndarray,
     """
     n = ctx.n
     rows = np.arange(n)
-    levels = np.arange(len(flipped))[:, None]
     lvl = np.zeros(n, dtype=np.int64)
     k_max = int(k_caps.max(initial=0))
+    levels = np.arange(k_max + 1)[:, None]
     resp_bits = carrier.bits + clog2(k_max + 1)
     ask = ask_lvl = heard = answer = idle = None
     adapted = (None, None, None)  # (response, ad before, ad after)
@@ -325,7 +320,7 @@ def run_relay(ctx: SimContext, layers: np.ndarray, flipped: np.ndarray,
             if got_resp is not seen or (ad is not before
                                         and not np.array_equal(ad, before)):
                 after = read_only(_adapt_vec(ad, got_resp, window.delta,
-                                             k_max))
+                                             levels))
             # ad (equal to before) adapts to after; naming it lets the
             # identity test hit from the next iteration
             adapted = got_resp, ad, after

@@ -116,6 +116,12 @@ def deliver_round(intents: list[MessageIntent], decision: CrashDecision,
     return inbox
 
 
+def unpack_layers(packed: np.ndarray, n: int) -> np.ndarray:
+    """The bool stack of n columns that a layer stack packed along its last
+    axis holds."""
+    return np.unpackbits(packed, axis=-1, count=n).view(bool)
+
+
 def private_layers_oracle(n: int, d: int, alpha: int, seed: int, tag
                           ) -> tuple[np.ndarray, np.ndarray]:
     """``exchange.private_layers`` as one fresh philox_stream per process that

@@ -233,8 +233,8 @@ def test_criterion_6_communication_shape():
 
 def _run_layers(n: int, preset: str, seed: int) -> np.ndarray:
     """The shared layers of phase 1's top-level counting in a run of n
-    processes, as the relay receives them packed (and ``check-graphs``
-    certifies them)."""
+    processes, as a bool stack (``check-graphs`` certifies it; counting
+    packs it before relaying it)."""
     return level_graph(n, [0, n], _preset(preset, n), seed,
                        (("count", 1), 0))[1]
 

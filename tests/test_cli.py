@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import unpack_layers
 from qconsim import cli, counting
 from qconsim.cli import build_parser, main, wilson_lower
 from qconsim.consensus import PhaseCapExceeded
@@ -328,8 +329,7 @@ def test_check_graphs_certifies_the_layers_counting_relays(preset, tmp_path,
 
     def spy_relay(ctx, layers, *rest):
         if ctx.state["phase"] == 1:  # the relay takes packed rows
-            relayed.append(np.unpackbits(layers, axis=-1,
-                                         count=ctx.n).view(bool))
+            relayed.append(unpack_layers(layers, ctx.n))
         return relay(ctx, layers, *rest)
 
     def spy_certifier(adj, ell, **limits):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import HiddenRegister, draw_register, merge_registers
+from oracles import (HiddenRegister, draw_register, merge_registers,
+                     unpack_layers)
 from qconsim import coin
 from qconsim.adversaries import Adversary, RandomCrasher
 from qconsim.coin import CoinParams, draw_registers, run_coin
@@ -183,7 +184,7 @@ def test_coin_relays_the_packed_transpose(n, monkeypatch):
     run_coin(SimContext(n, 1, Adversary(), seed=2),
              CoinParams.make(n, d=2, alpha=max(2, n // 4)))
     (layers, flipped), = seen
-    bool_layers = np.unpackbits(layers, axis=-1, count=n).view(bool)
+    bool_layers = unpack_layers(layers, n)
     assert layers.dtype == flipped.dtype == np.uint8
     assert flipped.flags.c_contiguous
     assert np.array_equal(

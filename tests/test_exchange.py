@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import (HiddenRegister, adapt_degree, bfs_diameter,
                      merge_registers, private_layers_oracle, run_relay_oracle,
-                     shared_group_layers_oracle)
+                     shared_group_layers_oracle, unpack_layers)
 from qconsim import exchange
 from qconsim.adversaries import Adversary
 from qconsim.counting import partition
@@ -83,7 +83,7 @@ def test_vectorized_adapt_matches_reference(levels, current, delta):
     ad = np.array(levels + [current], dtype=np.int64)
     delivered = np.zeros((n, n), dtype=bool)
     delivered[:-1, -1] = True  # everyone else responded to the last process
-    out = _adapt_vec(ad, delivered, delta, k_max=4)
+    out = _adapt_vec(ad, delivered, delta, np.arange(5)[:, None])
     assert out[-1] == adapt_degree(levels, current, delta)
 
 
@@ -110,7 +110,7 @@ def adapt_case(draw):
 
 
 def _check_adapt(ad, delivered, delta, k_max):
-    out = _adapt_vec(ad, delivered, delta, k_max)
+    out = _adapt_vec(ad, delivered, delta, np.arange(k_max + 1)[:, None])
     assert out.dtype == ad.dtype
     for q in range(ad.size):
         levels = ad[delivered[:, q]].tolist()  # q's own responders
@@ -348,15 +348,10 @@ def test_default_blocks_match_reference():
 
 # -- layers -------------------------------------------------------------
 
-def _unpacked(layers, n):
-    """The bool stack a packed layer stack packs (n columns)."""
-    return np.unpackbits(layers, axis=-1, count=n).view(bool)
-
-
 def test_private_layers_marginals():
     n, d, alpha = 400, 8, 4
     layers, k_caps = private_layers(n, d, alpha, seed=1, tag="t")
-    layers = _unpacked(layers, n)
+    layers = unpack_layers(layers, n)
     assert (k_caps == k_caps[0]).all()
     deg0 = layers[0].sum(axis=1).mean()
     assert abs(deg0 - d) < 1.5
@@ -640,7 +635,7 @@ def test_relay_reuse_matches_per_round_oracle(case):
         ctx.halt(halted)
         layers, flipped, k_caps, window, carrier = _relay_setup(kind, n,
                                                                 seed, x)
-        lvl = (run_relay_oracle(ctx, _unpacked(layers, n), k_caps, window,
+        lvl = (run_relay_oracle(ctx, unpack_layers(layers, n), k_caps, window,
                                 carrier)
                if oracle else
                run_relay(ctx, layers, flipped, k_caps, window, carrier))

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_compact, brute_edge_dense, brute_expanding
+from oracles import (brute_compact, brute_edge_dense, brute_expanding,
+                     unpack_layers)
 from qconsim import graphs
 from qconsim.consensus import ConsensusParams
 from qconsim.counting import level_graph
@@ -47,7 +48,7 @@ def _random_adj(n, p, seed):
 def _private_bool_layers(n, d, alpha, seed, tag):
     """``private_layers`` with its stack unpacked to bool."""
     layers, k_caps = private_layers(n, d, alpha, seed=seed, tag=tag)
-    return np.unpackbits(layers, axis=-1, count=n).view(bool), k_caps
+    return unpack_layers(layers, n), k_caps
 
 
 def test_layers_single_when_d_equals_n():
