@@ -197,17 +197,19 @@ def _peak_bytes(n: int, k: int, counting: bool) -> int:
     layers and their transpose), about nine (n, n) bool matrices (two
     prepared rounds with their cached deliveries, ``asked``,
     ``KeyCarrier.larger``, a merge's mask and a few temporaries) and one
-    float32 block of ``_adapt_vec``.  Counting first samples each level's
-    bool stack, with its blocks, float64 draws and masks, about 2(k+1) + 8
-    (n, n) matrices at level 0; its rumor merge's edge lists are not
-    modelled.  Calibrated on the peak RSS of crash-free coins at n = 4096
-    and 8192 (191 and 639 MiB) and of a constant-preset consensus run at
-    n = 2048 (93 MiB)."""
+    float32 block of ``_adapt_vec``.  Counting adds its rumor merge's edge
+    lists as three (n, n) matrices, their size at n = 2048 (constant
+    preset); where the deepest groups relay over complete layers they grow
+    faster, which is not modelled.  Its level-0 build, the bool stack and
+    about six (n, n) matrices, is the peak only for large k.  Calibrated
+    on the peak RSS of crash-free coins at n = 4096 and 8192 (191 and
+    639 MiB) and of a constant-preset consensus run at n = 2048 (88 MiB)."""
     square = n * n
-    relay = (2 * (k + 1) * n * -(-n // 8) + 9 * square
-             + 4 * n * min(n, block_rows(n)))
-    build = (2 * (k + 1) + 8) * square if counting else 0
-    return _BASE_BYTES + max(relay, build)
+    peak = (2 * (k + 1) * n * -(-n // 8) + 9 * square
+            + 4 * n * min(n, block_rows(n)))
+    if counting:
+        peak = max(peak + 3 * square, (k + 7) * square)
+    return _BASE_BYTES + peak
 
 
 def _physical_memory() -> int:
@@ -375,6 +377,7 @@ def cmd_check_graphs(args) -> int:
     limits = {"budget": cfg.get("budget", DEFAULT_BUDGET),
               "trials": cfg.get("trials", DEFAULT_TRIALS), "seed": seed}
     params = _params(preset, n)
+    _check_memory(n, params.d, params.alpha, counting=True)
     tag = (("count", 1), 0)  # phase 1's top-level counting, level 0
     _, layers, _ = level_graph(n, [0, n], params, seed, tag)
     checks = []

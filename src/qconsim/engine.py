@@ -20,16 +20,16 @@ subset.  Recipients that are crashed or halted receive nothing.
 The engine keeps a running SHA-256 digest over canonical per-round bytes so
 that two runs of the same configuration can be compared exactly.  The byte
 layout is versioned by ``DIGEST_VERSION``; a digest made under another
-version (such as a v1 digest in an older transcript) will not match.
-Version 2 feeds, in order:
+version (such as a v2 digest in an older transcript) will not match.
+Version 3 feeds, in order:
 
 * the header ``f"v{DIGEST_VERSION}|{n}|{t}|{seed}"`` (UTF-8);
 * per round: the round number (4 bytes, little-endian); the delivered
   (n, n) matrix as ``np.packbits`` of its row-major bits, eight to a byte
   with the first bit highest and the last byte padded with zero bits; the
-  newly crashed ids, then the per-sender bits and qubits per message (each
-  int64 in native byte order); and the ``alive`` and ``halted`` masks (one
-  byte per process);
+  newly crashed ids, then the round's bits and qubits per message (each
+  int64 in native byte order, two words in all); and the ``alive`` and
+  ``halted`` masks (one byte per process);
 * at ``finish``: the outputs and then the ledger summary, each as
   ``json.dumps(..., sort_keys=True)`` (outputs with ``default=str``).
 
@@ -40,13 +40,13 @@ into a ``PreparedRound``, clears the diagonal, counts each row's attempts
 and clears the rows of the senders outside the active mask, which the
 round keeps.  A caller sending the same targets again passes the round
 back; it caches its delivery when nobody crashes (exactly ``targets &
-active``) with that delivery's digest bytes, and one entry for its integer
-costs.  Each halt and crash makes a new active mask, so ``exchange`` finds
-a round masked with an older one stale and clears, with the same helper,
-the rows of the senders that left, which also drops both caches.
-Deliveries, active masks and attempt counts are read-only and never
-written once shown: a returned matrix's identity stands for its contents,
-and an active mask or attempt counts taken earlier keep their values.
+active``) with that delivery's digest bytes.  Each halt and crash makes a
+new active mask, so ``exchange`` finds a round masked with an older one
+stale and clears, with the same helper, the rows of the senders that left,
+which also drops that cache.  Deliveries, active masks and attempt counts
+are read-only and never written once shown: a returned matrix's identity
+stands for its contents, and an active mask or attempt counts taken
+earlier keep their values.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from __future__ import annotations
 import hashlib
 import json
 import operator
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
@@ -61,7 +62,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-DIGEST_VERSION = 2
+DIGEST_VERSION = 3
 ROUND_CAP = 5_000_000  # default round cap of every run
 
 
@@ -128,8 +129,10 @@ class AdversaryView:
     masks, targets, payload and state arrays are live views, and the state
     a read-only mapping.  ``attempts[p]`` is the number of messages sender
     p attempts this round, the row sums of ``targets`` (unsigned, the
-    narrowest type that holds n).  Hidden state is not reachable from a
-    view.
+    narrowest type that holds n).  ``bits_per_message`` and
+    ``qubits_per_message`` are the round's two costs, plain ints that every
+    sender pays per message; rebinding them changes only the view.  Hidden
+    state is not reachable from a view.
     """
 
     round: int
@@ -139,8 +142,8 @@ class AdversaryView:
     halted: np.ndarray
     targets: np.ndarray
     attempts: np.ndarray
-    bits_per_message: np.ndarray
-    qubits_per_message: np.ndarray
+    bits_per_message: int
+    qubits_per_message: int
     payload: Optional[dict]
     state: Optional[Mapping]
     crashes_used: int
@@ -224,17 +227,7 @@ class Transcript:
 class PreparedRound:
     """One round's targets as ``exchange`` uses them (see module docstring)."""
 
-    __slots__ = ("active", "targets", "sent", "delivered", "packed",
-                 "cost_key", "cost")
-
-
-def _cost_entry(bits: int, qubits: int, sent: np.ndarray) -> tuple:
-    """Read-only cost arrays, crash-free ledger increments, digest bytes."""
-    bits_arr = np.full(sent.size, bits, dtype=np.int64)
-    qubits_arr = np.full(sent.size, qubits, dtype=np.int64)
-    bits_arr.flags.writeable = qubits_arr.flags.writeable = False
-    return (bits_arr, qubits_arr, bits_arr * sent, qubits_arr * sent,
-            bits_arr.tobytes() + qubits_arr.tobytes())
+    __slots__ = ("active", "targets", "sent", "delivered", "packed")
 
 
 class SimContext:
@@ -310,7 +303,7 @@ class SimContext:
     def _clear_rows(self, prep: PreparedRound, gone: np.ndarray) -> None:
         """Clear the targets and attempt counts of the senders in ``gone``
         (the counts in a copy, so views taken earlier keep theirs), mask
-        ``prep`` with the current active mask and drop its caches."""
+        ``prep`` with the current active mask and drop its cached delivery."""
         prep.targets.flags.writeable = True
         prep.targets[gone] = False
         prep.targets.flags.writeable = False
@@ -318,7 +311,7 @@ class SimContext:
         prep.sent[gone] = 0
         prep.sent.flags.writeable = False
         prep.active = self._active
-        prep.delivered = prep.packed = prep.cost_key = prep.cost = None
+        prep.delivered = prep.packed = None
 
     # -- the one communication primitive --------------------------------
 
@@ -342,13 +335,9 @@ class SimContext:
                 else self.prepare(targets))
         if prep.active is not self._active:  # stale: re-mask by rows
             self._clear_rows(prep, prep.active & ~self._active)
-        if prep.cost_key != (bits, qubits):
-            prep.cost_key = bits, qubits
-            prep.cost = _cost_entry(bits, qubits, prep.sent)
-        bits_arr, qubits_arr, add_bits, add_qubits, cost_bytes = prep.cost
 
         view = AdversaryView(self.round, n, self.t, *self._shown,
-                             prep.targets, prep.sent, bits_arr, qubits_arr,
+                             prep.targets, prep.sent, bits, qubits,
                              payload, self.state, self.crashes_used)
         decision = self.adversary.decide(view)
         newly = np.asarray(decision.newly_crashed, dtype=np.int64)
@@ -360,6 +349,8 @@ class SimContext:
                 for m in partial.values())):
             raise AdversaryViolation("partial delivery must map ids crashed "
                                      "this round to bool masks of shape (n,)")
+        # messages charged, widened: a uint8 count times an int stays uint8
+        sent = prep.sent.astype(np.int64)
         if ids:
             if len(set(ids)) < len(ids) or min(ids) < 0 or max(ids) >= n:
                 raise AdversaryViolation("crash ids must be distinct, in [0, n)")
@@ -380,9 +371,7 @@ class SimContext:
                     delivered[s] = False
                 else:
                     delivered[s] &= keep
-            sent = prep.sent.copy()
             sent[newly] = delivered[newly].sum(axis=1)
-            add_bits, add_qubits = bits_arr * sent, qubits_arr * sent
             delivered.flags.writeable = False
             packed = np.packbits(delivered)  # row-major, zero-padded bytes
         else:
@@ -392,15 +381,15 @@ class SimContext:
                 prep.packed = np.packbits(prep.delivered)
             delivered, packed = prep.delivered, prep.packed
 
-        self.ledger.bits += add_bits
-        self.ledger.qubits += add_qubits
+        self.ledger.bits += bits * sent
+        self.ledger.qubits += qubits * sent
         self.ledger.rounds_active += self._active
 
         h = self._hash
         h.update(self.round.to_bytes(4, "little"))
         h.update(packed)
         h.update(newly.tobytes())
-        h.update(cost_bytes)
+        h.update(struct.pack("=2q", bits, qubits))
         h.update(self._mask_bytes)
 
         if self.round_records is not None:

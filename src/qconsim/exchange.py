@@ -370,10 +370,11 @@ def shared_group_layers(n: int, bounds, d: int, alpha: int,
     this stands in for a fixed graph family known to have the needed
     properties.  Returns (layers, k_caps) in the format run_relay expects.
 
-    One stream per attempt draws a top-up per layer.  The top-up is exactly
-    1 at the first layer whose probability reaches 1 and 0 above it, and
-    those are the attempt's last draws, so they are not drawn: the edges
-    are set or kept.
+    One stream per attempt draws a top-up per layer and writes the block
+    into the stack, certifying the base layer before drawing the next.  The
+    top-up is exactly 1 at the first layer whose probability reaches 1 and
+    0 above it, and those are the attempt's last draws, so they are not
+    drawn: the edges are set or kept.
     """
     b = np.asarray(bounds).tolist()
     k_caps = np.zeros(n, dtype=np.int64)
@@ -389,11 +390,11 @@ def shared_group_layers(n: int, bounds, d: int, alpha: int,
         # np.triu_indices at an eighth of its memory
         upper = np.triu(np.ones((m, m), dtype=bool), k=1)
         pairs = m * (m - 1) // 2
+        group = layers[:, lo:hi, lo:hi]
         for attempt in range(1000):
             rng = streams.at(seed, "shared-layers", tag, d, alpha, lo,
                              attempt)
             edges = np.zeros(pairs, dtype=bool)
-            blocks = []
             prev_prob = 0.0
             for i in range(k_g + 1):
                 prob = min(1.0, d * alpha ** i / m)
@@ -403,15 +404,16 @@ def shared_group_layers(n: int, bounds, d: int, alpha: int,
                     top_up = (prob - prev_prob) / (1.0 - prev_prob)
                     edges |= rng.random(pairs) < top_up
                 prev_prob = prob
-                block = np.zeros((m, m), dtype=bool)
-                block[upper] = edges
-                blocks.append(block | block.T)
-            if _diameter_within(blocks[0], max_steps):
-                break
+                # both triangles: a failed attempt's pairs are all rewritten
+                group[i][upper] = edges
+                group[i].T[upper] = edges
+                if i == 0 and not _diameter_within(group[0], max_steps):
+                    break  # resample before drawing the upper layers
+            else:
+                break  # certified, every layer drawn
         else:
             raise RuntimeError("could not certify a connected base layer")
-        for i in range(len(layers)):
-            layers[i, lo:hi, lo:hi] = blocks[min(i, k_g)]
+        group[k_g + 1:] = group[k_g]
     return layers, k_caps
 
 

@@ -381,7 +381,9 @@ def test_out_of_memory_is_one_error_line(command, tmp_path, monkeypatch,
 _GUARDED = {"run": {"n": 8, "seed": 1, "preset": "polylog"},
             "sweep": {"n_list": [4, 8], "seeds": 1,
                       "presets": ["polylog", "constant"]},
-            "coin-stats": {"n": 8, "seeds": 2}}
+            "coin-stats": {"n": 8, "seeds": 2},
+            "check-graphs": {"n": 8, "preset": "polylog",
+                             "checks": [{"property": "expanding", "ell": 2}]}}
 
 
 @pytest.mark.parametrize("command", list(_GUARDED))
@@ -390,7 +392,8 @@ def test_memory_guard_refuses_before_any_cell(command, patch, tmp_path,
                                               monkeypatch, capsys):
     """A cell whose estimated peak exceeds physical memory (here a limit or
     an estimate monkeypatched, so that nothing large is allocated) exits 2
-    with one ``error:`` line before any cell runs."""
+    with one ``error:`` line before any cell runs or, for check-graphs,
+    before any graph is built."""
     if patch == "limit":
         monkeypatch.setattr(cli, "_physical_memory", lambda: 1 << 20)
     else:
@@ -402,6 +405,7 @@ def test_memory_guard_refuses_before_any_cell(command, patch, tmp_path,
 
     monkeypatch.setattr(cli, "run_consensus", never)
     monkeypatch.setattr(cli, "run_coin", never)
+    monkeypatch.setattr(cli, "level_graph", never)
     cfg = write_cfg(tmp_path, "c.json", _GUARDED[command])
     assert main([command, "--config", cfg]) == cli.EXIT_CONFIG
     captured = capsys.readouterr()
@@ -418,7 +422,7 @@ def test_memory_estimate_covers_measured_peaks():
     mib = 1 << 20
     for n, k, counting, measured in ((4096, 3, False, 191),
                                      (8192, 3, False, 639),
-                                     (2048, 2, True, 93)):
+                                     (2048, 2, True, 88)):
         assert measured <= cli._peak_bytes(n, k, counting) / mib \
             <= 1.25 * measured
 
@@ -460,11 +464,11 @@ _PIN_JSON = ("92941498faf53dbe0f8a34533ce8f601"
              "abf408b73a38bca21d0b4928d708298c")
 _PINS = {
     "run": ("run", _PIN_RUN, [],
-            "6e290878198f65ab9cf8957a613ca5cb"
-            "bc94fe4eff7f768d85092198cf5a7646"),
+            "46d8102ebde834bde51e8bbbbb272269"
+            "532ab64353fc2632aafda85cee7ee944"),
     "run-record-rounds": ("run", {**_PIN_RUN, "record_rounds": True}, [],
-                          "a3a301835c99db0bd61a93328da4778e"
-                          "10f8bb35c192f126b1d172d512891495"),
+                          "8201a32e8c1725707725da313b6534f7"
+                          "9a42bc870b1959b452c2c8058a9c0e59"),
     "sweep-csv-jobs1": ("sweep", _PIN_SWEEP, ["--jobs", "1"], _PIN_CSV),
     "sweep-csv-jobs2": ("sweep", _PIN_SWEEP, ["--jobs", "2"], _PIN_CSV),
     "sweep-json-jobs1": ("sweep", _PIN_SWEEP,

@@ -205,8 +205,9 @@ def test_cap_exceptions_carry_progress():
 
 class Writer(Adversary):
     """In the first round of one kind (counting, coin or fallback, told apart
-    by the payload keys) it writes zeros into one array of its view, and
-    records whether the write raised."""
+    by the payload keys) it writes zeros into one payload or state array of
+    its view, and records whether the write raised; or it rebinds one of
+    the view's two costs (ints) to another value, which cannot raise."""
 
     name = "writer"
 
@@ -222,9 +223,11 @@ class Writer(Adversary):
                 "coin" if payload else None)
         if kind != self.kind or self.raised:
             return EMPTY_DECISION
-        arrays = {"payload": payload, "state": view.state,
-                  "view": {"bits_per_message": view.bits_per_message,
-                           "qubits_per_message": view.qubits_per_message}}
+        if self.where == "view":
+            setattr(view, self.key, getattr(view, self.key) + 1)
+            self.raised.append(False)
+            return EMPTY_DECISION
+        arrays = {"payload": payload, "state": view.state}
         try:
             arrays[self.where][self.key][...] = 0
         except ValueError:
@@ -247,16 +250,17 @@ _WRITES = [(kind, where, key) for kind, keys in _ROUND_PAYLOADS.items()
 
 @pytest.mark.parametrize("kind,where,key", _WRITES)
 def test_adversary_cannot_write_through_its_view(kind, where, key):
-    """Every payload, state and cost array in a view is read-only, in
-    counting, coin and fallback rounds alike, so a writing adversary leaves
-    the run exactly as a passive one does (all inputs 1, no crash)."""
+    """Every payload and state array in a view is read-only, and its costs
+    are ints that the engine does not read back, in counting, coin and
+    fallback rounds alike, so a writing adversary leaves the run exactly as
+    a passive one does (all inputs 1, no crash)."""
     n = 8
     params = ConsensusParams.polylog(n)
     inputs = np.ones(n, dtype=np.int64)
     writer = Writer(kind, where, key)
     r = run_consensus(inputs, params, 2, writer, seed=3)
     clean = run_consensus(inputs, params, 2, Adversary(), seed=3)
-    assert writer.raised == [True]
+    assert writer.raised == [where != "view"]
     assert r.valid(inputs) and (r.decisions == 1).all()
     assert r.transcript.ledger == clean.transcript.ledger
     assert r.transcript.digest == clean.transcript.digest

@@ -229,20 +229,20 @@ def _int64s(values):
     return struct.pack(f"={len(values)}q", *values)
 
 
-def _v2_digest(n, t, seed, rounds, outputs, ledger):
-    """The digest built by hand from the documented version-2 byte layout.
+def _v3_digest(n, t, seed, rounds, outputs, ledger):
+    """The digest built by hand from the documented version-3 byte layout.
 
     ``rounds`` holds one (delivered, newly, bits, qubits, alive, halted)
-    tuple per round; the per-sender arrays are lists of ints.
+    tuple per round; ``bits`` and ``qubits`` are the round's two ints, the
+    other per-process fields lists of ints.
     """
-    h = hashlib.sha256(f"v2|{n}|{t}|{seed}".encode())
+    h = hashlib.sha256(f"v3|{n}|{t}|{seed}".encode())
     for r, (delivered, newly, bits, qubits, alive, halted) in enumerate(
             rounds):
         h.update(r.to_bytes(4, "little"))
         h.update(_packed_rows(delivered))
         h.update(_int64s(newly))
-        h.update(_int64s(bits))
-        h.update(_int64s(qubits))
+        h.update(_int64s([bits, qubits]))
         h.update(bytes(alive))
         h.update(bytes(halted))
     h.update(json.dumps(outputs, sort_keys=True, default=str).encode())
@@ -250,11 +250,12 @@ def _v2_digest(n, t, seed, rounds, outputs, ledger):
     return h.hexdigest()
 
 
-def test_digest_v2_layout():
-    """The transcript digest is the documented v2 byte sequence: the 9-bit
-    matrix at n = 3 packs into two bytes with seven zero pad bits, and every
-    delivered bit, the last one included, reaches the digest."""
-    assert DIGEST_VERSION == 2
+def test_digest_v3_layout():
+    """The transcript digest is the documented v3 byte sequence: the 9-bit
+    matrix at n = 3 packs into two bytes with seven zero pad bits, each
+    round's costs are two int64 words, and every delivered bit, the last
+    one included, reaches the digest."""
+    assert DIGEST_VERSION == 3
     keep = np.array([True, False, False])
     script = [CrashDecision(), CrashDecision(np.array([1]), {1: keep})]
     ctx = SimContext(3, 2, ScriptedAdversary(script), seed=6)
@@ -267,18 +268,18 @@ def test_digest_v2_layout():
     assert partial.tolist() == [[False, False, True],
                                 [True, False, False],
                                 [True, False, False]]
-    rounds = [(full, [], [2, 2, 2], [1, 1, 1], [1, 1, 1], [0, 0, 0]),
-              (partial, [1], [4, 4, 4], [0, 0, 0], [1, 0, 1], [0, 0, 0])]
-    expected = _v2_digest(3, 2, 6, rounds, outputs, transcript.ledger)
+    rounds = [(full, [], 2, 1, [1, 1, 1], [0, 0, 0]),
+              (partial, [1], 4, 0, [1, 0, 1], [0, 0, 0])]
+    expected = _v3_digest(3, 2, 6, rounds, outputs, transcript.ledger)
     assert transcript.digest == expected
-    assert json.loads(transcript.to_json())["digest_version"] == 2
+    assert json.loads(transcript.to_json())["digest_version"] == 3
 
     for r in range(len(rounds)):
         for i in range(9):
             flipped = [list(rd) for rd in rounds]
             flipped[r][0] = rounds[r][0].copy()
             flipped[r][0].flat[i] ^= True
-            assert _v2_digest(3, 2, 6, flipped, outputs,
+            assert _v3_digest(3, 2, 6, flipped, outputs,
                               transcript.ledger) != expected, (r, i)
 
 
@@ -471,7 +472,8 @@ def test_returned_delivery_and_view_masks_are_read_only():
 
 class CostRecorder(ScriptedAdversary):
     """A ScriptedAdversary that keeps what each view's attempts and costs
-    held, and whether writing into its attempts raised."""
+    held (the costs are the round's two ints), and checks that writing into
+    its attempts raises."""
 
     name = "cost-recorder"
 
@@ -480,19 +482,20 @@ class CostRecorder(ScriptedAdversary):
         self.seen = []
 
     def decide(self, view):
-        self.seen.append((view.attempts.copy(), view.bits_per_message.copy(),
-                          view.qubits_per_message.copy()))
+        self.seen.append((view.attempts.copy(), view.bits_per_message,
+                          view.qubits_per_message))
         with pytest.raises(ValueError):
             view.attempts[0] = 0
         return super().decide(view)
 
 
-def test_cost_entry_follows_costs_halts_and_crashes():
+def test_round_costs_follow_pairs_halts_and_crashes():
     """One prepared round sent again and again: cost pairs alternate, a new
     pair comes in between, then a halt and a crash with partial delivery.
-    The digest is the documented v2 byte sequence and the ledger the sum,
-    round by round, of each sender's attempts (its delivered messages in
-    its crash round) times its costs."""
+    Each view shows the round's pair as two ints, the digest is the
+    documented v3 byte sequence and the ledger the sum, round by round, of
+    each sender's attempts (its delivered messages in its crash round)
+    times the round's costs."""
     n = 5
     targets = substream(3, "cost-entry").random((n, n)) < 0.7
     targets[0] = targets[:, 1] = True  # sender 0 reaches all, all reach 1
@@ -532,12 +535,12 @@ def test_cost_entry_follows_costs_halts_and_crashes():
         seen_attempts, seen_bits, seen_qubits = adversary.seen[len(rounds)]
         assert (seen_attempts == attempts).all()
         attempts[crashed] = expected[crashed].sum(axis=1)
-        b_vec, q_vec = np.broadcast_to(b, n), np.broadcast_to(q, n)
-        assert (seen_bits == b_vec).all() and (seen_qubits == q_vec).all()
-        bits += b_vec * attempts
-        qubits += q_vec * attempts
+        assert type(seen_bits) is type(seen_qubits) is int
+        assert (seen_bits, seen_qubits) == (b, q)
+        bits += b * attempts
+        qubits += q * attempts
         active_rounds += alive & ~halted
-        rounds.append((expected, crashed, b_vec.tolist(), q_vec.tolist(),
+        rounds.append((expected, crashed, b, q,
                        alive.astype(int).tolist(),
                        halted.astype(int).tolist()))
     transcript = ctx.finish({}, "cost-recorder")
@@ -545,8 +548,26 @@ def test_cost_entry_follows_costs_halts_and_crashes():
     assert (ctx.ledger.bits == bits).all()
     assert (ctx.ledger.qubits == qubits).all()
     assert (ctx.ledger.rounds_active == active_rounds).all()
-    assert transcript.digest == _v2_digest(n, 3, 11, rounds, {},
+    assert transcript.digest == _v3_digest(n, 3, 11, rounds, {},
                                            transcript.ledger)
+
+
+def test_ledger_charges_costs_past_the_attempt_dtype():
+    """Attempt counts are uint8 at n = 4, yet costs far past 255 (and past
+    2**32) are charged exactly, in a crash-free round and in a crash round
+    with partial delivery alike."""
+    keep = np.array([False, True, False, True])
+    script = [EMPTY_DECISION, CrashDecision(np.array([0]), {0: keep})]
+    ctx = SimContext(4, 3, ScriptedAdversary(script), seed=0)
+    prep = ctx.prepare(_full_targets(4))
+    assert prep.sent.dtype == np.uint8
+    big = 3 << 40
+    ctx.exchange(prep, bits=300, qubits=big)
+    ctx.exchange(prep, bits=300, qubits=big)
+    # sender 0 pays 3 messages, then the 2 it delivers in its crash round;
+    # the others pay all 3 attempts in both rounds
+    assert ctx.ledger.bits.tolist() == [300 * 5] + [300 * 6] * 3
+    assert ctx.ledger.qubits.tolist() == [big * 5] + [big * 6] * 3
 
 
 def test_active_mask_is_a_read_only_snapshot():

@@ -8,9 +8,11 @@ fallback triggers and the transcript digest.  A refactor that is meant to
 change nothing must leave every value here byte-identical; a change that
 alters behaviour must say so and regenerate them.
 
-The digests are DIGEST_VERSION 2 digests (see qconsim.engine).  A change to
-the digest format alone bumps DIGEST_VERSION and regenerates the digests
-only; every other pinned value must stay as it is.
+The digests are DIGEST_VERSION 3 digests (see qconsim.engine): each round
+hashes its one (bits, qubits) cost pair.  They were regenerated from the
+version 2 digests with every other pinned value asserted equal first.  A
+change to the digest format alone bumps DIGEST_VERSION and regenerates the
+digests only; every other pinned value must stay as it is.
 """
 
 import numpy as np
@@ -20,7 +22,7 @@ from oracles import StateReader
 from qconsim.adversaries import make_adversary
 from qconsim.coin import CoinParams, run_coin
 from qconsim.consensus import ConsensusParams, run_consensus
-from qconsim.engine import SimContext
+from qconsim.engine import DIGEST_VERSION, SimContext
 
 _N128_DT_CRASHED = [*range(17), 24, 25, 26, 31, 36, 37, 39, 48, 49, 50, 60,
                     61, 62, 72, 73, 74, 84, 90, 95, 98, 106, 116, 117, 118]
@@ -35,8 +37,8 @@ GOLDEN = [
       "total_bits": 589255, "total_qubits": 163761,
       "crashed": [0, 1, 5, 10],
       "fallback_triggers": 0,
-      "digest": "5e2a4fb342be3f8dfa80ca2472462aeea22601ff"
-                "53b61c36f10247e9d851501e"}),
+      "digest": "9254a0c8a7ea07031747dbce1b5b0c0dfcb272d3"
+                "31d26ef8618dba42237c5955"}),
     ("n32-constant-split_attacker", 32, 10, "constant", 0.5, "split_attacker",
      {}, 5, "10110111101000110110010101001000",
      {"decisions": [0, -1, 0, -1, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0,
@@ -45,8 +47,8 @@ GOLDEN = [
       "total_bits": 9079039, "total_qubits": 1372224,
       "crashed": [1, 3, 9, 16, 17, 23, 24, 25, 26],
       "fallback_triggers": 0,
-      "digest": "a1af2a5949c32d945594d39c408d24b4481e99afd"
-                "57e55ffba06f23a98c2ac38"}),
+      "digest": "518b27f04587a608738cd37c26d18a852da54ab63"
+                "dc8b3c21748ea67bc6fa244"}),
     # t = n lets the crasher take all but one process, so the survivor
     # count drops under the fallback threshold and the fallback window runs.
     ("n64-constant-random_crasher-fallback", 64, 64, "constant", 0.5,
@@ -57,8 +59,8 @@ GOLDEN = [
       "total_bits": 2707852, "total_qubits": 63821,
       "crashed": [p for p in range(64) if p != 6],
       "fallback_triggers": 1,
-      "digest": "c04ccc251bdc2796ca1d1dade659970d2cd25b40"
-                "7c7a9aad24c0ca9e93f9dd8c"}),
+      "digest": "462270cd4152966e6c9169eb77243fbd90909691"
+                "f3df8fde87d3b3c0fba059af"}),
     ("n24-polylog-degree_targeter", 24, 8, "polylog", None, "degree_targeter",
      {}, 11, "000011101010110110110101",
      {"decisions": [-1, -1, 1, -1, -1, 1, -1, -1, 1, -1, 1, 1, 1, 1, 1, 1,
@@ -67,37 +69,37 @@ GOLDEN = [
       "total_bits": 1193742, "total_qubits": 321552,
       "crashed": [0, 1, 3, 4, 6, 7, 9],
       "fallback_triggers": 0,
-      "digest": "e72c776c274624aacd87394699bae11a8b4367fd0"
-                "7a9049f90b9c2f2c67d41d0"}),
+      "digest": "350fb5d455cc909a207d8c30c39ca1f38230140dd"
+                "3df9720b56bb18b9e9ef056"}),
     # n = 1 takes the early return: no phase, no round
     ("n1-polylog-none", 1, 0, "polylog", None, "none", {}, 4, "1",
      {"decisions": [1], "phases": 0, "rounds": 0,
       "total_bits": 0, "total_qubits": 0, "crashed": [],
       "fallback_triggers": 0,
-      "digest": "3d8329ad4bceb8011e29adbd3b20d8700b95a35eb"
-                "163edbbbffd29e644cda43a"}),
+      "digest": "0bee5d64fe3b4eb2df75e60db2205fd860b78529f"
+                "abca8cf59f3fc09daff07d4"}),
     ("n2-constant-random_crasher", 2, 2, "constant", 0.5, "random_crasher",
      {"rate": 0.01}, 9, "01",
      {"decisions": [-1, 0], "phases": 2, "rounds": 72,
       "total_bits": 175, "total_qubits": 28, "crashed": [0],
       "fallback_triggers": 1,
-      "digest": "68b27809fdec9d4fb80e8f091127a0e2ba4615bb2"
-                "eab363a120c14620806b94c"}),
+      "digest": "cf40a8bfac0b4e6b00a8ea0550a25976cb4dd2178"
+                "870d80636455e120a89f650"}),
     ("n8-polylog-split_attacker", 8, 2, "polylog", None, "split_attacker",
      {}, 6, "01101001",
      {"decisions": [-1, 0, 0, 0, 0, 0, 0, 0], "phases": 5, "rounds": 910,
       "total_bits": 125548, "total_qubits": 27780, "crashed": [0],
       "fallback_triggers": 0,
-      "digest": "31b5e5b990bdba7dce9e6a992e92166aec0b0630b"
-                "d905f5ad914fceb7707352c"}),
+      "digest": "54e712005dd7c05bdc82627616fdd3afb8d3ee75b"
+                "53c0ae2d20764a33b85c585"}),
     # unanimous inputs: every process decides by the phase rule in phase 1
     ("n16-constant-none-all-zero", 16, 5, "constant", 0.5, "none", {}, 8,
      "0" * 16,
      {"decisions": [0] * 16, "phases": 4, "rounds": 512,
       "total_bits": 794928, "total_qubits": 179946, "crashed": [],
       "fallback_triggers": 0,
-      "digest": "f27ca8faa2e08b7bf25f5bd5ebeba4826c4a050552"
-                "817c42390ea122425fb48f"}),
+      "digest": "4820b05b8ad1841eb38e4407d2744f56c839eb8c1c"
+                "3e82db0ec7ac0050c88e65"}),
     ("n16-polylog-random_crasher-all-one", 16, 5, "polylog", None,
      "random_crasher", {"rate": 0.01}, 12, "1" * 16,
      {"decisions": [1, -1, 1, 1, -1, 1, 1, 1, -1, 1, 1, 1, 1, 1, 1, -1],
@@ -105,8 +107,8 @@ GOLDEN = [
       "total_bits": 556916, "total_qubits": 169650,
       "crashed": [1, 4, 8, 15],
       "fallback_triggers": 0,
-      "digest": "6caefa91466cb292d989e9f9411e0efaefb06e16a2"
-                "ec0fe77627be2e6fbcdee0"}),
+      "digest": "07885091968fb50629ab8c296c5c33c16b43dcaf2a"
+                "80696ce336ba924cd5acdd"}),
     ("n32-constant-degree_targeter", 32, 10, "constant", 0.5,
      "degree_targeter", {}, 17, "11000110000010110100100100111100",
      {"decisions": [-1] * 8 + [0] * 4 + [-1] + [0] * 19,
@@ -114,8 +116,8 @@ GOLDEN = [
       "total_bits": 9345220, "total_qubits": 1376496,
       "crashed": [0, 1, 2, 3, 4, 5, 6, 7, 12],
       "fallback_triggers": 0,
-      "digest": "9321f89b1e1c07b03330ba40cd09d8a267b744b3f7"
-                "72dbc51e1d4a40ae59c52a"}),
+      "digest": "9cffe7ca895a81601e61a0d8c730bd8f307bc156c4"
+                "b6d9a637d1c2e066523dfc"}),
     # the preset and adversary of the consensus-large benchmark at a quarter
     # of its size; the crasher spends its whole budget
     ("n96-constant-random_crasher", 96, 32, "constant", 0.5, "random_crasher",
@@ -134,8 +136,8 @@ GOLDEN = [
                   54, 55, 58, 60, 61, 63, 66, 67, 70, 71, 73, 75, 78, 81,
                   88, 91],
       "fallback_triggers": 0,
-      "digest": "8ec75cb0d4e0c5bbe6b32b2cce4b4e972f7990dcf84e98340eb6964"
-                "0bedf8253"}),
+      "digest": "93ba38b8a380f7b4eb01d20c4433aea7f4fdd5f374bb639552ddf9d"
+                "8ee93e3f7"}),
     # the constant preset away from its default exponent: x = alpha = 3
     # (epsilon 0.3) and x = alpha = 15 (epsilon 0.7) at n = 48
     ("n48-constant-eps0.3-random_crasher", 48, 16, "constant", 0.3,
@@ -148,8 +150,8 @@ GOLDEN = [
       "total_bits": 4973700, "total_qubits": 1357740,
       "crashed": [1, 2, 3, 5, 11, 16, 18, 21, 24, 25, 31, 39, 43, 45, 46],
       "fallback_triggers": 0,
-      "digest": "7263b434161219490a9fc8c8373ee4f72a3ae52c95623390e8c5cee"
-                "b7289d8e5"}),
+      "digest": "e0691866992c17345ffc976d47ca0af875ba93a57359f0577d3a968"
+                "b5bc1e94a"}),
     ("n48-constant-eps0.7-random_crasher", 48, 16, "constant", 0.7,
      "random_crasher", {"rate": 0.01}, 31,
      "001111010001111011110010011110101101001000010001",
@@ -160,8 +162,8 @@ GOLDEN = [
       "total_bits": 25316669, "total_qubits": 1956297,
       "crashed": [2, 6, 9, 10, 15, 17, 19, 26, 27, 30, 31, 35, 36, 38, 40],
       "fallback_triggers": 0,
-      "digest": "1c5d2c96b14d4c7c0130dfd7cdd2572c518b35922f72392cff92d94"
-                "ac22946f1"}),
+      "digest": "c4bd48a594be2e8941a1d59ee44758e29f8eff664cd9929ccb47e42"
+                "7a646b6c5"}),
     # both presets against the two structured adversaries at n = 64, and
     # split inputs (alternating 0 and 1) at n = 8
     ("n64-polylog-degree_targeter", 64, 21, "polylog", None, "degree_targeter",
@@ -177,8 +179,8 @@ GOLDEN = [
       "crashed": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16,
                  17, 20, 24],
       "fallback_triggers": 0,
-      "digest": "25c586234edd4eea75e1e494fff6014ac5f57335"
-                "71383ddbbc9ec3708ffd3f30"}),
+      "digest": "80f27f87e9a27ced5c1330827befe1cf0b186df9"
+                "a5fd90d141729c8e9667c916"}),
     ("n64-constant-degree_targeter", 64, 21, "constant", 0.5,
      "degree_targeter", {}, 43,
      "111100011110010001000001001001100111010000101001111010011110"
@@ -192,8 +194,8 @@ GOLDEN = [
       "crashed": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 16, 17, 25, 28, 32, 33,
                  40, 48, 56],
       "fallback_triggers": 0,
-      "digest": "0e80c8498646b362597217f43d930c0a21b5b7b7"
-                "f8bc89e38c77931ca1bd19a9"}),
+      "digest": "0156cdc737fdaf55964afe0cd829491c5563a4ac"
+                "900a45bdec23b2aa7a4c8aeb"}),
     ("n64-polylog-split_attacker", 64, 21, "polylog", None, "split_attacker",
      {}, 47,
      "010100001110011001111111000100001001000000111011011101000101"
@@ -207,8 +209,8 @@ GOLDEN = [
       "crashed": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16,
                  17, 18, 19],
       "fallback_triggers": 0,
-      "digest": "9a44ad987300ea27fd1b804e3d49011ff81dbcf0"
-                "cada633fcff91566a2bc8d53"}),
+      "digest": "a04511e45c0b78e5d6389d410ed454a042fab6f1"
+                "63e1bb5d5293bd628c429f1b"}),
     ("n64-constant-split_attacker", 64, 21, "constant", 0.5, "split_attacker",
      {}, 53,
      "011110111100110001000111011001101110000000110011111110101000"
@@ -222,8 +224,8 @@ GOLDEN = [
       "crashed": [0, 1, 3, 4, 5, 6, 7, 11, 12, 14, 15, 17, 18, 20, 30, 31, 34,
                  40, 43, 45],
       "fallback_triggers": 0,
-      "digest": "161666d791510fa589fa007da8f612a9fc358502"
-                "67f8c31de1b816fdbd227bd5"}),
+      "digest": "ea565f2b3a48049ba3b2f93d7cd03a250c902377"
+                "6059ef3378ed84743d6de105"}),
     ("n8-polylog-random_crasher-split", 8, 2, "polylog", None,
      "random_crasher", {"rate": 0.02}, 59,
      "01010101",
@@ -232,8 +234,8 @@ GOLDEN = [
       "total_bits": 118059, "total_qubits": 34590,
       "crashed": [5],
       "fallback_triggers": 0,
-      "digest": "958e512cad820c6c1834f691c09e471dc357104b"
-                "1ae767dd4516ceb5816209eb"}),
+      "digest": "1554cfd0cd04b382d74e81b5293417e0c2b62631"
+                "ab61107fcb30af3830d47b70"}),
     ("n8-constant-none-split", 8, 2, "constant", 0.5, "none",
      {}, 61,
      "01010101",
@@ -242,8 +244,8 @@ GOLDEN = [
       "total_bits": 109684, "total_qubits": 19440,
       "crashed": [],
       "fallback_triggers": 0,
-      "digest": "aa24c3a6238aa78d4662dd4adaed0ee60956fd4f"
-                "c6d3e93d6c86c3a1779659b9"}),
+      "digest": "414b4f164a9b8d315f7cb0acbe248a237a7a61e5"
+                "7fa0262948c03f2a5c4c981f"}),
     # runs that stop and restart the reuse of a relay round: one burst of
     # split_attacker crashes at n = 128; steady crashes under all-one
     # inputs; a crash budget of 3 spent in the first counting window
@@ -256,8 +258,8 @@ GOLDEN = [
       "total_bits": 70179114, "total_qubits": 15296248,
       "crashed": list(range(41)),
       "fallback_triggers": 0,
-      "digest": "59950d7d4e96674cbdc316e3b458eaf6"
-                "14738ce452ad29eddf7094fab403b2ec"}),
+      "digest": "6377a0ea7dadf469273fb15706c75bab"
+                "06acce96a820d44c68ba34b68b2b3b3e"}),
     ("n48-constant-random_crasher-all-one", 48, 16, "constant", 0.5,
      "random_crasher", {"rate": 0.01}, 73, "1" * 48,
      {"decisions": [1, 1, 1, -1, 1, -1, 1, 1, 1, 1, 1, 1, 1, -1, 1, 1, 1, -1,
@@ -267,8 +269,8 @@ GOLDEN = [
       "total_bits": 21047004, "total_qubits": 3199011,
       "crashed": [3, 5, 13, 17, 20, 26, 28, 30, 31, 36, 38, 40, 41, 43, 45],
       "fallback_triggers": 0,
-      "digest": "0b7d0f7ef7a3df0766d96bf89e3cf113"
-                "dd6359682cd14d6d572c3ee364fb7509"}),
+      "digest": "beedadd4e245a2292fef58fee5962952"
+                "df00d825e308b587094d90013d10bc45"}),
     ("n128-constant-random_crasher-budget3", 128, 4, "constant", 0.5,
      "random_crasher", {"rate": 0.002}, 79,
      "01101100101000101011111100101110010100011100010110100111001101110111"
@@ -278,8 +280,8 @@ GOLDEN = [
       "total_bits": 444693476, "total_qubits": 37163984,
       "crashed": [18, 39, 82],
       "fallback_triggers": 0,
-      "digest": "e37c2e909803c6f13be40a22d4c241b6"
-                "85f00b632ad448b0fea34b76572dfcf5"}),
+      "digest": "66498820dfb93c67df53c5bb88276b72"
+                "ed48698e1c359388b3cde40a710b5482"}),
     # halts: the lone survivor decides in the phase-2 fallback window and
     # halts, and the coin after it runs with nobody active; all-zero inputs
     # halt at the phase-4 stop check, before that phase's coin
@@ -291,8 +293,8 @@ GOLDEN = [
       "total_bits": 138194, "total_qubits": 0,
       "crashed": [p for p in range(40) if p != 17],
       "fallback_triggers": 1,
-      "digest": "5c87acd86d0ada7cafc2d84ecc85863d"
-                "9ff66d966606e22810dda2e0af5a185c"}),
+      "digest": "def9d6e337b69df5ebc3d001de181cfa"
+                "95cca29f480ff10d60333fc657b2114f"}),
     ("n32-polylog-random_crasher-all-zero", 32, 10, "polylog", None,
      "random_crasher", {"rate": 0.01}, 101, "0" * 32,
      {"decisions": [-1 if p in (2, 4, 9, 10, 17, 20, 23, 24, 31) else 0
@@ -301,8 +303,8 @@ GOLDEN = [
       "total_bits": 5200592, "total_qubits": 1522496,
       "crashed": [2, 4, 9, 10, 17, 20, 23, 24, 31],
       "fallback_triggers": 0,
-      "digest": "95c4bbe9fb3bc9594b5e060ebee901c5"
-                "910268e225438fe37b9ffb5452c0358d"}),
+      "digest": "5f8d05f8974b2f9a93a0ad847479810c"
+                "2f9949c903fb8f57d2922c3fb51d5e67"}),
     # degree_targeter past n = 64; it spends its whole budget of 41 crashes
     ("n128-constant-degree_targeter", 128, 42, "constant", 0.5,
      "degree_targeter", {}, 107,
@@ -313,8 +315,8 @@ GOLDEN = [
       "total_bits": 270779080, "total_qubits": 24005608,
       "crashed": _N128_DT_CRASHED,
       "fallback_triggers": 0,
-      "digest": "7c43edc68b8b9cc9b949a9d0ec4dc4c7"
-                "ebc8213be3716bc9672071703d92dde8"}),
+      "digest": "2b0bf4b069b43f1d1c61b98853890cb1"
+                "5aa7138620d5da283d0ff94ebebde620"}),
     # crashes chosen from view.state: the oracles' StateReader takes the
     # lowest-id undecided holder of b = 1 every 61st round
     ("n32-polylog-state_reader-split", 32, 11, "polylog", None,
@@ -324,8 +326,8 @@ GOLDEN = [
       "total_bits": 6816109, "total_qubits": 2128000,
       "crashed": [1, 3, 5, 7, 9],
       "fallback_triggers": 0,
-      "digest": "4a0694bd4cfbca06194b8dd184692948"
-                "53961186d9908d0464af57088c900096"}),
+      "digest": "6fa1f154f173dd1116c13a462597c822"
+                "a830a6aa658312b22bbaa75be5bcf1b4"}),
     ("n32-constant-state_reader-split", 32, 11, "constant", 0.5,
      "state_reader", {}, 5, "01" * 16,
      {"decisions": [0, -1] * 3 + [0] * 26,
@@ -333,9 +335,15 @@ GOLDEN = [
       "total_bits": 8359327, "total_qubits": 1505424,
       "crashed": [1, 3, 5],
       "fallback_triggers": 0,
-      "digest": "02277629cbe3ed0939afde2d0e78e5eb"
-                "917bb06d0eeb447470684c8a12afa161"}),
+      "digest": "8bf5638545cbed2dea612b3589f8a313"
+                "7b2c0d684fba9d30f3aa79f82890d4f4"}),
 ]
+
+
+def test_digests_are_version_3():
+    """The pinned digests are only valid for the byte layout they were made
+    under."""
+    assert DIGEST_VERSION == 3
 
 
 @pytest.mark.parametrize(
@@ -372,14 +380,14 @@ GOLDEN_COIN = [
       "rounds": 128, "total_bits": 548225, "total_qubits": 1099226,
       "crashed": [2, 5, 6, 7, 8, 10, 17, 18, 22, 25, 29, 31, 36, 41, 44, 48,
                   54, 57, 62, 63],
-      "digest": "f66301d2dbe505b19e93f18127ea4b656c5a2da17976292eb1e6213"
-                "a8f2c7e58"}),
+      "digest": "7a5cff345459d240cdcf21185c4c4fe2c5344f259bf2b0004044b24"
+                "44f0b8b16"}),
     ("coin-n48-random_crasher", 48, 16, "random_crasher", {"rate": 0.02}, 21,
      {"bits": [0] * 18 + [1] + [0] * 29,
       "rounds": 128, "total_bits": 394748, "total_qubits": 796062,
       "crashed": [1, 4, 5, 11, 16, 17, 18, 23, 24, 32, 34, 36, 38, 40, 45],
-      "digest": "90a1270fe65116b9e3cadce7677facf811f57d9f20621a1e6c37392"
-                "339f604b0"}),
+      "digest": "266e49049f71e81808e4fa9f34e7bc08396efbf89234c5577817e9b"
+                "e901bd395"}),
     # the coin-stats benchmark shape: d = alpha = 9, so the top layer
     # (729/512) saturates
     ("coin-n512-degree_targeter", 512, 170, "degree_targeter", {}, 67,
@@ -396,8 +404,8 @@ GOLDEN_COIN = [
                  348, 350, 359, 362, 363, 369, 372, 375, 380, 383, 387, 389,
                  395, 404, 405, 406, 409, 412, 414, 425, 426, 429, 434, 447,
                  448, 455, 457, 461, 463, 473, 477, 487, 488, 492, 495, 497],
-      "digest": "9bd157be3f9d6600e2c9e3277b5b13263e1f5c41560834fcc14097e"
-                "e4113a423"}),
+      "digest": "daf95535bd42589f52794c6799fb4c6b65ea91430237f65a745cf5e"
+                "2b190652b"}),
     # crash budgets that run out inside the relay (last crashes in rounds
     # 47 and 28 of 128), so the rounds after them repeat
     ("coin-n64-random_crasher-budget7", 64, 8, "random_crasher",
@@ -405,15 +413,15 @@ GOLDEN_COIN = [
      {"bits": [0, 0, 1] + [0] * 61,
       "rounds": 128, "total_bits": 606593, "total_qubits": 1263766,
       "crashed": [2, 3, 27, 39, 41, 58, 63],
-      "digest": "c19884f235dde611bfddc4de480effbb"
-                "8ec8a1097e5d49a0bfaf95728c6e69d5"}),
+      "digest": "2513ca3512f4703f5fa9c3ca040213d5"
+                "e10b76d0d3bc87b231c606c0368e948c"}),
     ("coin-n96-random_crasher-budget5", 96, 6, "random_crasher",
      {"rate": 0.002}, 89,
      {"bits": [1] * 96,
       "rounds": 128, "total_bits": 2485001, "total_qubits": 5440490,
       "crashed": [18, 23, 65, 78, 85],
-      "digest": "917a654e32b39af4794231f8735145b6"
-                "091291ecb6e86602aa4515e2288e3d2e"}),
+      "digest": "91af6cc8da4f72d10e0c082b25b5dbee"
+                "aa98b6e00a71141633431f10662144fb"}),
 ]
 
 
