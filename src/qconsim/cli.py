@@ -197,18 +197,18 @@ def _peak_bytes(n: int, k: int, counting: bool) -> int:
     layers and their transpose), about nine (n, n) bool matrices (two
     prepared rounds with their cached deliveries, ``asked``,
     ``KeyCarrier.larger``, a merge's mask and a few temporaries) and one
-    float32 block of ``_adapt_vec``.  Counting adds its rumor merge's edge
-    lists as three (n, n) matrices, their size at n = 2048 (constant
-    preset); where the deepest groups relay over complete layers they grow
-    faster, which is not modelled.  Its level-0 build, the bool stack and
-    about six (n, n) matrices, is the peak only for large k.  Calibrated
-    on the peak RSS of crash-free coins at n = 4096 and 8192 (191 and
-    639 MiB) and of a constant-preset consensus run at n = 2048 (88 MiB)."""
+    float32 block of ``_adapt_vec``.  Counting adds its rumor merge as two
+    (n, n) matrices, the mask and its edge lists (about 50 bytes per useful
+    edge, up to 0.02 n^2 edges at n = 4096 under the constant preset).
+    Its level-0 build, the bool stack and about six (n, n) matrices, is the
+    peak only for large k.  Calibrated on the peak RSS of crash-free coins
+    at n = 4096 and 8192 (191 and 639 MiB) and of constant-preset consensus
+    runs at n = 2048 and 4096 (84 and 222 MiB)."""
     square = n * n
     peak = (2 * (k + 1) * n * -(-n // 8) + 9 * square
             + 4 * n * min(n, block_rows(n)))
     if counting:
-        peak = max(peak + 3 * square, (k + 7) * square)
+        peak = max(peak + 2 * square, (k + 7) * square)
     return _BASE_BYTES + peak
 
 

@@ -148,13 +148,15 @@ def _fallback_window(ctx: SimContext, b: np.ndarray, trigger: np.ndarray,
     n = ctx.n
     val = b.astype(np.int64).copy()
     shown = {"bit": read_only(val)}
-    everyone = ~np.eye(n, dtype=bool)
-    announce = everyone & trigger[:, None]
-    delivered = ctx.exchange(announce, 1, payload=shown)
+    senders = trigger
+    prep = ctx.prepare(np.broadcast_to(senders[:, None], (n, n)))
+    delivered = ctx.exchange(prep, 1, payload=shown)
     joined = trigger | delivered.any(axis=0)
     for _ in range(fallback_rounds(n)):
-        sending = everyone & joined[:, None]
-        delivered = ctx.exchange(sending, 1, payload=shown)
+        if not np.array_equal(joined, senders):  # else its delivery is kept
+            senders = joined.copy()
+            prep = ctx.prepare(np.broadcast_to(senders[:, None], (n, n)), prep)
+        delivered = ctx.exchange(prep, 1, payload=shown)
         if delivered.any():
             # 2, above any bit, where nothing was heard
             incoming = np.where(delivered, val[:, None], 2).min(axis=0)

@@ -31,7 +31,8 @@ carriers first mask, on the dense delivered matrix, the edges that can
 change their recipient: for rumors (counting) an edge whose sender row
 differs from the recipient row, for keys (coin) an edge whose sender key is
 the larger.  Once the payloads have spread that mask is empty and the merge
-ends there; otherwise only the masked edges are listed and max-merged.
+ends there; otherwise only the masked edges are listed and max-merged,
+rumors one block of edges (``block_rows``) at a time.
 Responder counts for degree adaptation are a float32 BLAS product, exact
 below 2**24 processes, converted to float32 one block of about 256 KB of
 responder rows at a time; the diameter certificate of the shared layers ORs
@@ -85,7 +86,8 @@ def block_rows(n: int) -> int:
     """Rows of an (n, n) delivery that ``_adapt_vec`` converts to float32 at
     a time: a block of about 256 KB of float32, which stays in cache (at
     n = 4096 a call takes about a fifth of the time).  Up to n = 256 the
-    block holds every row."""
+    block holds every row.  ``RumorCarrier.merge`` gathers as many edges'
+    rows of n rumors at a time, 512 KB of int64."""
     return max(1, (1 << 16) // n)
 
 
@@ -168,9 +170,11 @@ class RumorCarrier:
     the recipient row: the max of two equal rows is that row, so no other
     edge can change anything.  Once the rumors have spread almost no edge is
     left, and the matrix is done after the mask.  The edges that are left
-    are listed, sorted by recipient, their sender rows gathered and
-    max-reduced per recipient segment, and the result is written back in
-    place.  It returns whether any matrix changed (a masked edge need not
+    are listed, sorted by recipient, and their sender rows gathered and
+    max-reduced per recipient one block of ``block_rows(n_keys)`` edges at
+    a time into one buffer of the recipients' rows, written back in place
+    after the last block, so every block reads the rows as the round found
+    them.  It returns whether any matrix changed (a masked edge need not
     change anything: its sender row may be the smaller).
     """
 
@@ -188,17 +192,25 @@ class RumorCarrier:
             if self.labels[i] is None:
                 self.labels[i] = _row_labels(m)
             labels = self.labels[i]
-            useful = delivered & (labels[:, None] != labels[None, :])
+            useful = np.not_equal.outer(labels, labels)
+            useful &= delivered
             if not useful.any():
                 continue
             src, dst = np.divmod(np.flatnonzero(useful), useful.shape[1])
             order = np.argsort(dst)  # edges by recipient
             s, d = src[order], dst[order]
-            starts = np.flatnonzero(np.r_[True, d[1:] != d[:-1]])
-            rcpt = d[starts]
+            new = np.concatenate(([True], d[1:] != d[:-1]))  # new recipient
+            rcpt = d[new]
+            ends = np.cumsum(new)  # each edge's row in merged, plus 1
             held = m[rcpt]
-            merged = np.maximum(held,
-                                np.maximum.reduceat(m[s], starts, axis=0))
+            merged = held.copy()
+            rows = block_rows(m.shape[1])
+            new[::rows] = True  # each block starts its own segments
+            for lo in range(0, d.size, rows):  # each block reads m as before
+                b = slice(lo, lo + rows)
+                part = merged[ends[lo] - 1:ends[b][-1]]
+                np.maximum(part, np.maximum.reduceat(
+                    m[s[b]], np.flatnonzero(new[b]), axis=0), out=part)
             if (merged != held).any():
                 changed, self.labels[i] = True, None
                 m[rcpt] = merged

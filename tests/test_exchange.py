@@ -304,6 +304,36 @@ def merge_case(draw):
            np.array([[5], [-1], [5]], dtype=np.int64)],
           [np.array([[0, 1, 0], [0, 0, 0], [0, 1, 0]], dtype=bool)]))
 def test_rumor_merge_matches_per_edge_reference(case):
+    _check_rumor_merge(case)
+
+
+@pytest.mark.parametrize("edges", [1, 2, 3])
+@settings(max_examples=150, deadline=None)
+@given(merge_case())
+def test_blocked_rumor_merge_matches_per_edge_reference(edges, case):
+    """Blocks of 1, 2 and 3 edges, so that a recipient's edges straddle
+    blocks, give the per-edge merge."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exchange, "block_rows", lambda _: edges)
+        _check_rumor_merge(case)
+
+
+@pytest.mark.parametrize("edges", [1, 2])
+def test_blocked_rumor_merge_reads_rows_from_before_the_round(edges,
+                                                              monkeypatch):
+    """The chain 0 -> 1 -> 2 in one round: with one edge per block, 1 is a
+    recipient in the first block and a sender in the second, which must
+    gather 1's row as it was before the round, so 2 never holds 0's
+    rumor."""
+    monkeypatch.setattr(exchange, "block_rows", lambda _: edges)
+    m = np.full((3, 3), -1, dtype=np.int64)
+    m[[0, 1, 2], [0, 1, 2]] = 7, 8, 9
+    carrier = RumorCarrier([m], bits=1)
+    assert carrier.merge(_edges(3, (0, 1), (1, 2)))
+    assert m.tolist() == [[7, -1, -1], [7, 8, -1], [-1, 8, 9]]
+
+
+def _check_rumor_merge(case):
     matrices, deliveries = case
     expected = matrices
     carrier = RumorCarrier([m.copy() for m in matrices], bits=1)
