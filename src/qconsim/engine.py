@@ -15,7 +15,13 @@ subject to a strict total budget of fewer than t crashes.
 
 Cost accounting: an alive sender pays for every message it attempts; a sender
 crashed in the very round of its multicast pays only for the delivered
-subset.  Recipients that are crashed or halted receive nothing.
+subset.  Recipients that are crashed or halted receive nothing.  The
+``CostLedger`` charges a crash round at once and a crash-free round as one
+more round of a run: the same read-only attempt counts and active mask
+(their identity stands for their contents) at the same (bits, qubits).  A
+relay sends the same prepared rounds for many rounds, so a run is folded
+into the totals once, when the ledger holds more than a few runs or when a
+total is read, and every read is exact.
 
 The engine keeps a running SHA-256 digest over canonical per-round bytes so
 that two runs of the same configuration can be compared exactly.  The byte
@@ -153,18 +159,69 @@ class AdversaryView:
         return max(0, self.t - 1 - self.crashes_used)
 
 
-@dataclass
+_RUNS = 4  # pending runs a CostLedger holds before it folds them
+
+
 class CostLedger:
-    """Per-process communication totals."""
+    """Per-process communication totals: ``bits``, ``qubits`` and
+    ``rounds_active``, int64 arrays of shape (n,), exact whenever read.
 
-    rounds_active: np.ndarray
-    bits: np.ndarray
-    qubits: np.ndarray
+    A crash round is charged at once (``charge``).  A crash-free round only
+    adds 1 to a pending run (``queue``), keyed by the identity of its attempt
+    counts and of its active mask and by its two costs.  Both arrays are
+    read-only and never written once shown, so their identity stands for
+    their contents; the run keeps a reference to each, so their ids cannot
+    be reused while it is pending.  Runs are folded into the totals, count x
+    cost x counts and count x active, when a new run would make more than
+    ``_RUNS`` or when a total is read, so every read sees exact totals.
+    """
 
-    @classmethod
-    def empty(cls, n: int) -> "CostLedger":
-        return cls(np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64),
-                   np.zeros(n, dtype=np.int64))
+    __slots__ = ("_bits", "_qubits", "_rounds", "_runs")
+
+    def __init__(self, n: int):
+        self._bits, self._qubits, self._rounds = np.zeros((3, n),
+                                                          dtype=np.int64)
+        self._runs: dict = {}
+
+    def charge(self, sent: np.ndarray, active: np.ndarray, bits: int,
+               qubits: int, count: int = 1) -> None:
+        """Charge ``count`` rounds of ``sent`` messages per sender at once."""
+        sent = np.multiply(sent, count, dtype=np.int64)  # widened first
+        self._bits += bits * sent
+        self._qubits += qubits * sent
+        self._rounds += np.multiply(active, count, dtype=np.int64)
+
+    def queue(self, sent: np.ndarray, active: np.ndarray, bits: int,
+              qubits: int) -> None:
+        """One crash-free round: one more round of its pending run."""
+        key = (id(sent), id(active), bits, qubits)
+        run = self._runs.get(key)
+        if run is not None:
+            run[0] += 1
+            return
+        if len(self._runs) == _RUNS:
+            self._fold()
+        self._runs[key] = [1, sent, active]
+
+    def _fold(self) -> None:
+        for (_, _, bits, qubits), (count, sent, active) in self._runs.items():
+            self.charge(sent, active, bits, qubits, count)
+        self._runs.clear()
+
+    @property
+    def bits(self) -> np.ndarray:
+        self._fold()
+        return read_only(self._bits)
+
+    @property
+    def qubits(self) -> np.ndarray:
+        self._fold()
+        return read_only(self._qubits)
+
+    @property
+    def rounds_active(self) -> np.ndarray:
+        self._fold()
+        return read_only(self._rounds)
 
     @property
     def total_bits(self) -> int:
@@ -176,10 +233,10 @@ class CostLedger:
 
     def amortized_bits(self) -> Fraction:
         """Exact bits per process: total over all senders divided by n."""
-        return Fraction(self.total_bits, self.bits.size)
+        return Fraction(self.total_bits, self._bits.size)
 
     def amortized_qubits(self) -> Fraction:
-        return Fraction(self.total_qubits, self.qubits.size)
+        return Fraction(self.total_qubits, self._qubits.size)
 
     def summary(self) -> dict:
         return {
@@ -256,7 +313,7 @@ class SimContext:
         self.crashes_used = 0
         self._moved_on()
         self.state: Optional[Mapping] = None  # set by the protocol, read-only
-        self.ledger = CostLedger.empty(n)
+        self.ledger = CostLedger(n)
         self.adversary = adversary
         adversary.reset(n, t, seed)
         self._hash = hashlib.sha256(
@@ -349,8 +406,6 @@ class SimContext:
                 for m in partial.values())):
             raise AdversaryViolation("partial delivery must map ids crashed "
                                      "this round to bool masks of shape (n,)")
-        # messages charged, widened: a uint8 count times an int stays uint8
-        sent = prep.sent.astype(np.int64)
         if ids:
             if len(set(ids)) < len(ids) or min(ids) < 0 or max(ids) >= n:
                 raise AdversaryViolation("crash ids must be distinct, in [0, n)")
@@ -371,7 +426,9 @@ class SimContext:
                     delivered[s] = False
                 else:
                     delivered[s] &= keep
+            sent = prep.sent.copy()
             sent[newly] = delivered[newly].sum(axis=1)
+            self.ledger.charge(sent, self._active, bits, qubits)
             delivered.flags.writeable = False
             packed = np.packbits(delivered)  # row-major, zero-padded bytes
         else:
@@ -380,10 +437,7 @@ class SimContext:
                 prep.delivered.flags.writeable = False
                 prep.packed = np.packbits(prep.delivered)
             delivered, packed = prep.delivered, prep.packed
-
-        self.ledger.bits += bits * sent
-        self.ledger.qubits += qubits * sent
-        self.ledger.rounds_active += self._active
+            self.ledger.queue(prep.sent, self._active, bits, qubits)
 
         h = self._hash
         h.update(self.round.to_bytes(4, "little"))

@@ -386,7 +386,9 @@ def shared_group_layers(n: int, bounds, d: int, alpha: int,
     into the stack, certifying the base layer before drawing the next.  The
     top-up is exactly 1 at the first layer whose probability reaches 1 and
     0 above it, and those are the attempt's last draws, so they are not
-    drawn: the edges are set or kept.
+    drawn: the edges are set or kept.  A group with m <= d (k_g = 0, base
+    probability 1) would draw nothing and certify at once, so it is made
+    complete in every layer without a stream or a certificate.
     """
     b = np.asarray(bounds).tolist()
     k_caps = np.zeros(n, dtype=np.int64)
@@ -396,13 +398,14 @@ def shared_group_layers(n: int, bounds, d: int, alpha: int,
     streams = Restream()
     for lo, hi in zip(b, b[1:]):
         m, k_g = hi - lo, int(k_caps[lo])
-        if m <= 1:
+        group = layers[:, lo:hi, lo:hi]
+        if k_g == 0:  # m <= d: complete in every layer, nothing drawn
+            group[:] = ~np.eye(m, dtype=bool)
             continue
         # a boolean mask fills the pairs in the row-major order of
         # np.triu_indices at an eighth of its memory
         upper = np.triu(np.ones((m, m), dtype=bool), k=1)
         pairs = m * (m - 1) // 2
-        group = layers[:, lo:hi, lo:hi]
         for attempt in range(1000):
             rng = streams.at(seed, "shared-layers", tag, d, alpha, lo,
                              attempt)

@@ -1,14 +1,19 @@
 import hashlib
 import json
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import MessageIntent, deliver_round
 from qconsim.adversaries import Adversary
-from qconsim.engine import (DIGEST_VERSION, EMPTY_DECISION, AdversaryViolation,
-                            CrashDecision, RoundCapExceeded, SimContext)
+from qconsim.coin import CoinParams, run_coin
+from qconsim.engine import (_RUNS, DIGEST_VERSION, EMPTY_DECISION,
+                            AdversaryViolation, CrashDecision,
+                            RoundCapExceeded, SimContext)
 from qconsim.rng import substream
 
 
@@ -568,6 +573,150 @@ def test_ledger_charges_costs_past_the_attempt_dtype():
     # the others pay all 3 attempts in both rounds
     assert ctx.ledger.bits.tolist() == [300 * 5] + [300 * 6] * 3
     assert ctx.ledger.qubits.tolist() == [big * 5] + [big * 6] * 3
+
+
+@st.composite
+def ledger_case(draw):
+    """n, three target matrices (two prepared rounds and a raw one) and a
+    list of events: an exchange (which round, bits, qubits, crash ids,
+    partial delivery), a halt mask, or "read".  Cost pairs come from a small
+    pool, so runs repeat; crashes stay within the budget of t = n."""
+    n = draw(st.integers(2, 7))
+    matrix = st.lists(st.booleans(), min_size=n * n, max_size=n * n).map(
+        lambda v: np.array(v).reshape(n, n))
+    mask = st.lists(st.booleans(), min_size=n, max_size=n).map(np.array)
+    pairs = draw(st.lists(st.tuples(st.integers(0, 300),
+                                    st.integers(0, 3 << 40)),
+                          min_size=1, max_size=7))
+    alive, events = list(range(n)), []
+    for _ in range(draw(st.integers(1, 30))):
+        kind = draw(st.sampled_from(["a", "b", "a", "b", "raw", "halt",
+                                     "read"]))
+        if kind == "halt":
+            events.append(draw(mask))
+        elif kind == "read":
+            events.append(kind)
+        else:
+            ids = []
+            if len(alive) > 2 and draw(st.integers(0, 4)) == 0:
+                ids = draw(st.lists(st.sampled_from(alive), min_size=1,
+                                    max_size=2, unique=True))
+            partial = {p: draw(mask) for p in ids if draw(st.booleans())}
+            events.append((kind, *draw(st.sampled_from(pairs)), ids, partial))
+            alive = [p for p in alive if p not in ids]
+    return n, [draw(matrix) for _ in range(3)], events
+
+
+# two rounds alternating over six cost pairs, more runs than the ledger
+# holds, read in the middle; then a halt and a crash with partial delivery
+_MANY_RUNS = (5, [_full_targets(5), np.eye(5, k=1, dtype=bool),
+                  _full_targets(5)],
+              [(r, b, q, [], {}) for b, q in [(1, 0), (2, 1), (3, 0),
+                                              (1, 1 << 40), (5, 2), (300, 7)]
+               for r in "abab"]
+              + ["read", np.arange(5) == 4, ("a", 2, 1, [], {}),
+                 ("b", 2, 1, [0], {0: np.arange(5) == 1}), ("a", 2, 1, [], {}),
+                 "read", ("raw", 2, 1, [], {}), ("raw", 2, 1, [], {})])
+
+
+def _ledger_fields(ledger):
+    return (ledger.bits.tolist(), ledger.qubits.tolist(),
+            ledger.rounds_active.tolist(), ledger.summary())
+
+
+@settings(max_examples=150, deadline=None)
+@given(ledger_case())
+@example(_MANY_RUNS)
+def test_run_length_ledger_matches_per_round_charging(case):
+    """The ledger, which queues crash-free rounds as runs, holds at every
+    read what charging each round on its own gives: two prepared rounds used
+    alternately, raw-matrix rounds, changing cost pairs, halts and crashes
+    with partial delivery.  Reading mid-run changes no later total: a run
+    without the reads ends with the same ledger and digest, and the digest
+    is the documented v3 byte sequence over the per-round ledger."""
+    n, (a, b, raw), events = case
+    ends = []
+    for reading in (True, False):
+        script = [CrashDecision(np.array(e[3], dtype=np.int64), e[4])
+                  for e in events if isinstance(e, tuple)]
+        ctx = SimContext(n, n, ScriptedAdversary(script), seed=2)
+        rounds_by_name = {"a": ctx.prepare(a), "b": ctx.prepare(b), "raw": raw}
+        targets_by_name = {"a": a, "b": b, "raw": raw}
+        alive, halted = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
+        bits, qubits, active_rounds = np.zeros((3, n), dtype=np.int64)
+        rounds = []
+
+        def expected():
+            total_bits, total_qubits = int(bits.sum()), int(qubits.sum())
+            return (bits.tolist(), qubits.tolist(), active_rounds.tolist(),
+                    {"total_bits": total_bits, "total_qubits": total_qubits,
+                     "process_rounds": int(active_rounds.sum()),
+                     "amortized_bits": str(Fraction(total_bits, n)),
+                     "amortized_qubits": str(Fraction(total_qubits, n))})
+
+        for event in events:
+            if isinstance(event, str):
+                if reading:
+                    assert _ledger_fields(ctx.ledger) == expected()
+                continue
+            if not isinstance(event, tuple):
+                ctx.halt(event)
+                halted |= event
+                continue
+            name, b_, q, crashed, partial = event
+            delivered = ctx.exchange(rounds_by_name[name], b_, q)
+            attempted = (targets_by_name[name] & (alive & ~halted)[:, None]
+                         & ~np.eye(n, dtype=bool))
+            alive[crashed] = False
+            want = attempted & (alive & ~halted)[None, :]
+            for s in crashed:
+                want[s] &= partial.get(s, False)
+            assert (delivered == want).all()
+            attempts = attempted.sum(axis=1)
+            attempts[crashed] = want[crashed].sum(axis=1)
+            bits += b_ * attempts
+            qubits += q * attempts
+            active_rounds += alive & ~halted
+            rounds.append((want, crashed, b_, q, alive.astype(int).tolist(),
+                           halted.astype(int).tolist()))
+        transcript = ctx.finish({}, "scripted")
+        assert _ledger_fields(ctx.ledger) == expected()
+        assert transcript.ledger == expected()[3]
+        assert transcript.digest == _v3_digest(n, n, 2, rounds, {},
+                                               expected()[3])
+        ends.append((_ledger_fields(ctx.ledger), transcript.digest))
+    assert ends[0] == ends[1]
+
+
+def test_many_runs_example_overflows_the_run_table():
+    """The explicit example of the ledger test queues more distinct runs
+    before its first read than the ledger holds."""
+    _, _, events = _MANY_RUNS
+    first = events[:events.index("read")]
+    assert len({(e[0], e[1], e[2]) for e in first}) > _RUNS
+
+
+def test_round_cap_mid_relay_carries_exact_totals():
+    """A coin relay cut by the round cap mid-window, with runs still
+    pending, reports exactly the bits and qubits of the rounds it ran: the
+    sum of each view's attempts times its costs (nobody crashes)."""
+    seen = []
+
+    class Recorder(Adversary):
+        def decide(self, view):
+            seen.append((int(view.attempts.sum()), view.bits_per_message,
+                         view.qubits_per_message))
+            return EMPTY_DECISION
+
+    n = 24
+    params = CoinParams.make(n)
+    cap = params.rounds // 2 + 1
+    ctx = SimContext(n, 8, Recorder(), seed=4, round_cap=cap)
+    with pytest.raises(RoundCapExceeded) as info:
+        run_coin(ctx, params)
+    assert info.value.rounds == cap == len(seen)
+    assert info.value.total_bits == sum(m * b for m, b, _ in seen) > 0
+    assert info.value.total_qubits == sum(m * q for m, _, q in seen) > 0
 
 
 def test_active_mask_is_a_read_only_snapshot():

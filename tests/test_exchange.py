@@ -8,13 +8,14 @@ from oracles import (HiddenRegister, adapt_degree, bfs_diameter,
                      shared_group_layers_oracle, unpack_layers)
 from qconsim import exchange
 from qconsim.adversaries import Adversary
-from qconsim.counting import partition
+from qconsim.consensus import ConsensusParams
+from qconsim.counting import level_graph, partition, partition_levels
 from qconsim.engine import EMPTY_DECISION, CrashDecision, SimContext
 from qconsim.exchange import (KeyCarrier, RumorCarrier, Window, _adapt_vec,
                               _diameter_within, clog2, end_epoch_update,
                               flip_layers, layer_count, run_relay,
                               shared_group_layers, private_layers)
-from qconsim.rng import substream
+from qconsim.rng import Restream, substream
 
 
 def test_clog2_values():
@@ -489,14 +490,20 @@ _RESAMPLED = dict(shape=(17, 4, 2), seed=9, max_steps=3)
 @settings(deadline=None)
 @given(data=st.data(), shape=_layer_shapes(), seed=st.integers(0, 2 ** 32),
        max_steps=st.sampled_from([3, 4, 8, 64]))
-@example(data=None, **_RESAMPLED)
+@example(data=[0, 1, 17], **_RESAMPLED)
+# every group has m <= d, so none draws: one layer, complete blocks
+@example(data=[0, 1, 3, 7, 11, 12], shape=(12, 4, 2), seed=5, max_steps=3)
+# groups of m <= d next to drawn groups of 16 (three layers) and singletons
+@example(data=[0, 1, 4, 8, 9, 25, 41], shape=(41, 4, 2), seed=2, max_steps=8)
 def test_shared_layers_match_per_attempt_oracle(data, shape, seed, max_steps):
-    """Several contiguous groups, singletons among them; a small max_steps
-    forces resampling attempts, and a group that never certifies raises the
-    same RuntimeError in both.  Every layer is symmetric, which is what
-    lets counting pass the stack to ``run_relay`` as its own transpose."""
+    """Several contiguous groups, singletons and complete groups (m <= d)
+    among them; a small max_steps forces resampling attempts, and a group
+    that never certifies raises the same RuntimeError in both.  Every layer
+    is symmetric, which is what lets counting pass the stack to
+    ``run_relay`` as its own transpose.  An example gives its bounds as
+    ``data``."""
     n, d, alpha = shape
-    bounds = [0, 1, n] if data is None else data.draw(_group_bounds(n))
+    bounds = data if isinstance(data, list) else data.draw(_group_bounds(n))
     groups = [np.arange(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     rest = (d, alpha, seed, ("count", 2))
     got = _outcome(shared_group_layers, n, bounds, *rest, max_steps=max_steps)
@@ -507,6 +514,28 @@ def test_shared_layers_match_per_attempt_oracle(data, shape, seed, max_steps):
     else:
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
         assert np.array_equal(got[0], got[0].transpose(0, 2, 1))
+
+
+def test_complete_groups_draw_nothing(monkeypatch):
+    """The deepest counting levels at n = 64 under the polylog preset (d =
+    6) hold groups of 4, 2 and 1: their stacks are complete blocks, built
+    without addressing a stream or certifying a diameter."""
+    n, params = 64, ConsensusParams.polylog(64)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a complete group drew or certified")
+
+    monkeypatch.setattr(Restream, "at", refuse)
+    monkeypatch.setattr(exchange, "_diameter_within", refuse)
+    complete = [b for b in partition_levels(n, params.x)
+                if np.diff(b).max() <= params.d]
+    assert [int(np.diff(b).max()) for b in complete] == [4, 2, 1]
+    for bounds in complete:
+        _, layers, k_caps = level_graph(n, bounds, params, 1, ("count", 5))
+        blocks = np.zeros((n, n), dtype=bool)
+        for lo, hi in zip(bounds, bounds[1:]):
+            blocks[lo:hi, lo:hi] = ~np.eye(hi - lo, dtype=bool)
+        assert not k_caps.any() and np.array_equal(layers, blocks[None])
 
 
 def test_shared_layers_oracle_example_resamples():
