@@ -262,10 +262,9 @@ def _cell(spec: dict) -> tuple[dict, Transcript | None, np.ndarray]:
     params = _params(preset, n, spec["epsilon"])
     adversary = _adversary(spec["adversary"], n, t, seed)
     inputs = _make_inputs(spec["inputs"], n, seed)
-    # passed only when set, so run_consensus keeps its five-argument form
-    record = {"record_rounds": True} if spec["record_rounds"] else {}
     try:
-        result = run_consensus(inputs, params, t, adversary, seed, **record)
+        result = run_consensus(inputs, params, t, adversary, seed,
+                               record_rounds=spec["record_rounds"])
     except CapExceeded as exc:
         tr, reached = None, (exc.phases, exc.rounds, exc.total_bits,
                              exc.total_qubits, False, None, None)

@@ -16,12 +16,11 @@ subject to a strict total budget of fewer than t crashes.
 Cost accounting: an alive sender pays for every message it attempts; a sender
 crashed in the very round of its multicast pays only for the delivered
 subset.  Recipients that are crashed or halted receive nothing.  The
-``CostLedger`` charges a crash round at once and a crash-free round as one
-more round of a run: the same read-only attempt counts and active mask
-(their identity stands for their contents) at the same (bits, qubits).  A
-relay sends the same prepared rounds for many rounds, so a run is folded
-into the totals once, when the ledger holds more than a few runs or when a
-total is read, and every read is exact.
+``CostLedger`` keeps three exact int totals over all processes: bits and
+qubits (the round's paid messages times its per-message costs) and
+process-rounds (the processes active after each round).  A round's paid
+messages are its prepared attempt count, less the attempts of the senders
+that crash in it, plus what those senders deliver.
 
 The engine keeps a running SHA-256 digest over canonical per-round bytes so
 that two runs of the same configuration can be compared exactly.  The byte
@@ -44,9 +43,9 @@ n is in the header, so the packed bytes still determine the matrix exactly.
 Prepared rounds.  ``SimContext.prepare`` copies a round's targets C-ordered
 into a ``PreparedRound``, clears the diagonal, counts each row's attempts
 and clears the rows of the senders outside the active mask, which the
-round keeps.  A caller sending the same targets again passes the round
-back; it caches its delivery when nobody crashes (exactly ``targets &
-active``) with that delivery's digest bytes.  Each halt and crash makes a
+round keeps with the attempts' total.  A caller sending the same targets
+again passes the round back; it caches its delivery when nobody crashes
+(exactly ``targets & active``) with that delivery's digest bytes.  Each halt and crash makes a
 new active mask, so ``exchange`` finds a round masked with an older one
 stale and clears, with the same helper, the rows of the senders that left,
 which also drops that cache.  Deliveries, active masks and attempt counts
@@ -159,92 +158,32 @@ class AdversaryView:
         return max(0, self.t - 1 - self.crashes_used)
 
 
-_RUNS = 4  # pending runs a CostLedger holds before it folds them
-
-
 class CostLedger:
-    """Per-process communication totals: ``bits``, ``qubits`` and
-    ``rounds_active``, int64 arrays of shape (n,), exact whenever read.
+    """Communication totals over all n processes, exact Python ints:
+    ``total_bits``, ``total_qubits`` and ``process_rounds``."""
 
-    A crash round is charged at once (``charge``).  A crash-free round only
-    adds 1 to a pending run (``queue``), keyed by the identity of its attempt
-    counts and of its active mask and by its two costs.  Both arrays are
-    read-only and never written once shown, so their identity stands for
-    their contents; the run keeps a reference to each, so their ids cannot
-    be reused while it is pending.  Runs are folded into the totals, count x
-    cost x counts and count x active, when a new run would make more than
-    ``_RUNS`` or when a total is read, so every read sees exact totals.
-    """
-
-    __slots__ = ("_bits", "_qubits", "_rounds", "_runs")
+    __slots__ = ("n", "total_bits", "total_qubits", "process_rounds")
 
     def __init__(self, n: int):
-        self._bits, self._qubits, self._rounds = np.zeros((3, n),
-                                                          dtype=np.int64)
-        self._runs: dict = {}
+        self.n = n
+        self.total_bits = self.total_qubits = self.process_rounds = 0
 
-    def charge(self, sent: np.ndarray, active: np.ndarray, bits: int,
-               qubits: int, count: int = 1) -> None:
-        """Charge ``count`` rounds of ``sent`` messages per sender at once."""
-        sent = np.multiply(sent, count, dtype=np.int64)  # widened first
-        self._bits += bits * sent
-        self._qubits += qubits * sent
-        self._rounds += np.multiply(active, count, dtype=np.int64)
-
-    def queue(self, sent: np.ndarray, active: np.ndarray, bits: int,
-              qubits: int) -> None:
-        """One crash-free round: one more round of its pending run."""
-        key = (id(sent), id(active), bits, qubits)
-        run = self._runs.get(key)
-        if run is not None:
-            run[0] += 1
-            return
-        if len(self._runs) == _RUNS:
-            self._fold()
-        self._runs[key] = [1, sent, active]
-
-    def _fold(self) -> None:
-        for (_, _, bits, qubits), (count, sent, active) in self._runs.items():
-            self.charge(sent, active, bits, qubits, count)
-        self._runs.clear()
-
-    @property
-    def bits(self) -> np.ndarray:
-        self._fold()
-        return read_only(self._bits)
-
-    @property
-    def qubits(self) -> np.ndarray:
-        self._fold()
-        return read_only(self._qubits)
-
-    @property
-    def rounds_active(self) -> np.ndarray:
-        self._fold()
-        return read_only(self._rounds)
-
-    @property
-    def total_bits(self) -> int:
-        return int(self.bits.sum())
-
-    @property
-    def total_qubits(self) -> int:
-        return int(self.qubits.sum())
-
-    def amortized_bits(self) -> Fraction:
-        """Exact bits per process: total over all senders divided by n."""
-        return Fraction(self.total_bits, self._bits.size)
-
-    def amortized_qubits(self) -> Fraction:
-        return Fraction(self.total_qubits, self._qubits.size)
+    def charge(self, messages: int, active: int, bits: int,
+               qubits: int) -> None:
+        """One round: ``messages`` paid messages at (bits, qubits) each,
+        ``active`` processes active after it."""
+        self.total_bits += bits * messages
+        self.total_qubits += qubits * messages
+        self.process_rounds += active
 
     def summary(self) -> dict:
+        """The totals, and bits and qubits per process as exact fractions."""
         return {
             "total_bits": self.total_bits,
             "total_qubits": self.total_qubits,
-            "process_rounds": int(self.rounds_active.sum()),
-            "amortized_bits": str(self.amortized_bits()),
-            "amortized_qubits": str(self.amortized_qubits()),
+            "process_rounds": self.process_rounds,
+            "amortized_bits": str(Fraction(self.total_bits, self.n)),
+            "amortized_qubits": str(Fraction(self.total_qubits, self.n)),
         }
 
 
@@ -284,7 +223,8 @@ class Transcript:
 class PreparedRound:
     """One round's targets as ``exchange`` uses them (see module docstring)."""
 
-    __slots__ = ("active", "targets", "sent", "delivered", "packed")
+    __slots__ = ("active", "targets", "sent", "messages", "delivered",
+                 "packed")
 
 
 class SimContext:
@@ -333,6 +273,7 @@ class SimContext:
         digest bytes."""
         self._active = self.alive & ~self.halted
         self._active.flags.writeable = False
+        self._n_active = int(np.count_nonzero(self._active))
         self._mask_bytes = self.alive.tobytes() + self.halted.tobytes()
 
     def halt(self, mask: np.ndarray) -> None:
@@ -359,14 +300,16 @@ class SimContext:
 
     def _clear_rows(self, prep: PreparedRound, gone: np.ndarray) -> None:
         """Clear the targets and attempt counts of the senders in ``gone``
-        (the counts in a copy, so views taken earlier keep theirs), mask
-        ``prep`` with the current active mask and drop its cached delivery."""
+        (the counts in a copy, so views taken earlier keep theirs), total
+        them, mask ``prep`` with the current active mask and drop its cached
+        delivery."""
         prep.targets.flags.writeable = True
         prep.targets[gone] = False
         prep.targets.flags.writeable = False
         prep.sent = prep.sent.copy()
         prep.sent[gone] = 0
         prep.sent.flags.writeable = False
+        prep.messages = int(prep.sent.sum())
         prep.active = self._active
         prep.delivered = prep.packed = None
 
@@ -406,6 +349,7 @@ class SimContext:
                 for m in partial.values())):
             raise AdversaryViolation("partial delivery must map ids crashed "
                                      "this round to bool masks of shape (n,)")
+        messages = prep.messages
         if ids:
             if len(set(ids)) < len(ids) or min(ids) < 0 or max(ids) >= n:
                 raise AdversaryViolation("crash ids must be distinct, in [0, n)")
@@ -426,9 +370,8 @@ class SimContext:
                     delivered[s] = False
                 else:
                     delivered[s] &= keep
-            sent = prep.sent.copy()
-            sent[newly] = delivered[newly].sum(axis=1)
-            self.ledger.charge(sent, self._active, bits, qubits)
+            messages += (int(np.count_nonzero(delivered[newly]))
+                         - int(prep.sent[newly].sum()))
             delivered.flags.writeable = False
             packed = np.packbits(delivered)  # row-major, zero-padded bytes
         else:
@@ -437,7 +380,7 @@ class SimContext:
                 prep.delivered.flags.writeable = False
                 prep.packed = np.packbits(prep.delivered)
             delivered, packed = prep.delivered, prep.packed
-            self.ledger.queue(prep.sent, self._active, bits, qubits)
+        self.ledger.charge(messages, self._n_active, bits, qubits)
 
         h = self._hash
         h.update(self.round.to_bytes(4, "little"))

@@ -76,10 +76,12 @@ def layer_count(m: int, d: int, alpha: int) -> int:
 
 def end_epoch_update(degree_level: np.ndarray, adaptive_level: np.ndarray,
                      k_caps: np.ndarray) -> np.ndarray:
-    """Degree levels for the next epoch: a process grows one layer, up to its
-    cap, iff its adaptive degree fell below its degree level."""
-    return np.where(adaptive_level < degree_level,
-                    np.minimum(degree_level + 1, k_caps), degree_level)
+    """Degree levels for the next epoch: a process below its cap grows one
+    layer iff its adaptive degree fell below its degree level.  When none
+    grows the input array itself comes back, so ``run_relay`` tells changed
+    levels by identity."""
+    grow = (adaptive_level < degree_level) & (degree_level < k_caps)
+    return degree_level + grow if grow.any() else degree_level
 
 
 def block_rows(n: int) -> int:
@@ -306,8 +308,8 @@ def run_relay(ctx: SimContext, layers: np.ndarray, flipped: np.ndarray,
     adapted = (None, None, None)  # (response, ad before, ad after)
     payload = {"adaptive_degree": None}  # rebuilt when ad changes
     for _ in range(window.epochs):
-        if not np.array_equal(lvl, ask_lvl):
-            ask_lvl = lvl  # end_epoch_update keeps it within k_caps
+        if lvl is not ask_lvl:  # end_epoch_update returns the same array
+            ask_lvl = lvl  # when no level grows, and stays within k_caps
             ask = ctx.prepare(_unpack_rows(layers[lvl, rows], n), ask)
             picks = np.packbits(lvl == levels, axis=-1)[:, None]
             asked = _unpack_rows(
@@ -395,7 +397,7 @@ def shared_group_layers(n: int, bounds, d: int, alpha: int,
     for lo, hi in zip(b, b[1:]):
         k_caps[lo:hi] = layer_count(hi - lo, d, alpha)
     layers = np.zeros((k_caps.max(initial=0) + 1, n, n), dtype=bool)
-    streams = Restream()
+    streams = None  # built when a group first draws
     for lo, hi in zip(b, b[1:]):
         m, k_g = hi - lo, int(k_caps[lo])
         group = layers[:, lo:hi, lo:hi]
@@ -406,6 +408,7 @@ def shared_group_layers(n: int, bounds, d: int, alpha: int,
         # np.triu_indices at an eighth of its memory
         upper = np.triu(np.ones((m, m), dtype=bool), k=1)
         pairs = m * (m - 1) // 2
+        streams = streams or Restream()
         for attempt in range(1000):
             rng = streams.at(seed, "shared-layers", tag, d, alpha, lo,
                              attempt)

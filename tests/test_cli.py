@@ -177,10 +177,11 @@ def test_sweep_keeps_non_terminating_cells(tmp_path, monkeypatch, capsys,
     real = cli.run_consensus
     broken = {1: "stuck"}
 
-    def flaky(inputs, params, t, adversary, seed):
+    def flaky(inputs, params, t, adversary, seed, **kwargs):
         if broken.get(seed) == "stuck":  # a real run, capped at one phase
-            return real(inputs, params, t, adversary, seed, phase_cap=1)
-        result = real(inputs, params, t, adversary, seed)
+            return real(inputs, params, t, adversary, seed, phase_cap=1,
+                        **kwargs)
+        result = real(inputs, params, t, adversary, seed, **kwargs)
         if broken.get(seed) == "split":
             decisions = result.decisions.copy()
             decisions[:2] = [0, 1]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from oracles import MessageIntent, deliver_round
 from qconsim.adversaries import Adversary
 from qconsim.coin import CoinParams, run_coin
-from qconsim.engine import (_RUNS, DIGEST_VERSION, EMPTY_DECISION,
+from qconsim.engine import (DIGEST_VERSION, EMPTY_DECISION,
                             AdversaryViolation, CrashDecision,
                             RoundCapExceeded, SimContext)
 from qconsim.rng import substream
@@ -40,7 +40,9 @@ def test_all_to_all_delivery_no_crashes():
     ctx = SimContext(4, 2, Adversary(), seed=0)
     delivered = ctx.exchange(_full_targets(4), bits=3)
     assert delivered.sum() == 12
-    assert (ctx.ledger.bits == 9).all()
+    assert ctx.ledger.summary() == {
+        "total_bits": 36, "total_qubits": 0, "process_rounds": 4,
+        "amortized_bits": "9", "amortized_qubits": "0"}
     assert ctx.round == 1
 
 
@@ -59,9 +61,10 @@ def test_partial_delivery_on_crash():
         delivered = ctx.exchange(_full_targets(n), bits=5)
         assert delivered[0].sum() == 1 and delivered[0, 2]
         assert not ctx.alive[0]
-        # crashed sender pays only for the delivered subset
-        assert ctx.ledger.bits[0] == 5
-        assert ctx.ledger.bits[1] == 15
+        # the crashed sender pays only for its one delivered message, each
+        # alive sender for its 3 attempts
+        assert ctx.ledger.total_bits == 5 * (1 + 3 * 3)
+        assert ctx.ledger.process_rounds == 3
 
 
 def test_crash_with_no_partial_drops_everything():
@@ -69,7 +72,7 @@ def test_crash_with_no_partial_drops_everything():
     ctx = SimContext(3, 2, ScriptedAdversary(script), seed=0)
     delivered = ctx.exchange(_full_targets(3), bits=1)
     assert not delivered[1].any()
-    assert ctx.ledger.bits[1] == 0
+    assert ctx.ledger.total_bits == 2 * 2  # only the alive senders pay
 
 
 def test_crashed_recipient_gets_nothing():
@@ -84,7 +87,8 @@ def test_halted_processes_neither_send_nor_receive():
     ctx.halt(np.array([True, False, False]))
     delivered = ctx.exchange(_full_targets(3), bits=1)
     assert not delivered[0].any() and not delivered[:, 0].any()
-    assert ctx.ledger.rounds_active[0] == 0
+    assert ctx.ledger.process_rounds == 2
+    assert ctx.ledger.total_bits == 2 * 2  # the halted sender pays nothing
 
 
 def test_crash_budget_strictly_below_t():
@@ -205,8 +209,7 @@ def test_transposed_targets_match_contiguous_copy():
     assert delivered[0][2].any() and not delivered[0][2].all()  # partial
     for a, b in zip(d_view, d_copy):
         assert a.flags.c_contiguous and (a == b).all()
-    for field in ("bits", "qubits", "rounds_active"):
-        assert (getattr(ledger_view, field) == getattr(ledger_copy, field)).all()
+    assert ledger_view.summary() == ledger_copy.summary()
     assert tr_view.digest == tr_copy.digest
 
 
@@ -393,7 +396,7 @@ def test_prepared_round_is_remasked_after_halt():
     assert got[2] is not got[1] and got[2] is got[3]
     for a, b in zip(got + seen, ref + ref_seen):
         assert (a == b).all()
-    assert (ledger.bits == ref_ledger.bits).all()
+    assert ledger.summary() == ref_ledger.summary()
     assert digest == ref_digest
 
 
@@ -414,7 +417,7 @@ def test_prepared_round_is_remasked_after_crash():
     assert not got[3][4].any() and not got[3][:, 4].any()
     for a, b in zip(got + seen, ref + ref_seen):
         assert (a == b).all()
-    assert (ledger.bits == ref_ledger.bits).all()
+    assert ledger.summary() == ref_ledger.summary()
     assert digest == ref_digest
 
 
@@ -443,8 +446,7 @@ def test_row_remask_matches_fresh_prepare():
         assert (a == b).all()
     for (shown, then), (ref_shown, _) in zip(attempts, ref_attempts):
         assert (shown == then).all() and (shown == ref_shown).all()
-    for field in ("bits", "qubits", "rounds_active"):
-        assert (getattr(ledger, field) == getattr(ref_ledger, field)).all()
+    assert ledger.summary() == ref_ledger.summary()
     assert digest == ref_digest
 
 
@@ -498,9 +500,9 @@ def test_round_costs_follow_pairs_halts_and_crashes():
     """One prepared round sent again and again: cost pairs alternate, a new
     pair comes in between, then a halt and a crash with partial delivery.
     Each view shows the round's pair as two ints, the digest is the
-    documented v3 byte sequence and the ledger the sum, round by round, of
-    each sender's attempts (its delivered messages in its crash round)
-    times the round's costs."""
+    documented v3 byte sequence and the ledger's totals the sum, round by
+    round, of the senders' attempts (a crashed sender's delivered messages
+    in its crash round) times the round's costs."""
     n = 5
     targets = substream(3, "cost-entry").random((n, n)) < 0.7
     targets[0] = targets[:, 1] = True  # sender 0 reaches all, all reach 1
@@ -518,9 +520,7 @@ def test_round_costs_follow_pairs_halts_and_crashes():
     prep = ctx.prepare(targets)
 
     alive, halted = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
-    bits = np.zeros(n, dtype=np.int64)
-    qubits = np.zeros(n, dtype=np.int64)
-    active_rounds = np.zeros(n, dtype=np.int64)
+    bits = qubits = active_rounds = 0
     rounds = []
     for event in events:
         if not isinstance(event, tuple):
@@ -542,37 +542,39 @@ def test_round_costs_follow_pairs_halts_and_crashes():
         attempts[crashed] = expected[crashed].sum(axis=1)
         assert type(seen_bits) is type(seen_qubits) is int
         assert (seen_bits, seen_qubits) == (b, q)
-        bits += b * attempts
-        qubits += q * attempts
-        active_rounds += alive & ~halted
+        bits += b * int(attempts.sum())
+        qubits += q * int(attempts.sum())
+        active_rounds += int((alive & ~halted).sum())
         rounds.append((expected, crashed, b, q,
                        alive.astype(int).tolist(),
                        halted.astype(int).tolist()))
     transcript = ctx.finish({}, "cost-recorder")
 
-    assert (ctx.ledger.bits == bits).all()
-    assert (ctx.ledger.qubits == qubits).all()
-    assert (ctx.ledger.rounds_active == active_rounds).all()
+    assert (ctx.ledger.total_bits, ctx.ledger.total_qubits,
+            ctx.ledger.process_rounds) == (bits, qubits, active_rounds)
     assert transcript.digest == _v3_digest(n, 3, 11, rounds, {},
                                            transcript.ledger)
 
 
 def test_ledger_charges_costs_past_the_attempt_dtype():
-    """Attempt counts are uint8 at n = 4, yet costs far past 255 (and past
-    2**32) are charged exactly, in a crash-free round and in a crash round
-    with partial delivery alike."""
+    """Attempt counts are uint8 at n = 4, yet costs far past 255 are charged
+    exactly, in a crash-free round and in a crash round with partial
+    delivery alike, and totals past 2**63 stay exact ints."""
     keep = np.array([False, True, False, True])
     script = [EMPTY_DECISION, CrashDecision(np.array([0]), {0: keep})]
     ctx = SimContext(4, 3, ScriptedAdversary(script), seed=0)
     prep = ctx.prepare(_full_targets(4))
     assert prep.sent.dtype == np.uint8
-    big = 3 << 40
+    big = 1 << 62  # the largest power of two a round's digest bytes hold
     ctx.exchange(prep, bits=300, qubits=big)
     ctx.exchange(prep, bits=300, qubits=big)
     # sender 0 pays 3 messages, then the 2 it delivers in its crash round;
     # the others pay all 3 attempts in both rounds
-    assert ctx.ledger.bits.tolist() == [300 * 5] + [300 * 6] * 3
-    assert ctx.ledger.qubits.tolist() == [big * 5] + [big * 6] * 3
+    assert ctx.ledger.total_bits == 300 * (5 + 6 * 3)
+    assert ctx.ledger.total_qubits == big * (5 + 6 * 3) > 1 << 63
+    assert type(ctx.ledger.total_qubits) is int
+    assert ctx.ledger.summary()["amortized_qubits"] == str(
+        Fraction(big * 23, 4))
 
 
 @st.composite
@@ -580,7 +582,7 @@ def ledger_case(draw):
     """n, three target matrices (two prepared rounds and a raw one) and a
     list of events: an exchange (which round, bits, qubits, crash ids,
     partial delivery), a halt mask, or "read".  Cost pairs come from a small
-    pool, so runs repeat; crashes stay within the budget of t = n."""
+    pool, so pairs repeat; crashes stay within the budget of t = n."""
     n = draw(st.integers(2, 7))
     matrix = st.lists(st.booleans(), min_size=n * n, max_size=n * n).map(
         lambda v: np.array(v).reshape(n, n))
@@ -607,98 +609,77 @@ def ledger_case(draw):
     return n, [draw(matrix) for _ in range(3)], events
 
 
-# two rounds alternating over six cost pairs, more runs than the ledger
-# holds, read in the middle; then a halt and a crash with partial delivery
-_MANY_RUNS = (5, [_full_targets(5), np.eye(5, k=1, dtype=bool),
-                  _full_targets(5)],
-              [(r, b, q, [], {}) for b, q in [(1, 0), (2, 1), (3, 0),
-                                              (1, 1 << 40), (5, 2), (300, 7)]
-               for r in "abab"]
-              + ["read", np.arange(5) == 4, ("a", 2, 1, [], {}),
-                 ("b", 2, 1, [0], {0: np.arange(5) == 1}), ("a", 2, 1, [], {}),
-                 "read", ("raw", 2, 1, [], {}), ("raw", 2, 1, [], {})])
-
-
-def _ledger_fields(ledger):
-    return (ledger.bits.tolist(), ledger.qubits.tolist(),
-            ledger.rounds_active.tolist(), ledger.summary())
+# two rounds alternating over six cost pairs, read in the middle; then a
+# halt and a crash with partial delivery
+_ALTERNATING = (5, [_full_targets(5), np.eye(5, k=1, dtype=bool),
+                    _full_targets(5)],
+                [(r, b, q, [], {}) for b, q in [(1, 0), (2, 1), (3, 0),
+                                                (1, 1 << 40), (5, 2),
+                                                (300, 7)]
+                 for r in "abab"]
+                + ["read", np.arange(5) == 4, ("a", 2, 1, [], {}),
+                   ("b", 2, 1, [0], {0: np.arange(5) == 1}),
+                   ("a", 2, 1, [], {}), "read", ("raw", 2, 1, [], {}),
+                   ("raw", 2, 1, [], {})])
 
 
 @settings(max_examples=150, deadline=None)
 @given(ledger_case())
-@example(_MANY_RUNS)
-def test_run_length_ledger_matches_per_round_charging(case):
-    """The ledger, which queues crash-free rounds as runs, holds at every
-    read what charging each round on its own gives: two prepared rounds used
+@example(_ALTERNATING)
+def test_ledger_matches_per_round_charging(case):
+    """The ledger's summary, at every read and at the end, is what charging
+    each round's senders on their own gives: two prepared rounds used
     alternately, raw-matrix rounds, changing cost pairs, halts and crashes
-    with partial delivery.  Reading mid-run changes no later total: a run
-    without the reads ends with the same ledger and digest, and the digest
-    is the documented v3 byte sequence over the per-round ledger."""
+    with partial delivery.  The digest is the documented v3 byte sequence
+    over the per-round ledger."""
     n, (a, b, raw), events = case
-    ends = []
-    for reading in (True, False):
-        script = [CrashDecision(np.array(e[3], dtype=np.int64), e[4])
-                  for e in events if isinstance(e, tuple)]
-        ctx = SimContext(n, n, ScriptedAdversary(script), seed=2)
-        rounds_by_name = {"a": ctx.prepare(a), "b": ctx.prepare(b), "raw": raw}
-        targets_by_name = {"a": a, "b": b, "raw": raw}
-        alive, halted = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
-        bits, qubits, active_rounds = np.zeros((3, n), dtype=np.int64)
-        rounds = []
+    script = [CrashDecision(np.array(e[3], dtype=np.int64), e[4])
+              for e in events if isinstance(e, tuple)]
+    ctx = SimContext(n, n, ScriptedAdversary(script), seed=2)
+    rounds_by_name = {"a": ctx.prepare(a), "b": ctx.prepare(b), "raw": raw}
+    targets_by_name = {"a": a, "b": b, "raw": raw}
+    alive, halted = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
+    bits, qubits, active_rounds = np.zeros((3, n), dtype=np.int64)
+    rounds = []
 
-        def expected():
-            total_bits, total_qubits = int(bits.sum()), int(qubits.sum())
-            return (bits.tolist(), qubits.tolist(), active_rounds.tolist(),
-                    {"total_bits": total_bits, "total_qubits": total_qubits,
-                     "process_rounds": int(active_rounds.sum()),
-                     "amortized_bits": str(Fraction(total_bits, n)),
-                     "amortized_qubits": str(Fraction(total_qubits, n))})
+    def expected():
+        total_bits, total_qubits = int(bits.sum()), int(qubits.sum())
+        return {"total_bits": total_bits, "total_qubits": total_qubits,
+                "process_rounds": int(active_rounds.sum()),
+                "amortized_bits": str(Fraction(total_bits, n)),
+                "amortized_qubits": str(Fraction(total_qubits, n))}
 
-        for event in events:
-            if isinstance(event, str):
-                if reading:
-                    assert _ledger_fields(ctx.ledger) == expected()
-                continue
-            if not isinstance(event, tuple):
-                ctx.halt(event)
-                halted |= event
-                continue
-            name, b_, q, crashed, partial = event
-            delivered = ctx.exchange(rounds_by_name[name], b_, q)
-            attempted = (targets_by_name[name] & (alive & ~halted)[:, None]
-                         & ~np.eye(n, dtype=bool))
-            alive[crashed] = False
-            want = attempted & (alive & ~halted)[None, :]
-            for s in crashed:
-                want[s] &= partial.get(s, False)
-            assert (delivered == want).all()
-            attempts = attempted.sum(axis=1)
-            attempts[crashed] = want[crashed].sum(axis=1)
-            bits += b_ * attempts
-            qubits += q * attempts
-            active_rounds += alive & ~halted
-            rounds.append((want, crashed, b_, q, alive.astype(int).tolist(),
-                           halted.astype(int).tolist()))
-        transcript = ctx.finish({}, "scripted")
-        assert _ledger_fields(ctx.ledger) == expected()
-        assert transcript.ledger == expected()[3]
-        assert transcript.digest == _v3_digest(n, n, 2, rounds, {},
-                                               expected()[3])
-        ends.append((_ledger_fields(ctx.ledger), transcript.digest))
-    assert ends[0] == ends[1]
-
-
-def test_many_runs_example_overflows_the_run_table():
-    """The explicit example of the ledger test queues more distinct runs
-    before its first read than the ledger holds."""
-    _, _, events = _MANY_RUNS
-    first = events[:events.index("read")]
-    assert len({(e[0], e[1], e[2]) for e in first}) > _RUNS
+    for event in events:
+        if isinstance(event, str):
+            assert ctx.ledger.summary() == expected()
+            continue
+        if not isinstance(event, tuple):
+            ctx.halt(event)
+            halted |= event
+            continue
+        name, b_, q, crashed, partial = event
+        delivered = ctx.exchange(rounds_by_name[name], b_, q)
+        attempted = (targets_by_name[name] & (alive & ~halted)[:, None]
+                     & ~np.eye(n, dtype=bool))
+        alive[crashed] = False
+        want = attempted & (alive & ~halted)[None, :]
+        for s in crashed:
+            want[s] &= partial.get(s, False)
+        assert (delivered == want).all()
+        attempts = attempted.sum(axis=1)
+        attempts[crashed] = want[crashed].sum(axis=1)
+        bits += b_ * attempts
+        qubits += q * attempts
+        active_rounds += alive & ~halted
+        rounds.append((want, crashed, b_, q, alive.astype(int).tolist(),
+                       halted.astype(int).tolist()))
+    transcript = ctx.finish({}, "scripted")
+    assert ctx.ledger.summary() == transcript.ledger == expected()
+    assert transcript.digest == _v3_digest(n, n, 2, rounds, {}, expected())
 
 
 def test_round_cap_mid_relay_carries_exact_totals():
-    """A coin relay cut by the round cap mid-window, with runs still
-    pending, reports exactly the bits and qubits of the rounds it ran: the
+    """A coin relay cut by the round cap mid-window reports exactly the bits and qubits of the rounds it ran: the
     sum of each view's attempts times its costs (nobody crashes)."""
     seen = []
 

@@ -69,11 +69,17 @@ def test_end_epoch_update():
 def test_end_epoch_update_stays_within_caps(rows):
     """From levels within their caps, an epoch end never lowers a level
     and never passes a cap: what lets ``run_relay`` gather inquiry rows at
-    the levels themselves, with no clamp."""
+    the levels themselves, with no clamp.  It grows a level by one, capped,
+    iff the adaptive level fell below it, and returns its input array
+    exactly when no level changed: ``run_relay``'s identity test."""
     caps, below, adaptive = (np.array(c, dtype=np.int64) for c in zip(*rows))
     degree = np.minimum(below, caps)
     grown = end_epoch_update(degree, adaptive, caps)
     assert (grown >= degree).all() and (grown <= caps).all()
+    assert grown.tolist() == np.where(adaptive < degree,
+                                      np.minimum(degree + 1, caps),
+                                      degree).tolist()
+    assert (grown is degree) == np.array_equal(grown, degree)
 
 
 @settings(max_examples=200, deadline=None)
@@ -594,8 +600,9 @@ def test_relay_charges_inquiry_and_response_costs(make, response_keys):
     run_relay(ctx, layers, _flip(layers), k_caps, one_iteration, carrier)
     inquiries = int(np.unpackbits(layers[0]).sum())  # pad bits are zero
     k_max = int(k_caps.max())
-    assert ctx.ledger.bits.sum() == inquiries * (1 + 7 + clog2(k_max + 1))
-    assert ctx.ledger.qubits.sum() == inquiries * carrier.qubits
+    assert ctx.ledger.total_bits == inquiries * (1 + 7 + clog2(k_max + 1))
+    assert ctx.ledger.total_qubits == inquiries * carrier.qubits
+    assert ctx.ledger.process_rounds == 2 * n  # two rounds, nobody halts
     assert [[k for k, _ in p] for p in adversary.payloads] == [
         [], response_keys]
 
@@ -707,8 +714,7 @@ def test_relay_reuse_matches_per_round_oracle(case):
     assert ctx.round == ctx_o.round == window.rounds
     assert digest == digest_o
     assert seen == seen_o  # the carrier state of every round
-    for field in ("bits", "qubits", "rounds_active"):
-        assert (getattr(ctx.ledger, field) == getattr(ctx_o.ledger, field)).all()
+    assert ctx.ledger.summary() == ctx_o.ledger.summary()
     assert (ctx.alive == ctx_o.alive).all()
     assert (state == state_o).all()
     assert (lvl == lvl_o).all()
