@@ -13,8 +13,8 @@ in the environment replaces the config's ``seed``: the seed of run and
 check-graphs, the first of a seed count in sweep and coin-stats (so a sweep
 with an explicit seed list ignores it).  Exit codes: 0 success, 2 bad
 configuration (or one too large for memory: run, sweep and coin-stats
-refuse, before any cell runs, a cell whose estimated peak exceeds the
-machine's physical memory, and a failed allocation exits 2 too), 3 a
+refuse, before any cell runs, cells whose estimated peaks, one per worker,
+exceed physical memory; a failed allocation or a dead worker exits 2), 3 a
 protocol invariant (agreement/validity) was violated, 4 a run hit its phase
 or round cap without terminating (liveness failure).  run is a one-cell
 sweep: both make a non-terminating cell a row with ``terminated`` false and
@@ -33,6 +33,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 
 import jsonschema
@@ -199,16 +200,18 @@ def _peak_bytes(n: int, k: int, counting: bool) -> int:
     ``KeyCarrier.larger``, a merge's mask and a few temporaries) and one
     float32 block of ``_adapt_vec``.  Counting adds its rumor merge as two
     (n, n) matrices, the mask and its edge lists (about 50 bytes per useful
-    edge, up to 0.02 n^2 edges at n = 4096 under the constant preset).
-    Its level-0 build, the bool stack and about six (n, n) matrices, is the
-    peak only for large k.  Calibrated on the peak RSS of crash-free coins
-    at n = 4096 and 8192 (191 and 639 MiB) and of constant-preset consensus
-    runs at n = 2048 and 4096 (84 and 222 MiB)."""
+    edge, up to 0.02 n^2 edges at n = 4096 under the constant preset), and
+    three for the heap holes, each a little smaller than a matrix, that
+    glibc's heap leaves between phases.  Its level-0 build, the bool stack
+    and about six (n, n) matrices, is the peak only for large k.
+    Calibrated on the peak RSS of crash-free coins at n = 4096 and 8192
+    (175 and 574 MiB) and of constant-preset consensus runs at n = 2048
+    and 4096 (83 and 268 MiB, the largest of seeds 1 to 3)."""
     square = n * n
     peak = (2 * (k + 1) * n * -(-n // 8) + 9 * square
             + 4 * n * min(n, block_rows(n)))
     if counting:
-        peak = max(peak + 2 * square, (k + 7) * square)
+        peak = max(peak + 5 * square, (k + 7) * square)
     return _BASE_BYTES + peak
 
 
@@ -216,20 +219,31 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _check_memory(n: int, d: int, alpha: int, counting: bool) -> None:
-    """A config error if a cell's estimated peak exceeds physical memory."""
-    need = _peak_bytes(n, layer_count(n, d, alpha), counting)
+def _check_memory(n: int, d: int, alpha: int, counting: bool,
+                  at_once: int = 1) -> None:
+    """A config error if ``at_once`` such cells exceed physical memory."""
+    need = at_once * _peak_bytes(n, layer_count(n, d, alpha), counting)
     have = _physical_memory()
     if need > have:
+        cells = f" for {at_once} cells at once" if at_once > 1 else ""
         raise ConfigError(f"n = {n} needs about {need / 2**30:.1f} GiB of "
-                          f"memory, more than the {have / 2**30:.1f} GiB "
-                          "of this machine")
+                          f"memory{cells}, more than the "
+                          f"{have / 2**30:.1f} GiB of this machine")
 
 
-def _specs(cfg: dict, n_list: list, presets: list, seeds: list) -> list:
+def _workers(jobs: int, cells: int) -> int:
+    """--jobs, at least 1, capped at one worker process per cell."""
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1 (got {jobs})")
+    return min(jobs, cells)
+
+
+def _specs(cfg: dict, n_list: list, presets: list, seeds: list,
+           jobs: int = 1) -> list:
     """One consensus cell spec per (n, preset, seed), in that order, with
     the config's t, epsilon, adversary, inputs and record_rounds; every
-    (n, preset) must pass the memory check."""
+    (n, preset) must pass the memory check for the cells run at once."""
+    at_once = _workers(jobs, len(n_list) * len(presets) * len(seeds))
     shared = {"epsilon": cfg.get("epsilon", 0.5),
               "adversary": cfg.get("adversary", {"name": "none"}),
               "inputs": cfg.get("inputs", "random"),
@@ -237,7 +251,7 @@ def _specs(cfg: dict, n_list: list, presets: list, seeds: list) -> list:
     for n in n_list:
         for preset in presets:
             params = _params(preset, n, shared["epsilon"])
-            _check_memory(n, params.d, params.alpha, counting=True)
+            _check_memory(n, params.d, params.alpha, True, at_once)
     return [{"n": n, "t": _crash_bound(cfg, n), "seed": seed,
              "preset": preset, **shared}
             for n in n_list for preset in presets for seed in seeds]
@@ -306,7 +320,7 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config, _SWEEP_SCHEMA)
-    specs = _specs(cfg, cfg["n_list"], cfg["presets"], _seeds(cfg))
+    specs = _specs(cfg, cfg["n_list"], cfg["presets"], _seeds(cfg), args.jobs)
     rows = [row for row, _, _ in _fan_out(_cell, specs, args.jobs)]
     if args.format == "json":
         _emit(json.dumps(rows, sort_keys=True, indent=2) + "\n", args.out)
@@ -347,10 +361,11 @@ def cmd_coin_stats(args) -> int:
     n = cfg["n"]
     t = _crash_bound(cfg, n)
     params = CoinParams.make(n, d=cfg.get("d"), alpha=cfg.get("alpha"))
-    _check_memory(n, params.d, params.alpha, counting=False)
     specs = [{"n": n, "t": t, "seed": seed, "coin": params,
               "adversary": cfg.get("adversary", {"name": "none"})}
              for seed in _seeds(cfg)]
+    _check_memory(n, params.d, params.alpha, False,
+                  _workers(args.jobs, len(specs)))
     cells = _fan_out(_coin_cell, specs, args.jobs)
     runs = len(cells)
     agree_runs = [(o, s) for o, s, a in cells if a]
@@ -396,15 +411,16 @@ def cmd_check_graphs(args) -> int:
 
 
 def _fan_out(cell, jobs: list, workers: int) -> list:
-    """``cell`` of every job (a spec dict), in order, in at most ``workers``
-    processes and never more processes than jobs."""
-    if workers < 1:
-        raise ConfigError(f"--jobs must be at least 1 (got {workers})")
-    workers = min(workers, len(jobs))
+    """``cell`` of every job (a spec dict), in order, in ``_workers``
+    processes; a worker that dies (say, killed by the OS) is a config error."""
+    workers = _workers(workers, len(jobs))
     if workers <= 1:
         return [cell(j) for j in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(cell, jobs))
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(cell, jobs))
+    except BrokenProcessPool as exc:
+        raise ConfigError(f"a worker process died: {exc}") from None
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -28,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import SimContext
-from .exchange import (KeyCarrier, Window, clog2, flip_layers,
-                       private_layers, run_relay)
+from .exchange import KeyCarrier, Window, clog2, private_layers, run_relay
 from .rng import Restream
 
 
@@ -95,9 +94,8 @@ def run_coin(ctx: SimContext, params: CoinParams, tag="coin") -> np.ndarray:
     leaders, coin_bits = draw_registers(n, ctx.seed, tag)
     # (leader_value, origin) as a single max-comparable key
     keys = leaders * n + np.arange(n)
-    layers, k_caps = private_layers(n, params.d, params.alpha, ctx.seed, tag)
+    stacks = private_layers(n, params.d, params.alpha, ctx.seed, tag)
     carrier = KeyCarrier(keys, params.response_bits, params.register_qubits)
-    run_relay(ctx, layers, flip_layers(layers), k_caps, params.window,
-              carrier)
+    run_relay(ctx, *stacks, params.window, carrier)
     origin = carrier.keys % n
     return coin_bits[origin]

@@ -44,8 +44,8 @@ the constant preset, layer 1 has edge probability 180/384, about 47%, so an
 edge list would be about as large as the matrix.  The kernels instead read
 each matrix a small, fixed number of times.  The layer stacks, read only
 when the levels change, are held bit-packed along their last axis, an
-eighth of the bool size: the private stack is drawn and packed a chunk of
-processes at a time, and counting packs each level's shared stack once.
+eighth of the bool size: the coin packs both its stacks in one pass, a chunk
+of processes at a time, and counting packs each level's shared stack once.
 A response round, the transpose of its inquiry delivery, is built
 C-ordered from the packed transposed layers, so no delivery is ever
 transposed (an F-to-C copy that misses cache at large n).
@@ -104,7 +104,8 @@ def _adapt_vec(ad: np.ndarray, delivered: np.ndarray, delta: int,
     recipient this equals the loop: while fewer than ``delta`` responders
     report a level >= the current one and the current level is still >= 0
     (degree >= d), the level drops by one.  The terminal level -1 is what
-    makes the degree grow at the end of the epoch.
+    makes the degree grow at the end of the epoch.  If no degree falls the
+    input array itself comes back (a new read-only one otherwise).
     """
     # counts[lv, q]: responders to q that report a level >= lv; a float32
     # product for all levels, one block of responder rows at a time, exact
@@ -118,7 +119,8 @@ def _adapt_vec(ad: np.ndarray, delivered: np.ndarray, delta: int,
     # counts[lv, q] falls as lv grows, so the levels with at least delta
     # responders are 0 .. (their number - 1); the loop stops at the highest
     # of them that is <= ad[q], or at -1 when there is none
-    return np.minimum(ad, (counts >= delta).sum(axis=0) - 1)
+    fell = (counts >= delta).sum(axis=0) - 1
+    return read_only(np.minimum(ad, fell)) if (fell < ad).any() else ad
 
 
 class KeyCarrier:
@@ -287,16 +289,15 @@ def run_relay(ctx: SimContext, layers: np.ndarray, flipped: np.ndarray,
     is picked from flipped[lvl[q]] by one packed level mask per layer, and
     unpacked once; the response round, only when the inquiry round returns
     a new matrix object (returned matrices are read-only), each into the
-    buffer it had.  It is built from the transposed layers,
-    not the delivery: ``asked`` masked to the inquirers that could send,
-    with the columns of those that crashed asking copied from their
-    delivered rows; the engine's masking does the rest.  The response
-    payload is rebuilt only when the adaptive degrees are a new array; the
-    adaptive degrees, unless the same response matrix and degrees were just
-    adapted (the same degree array, or equal ones); and the carrier's
-    merge, unless the same response matrix was just merged without a change
-    (the payloads are then a fixed point of it).  The engine re-masks after
-    a halt or crash and reuses a delivery while nobody crashes.
+    buffer it had.  It is built from the transposed layers, not the
+    delivery: ``asked`` masked to the inquirers that could send, with the
+    columns of those that crashed asking copied from their delivered rows;
+    the engine's masking does the rest.  Degrees are told by identity: the
+    payload is rebuilt only for a new degree array, and the degrees are
+    adapted unless the same response matrix just left that array as it was;
+    the carrier merges unless the same response matrix was just merged
+    without a change (a fixed point of it).  The engine re-masks after a
+    halt or crash and reuses a delivery while nobody crashes.
     """
     n = ctx.n
     rows = np.arange(n)
@@ -304,8 +305,7 @@ def run_relay(ctx: SimContext, layers: np.ndarray, flipped: np.ndarray,
     k_max = int(k_caps.max(initial=0))
     levels = np.arange(k_max + 1)[:, None]
     resp_bits = carrier.bits + clog2(k_max + 1)
-    ask = ask_lvl = heard = answer = idle = None
-    adapted = (None, None, None)  # (response, ad before, ad after)
+    ask = ask_lvl = heard = answer = idle = ad = None
     payload = {"adaptive_degree": None}  # rebuilt when ad changes
     for _ in range(window.epochs):
         if lvl is not ask_lvl:  # end_epoch_update returns the same array
@@ -314,7 +314,9 @@ def run_relay(ctx: SimContext, layers: np.ndarray, flipped: np.ndarray,
             picks = np.packbits(lvl == levels, axis=-1)[:, None]
             asked = _unpack_rows(
                 np.bitwise_or.reduce(flipped & picks, axis=0), n)
-        ad = read_only(lvl)  # levels and degrees are never written in place
+            start = read_only(lvl)  # levels, degrees never written in place
+        if ad is not start:  # the degrees fell or the levels grew
+            ad, steady = start, None  # steady: the response that left ad as is
         for _ in range(window.iterations):
             got_inq = ctx.exchange(ask, 1)
             if got_inq is not heard:
@@ -330,15 +332,9 @@ def run_relay(ctx: SimContext, layers: np.ndarray, flipped: np.ndarray,
                                     payload=payload)
             if got_resp is not idle:
                 idle = None if carrier.merge(got_resp) else got_resp
-            seen, before, after = adapted
-            if got_resp is not seen or (ad is not before
-                                        and not np.array_equal(ad, before)):
-                after = read_only(_adapt_vec(ad, got_resp, window.delta,
-                                             levels))
-            # ad (equal to before) adapts to after; naming it lets the
-            # identity test hit from the next iteration
-            adapted = got_resp, ad, after
-            ad = after
+            if got_resp is not steady:
+                after = _adapt_vec(ad, got_resp, window.delta, levels)
+                steady, ad = (got_resp if after is ad else None), after
         lvl = end_epoch_update(lvl, ad, k_caps)
     return lvl
 
@@ -382,7 +378,7 @@ def shared_group_layers(n: int, bounds, d: int, alpha: int,
     ``max_steps``, the relay iterations available (``_diameter_within``).
     Sampling is repeated deterministically until the certificate holds --
     this stands in for a fixed graph family known to have the needed
-    properties.  Returns (layers, k_caps) in the format run_relay expects.
+    properties.  Returns (layers, k_caps); counting packs the bool layers.
 
     One stream per attempt draws a top-up per layer and writes the block
     into the stack, certifying the base layer before drawing the next.  The
@@ -440,25 +436,27 @@ def _unpack_rows(packed: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(packed, axis=-1, count=n).view(bool)
 
 
-_CHUNK = 256  # processes per chunk of a private stack: a multiple of 8
+_CHUNK = 256  # processes per chunk: a multiple of 8, so columns are bytes
 
 
 def private_layers(n: int, d: int, alpha: int, seed: int, tag
-                   ) -> tuple[np.ndarray, np.ndarray]:
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-process private directed layers over all n processes (coin
-    style), bit-packed along the last axis as ``run_relay`` takes them.
+    style): (layers, flipped, k_caps), packed as ``run_relay`` takes them.
 
     Process p draws row p of every layer from its own stream, layer by
     layer.  Probabilities grow with the layer, so the layers with
     probability 1 come last in each stream; a [0, 1) double is always below
     1, so those rows are all True and are set without drawing.  The rows of
-    up to _CHUNK processes are drawn into one bool block and packed, so no
-    bool stack is held.
+    up to _CHUNK processes are drawn into one bool block, packed into their
+    rows of ``layers`` and, copied transposed to C order (a strided view
+    packs several times slower), into their byte columns of ``flipped``.
     """
     k = layer_count(n, d, alpha)
     probs = np.array([min(1.0, d * alpha ** i / n) for i in range(k + 1)])
     drawn = int((probs < 1.0).sum())
     layers = np.empty((k + 1, n, -(-n // 8)), dtype=np.uint8)
+    flipped = np.empty_like(layers)
     draws = np.empty((drawn, n))
     streams = Restream().each(seed, ("private-layers", tag, ...), range(n))
     for lo in range(0, n, _CHUNK):
@@ -469,19 +467,6 @@ def private_layers(n: int, d: int, alpha: int, seed: int, tag
         own = np.arange(block.shape[1])
         block[:, own, own + lo] = False
         layers[:, lo:lo + _CHUNK] = np.packbits(block, axis=-1)
-    return layers, np.full(n, k, dtype=np.int64)
-
-
-def flip_layers(layers: np.ndarray) -> np.ndarray:
-    """The packed transposed stack of a packed stack, C-ordered: row r of
-    layer i packs column r.  _CHUNK columns (whole bytes) at a time are
-    unpacked, copied transposed into C order and packed, so no bool stack
-    is held (packing a strided transposed view is several times slower)."""
-    n = layers.shape[1]
-    flipped = np.empty_like(layers)
-    for lo in range(0, n, _CHUNK):
-        cols = _unpack_rows(layers[..., lo // 8:(lo + _CHUNK) // 8],
-                           min(_CHUNK, n - lo))
-        flipped[:, lo:lo + _CHUNK] = np.packbits(
-            np.ascontiguousarray(cols.transpose(0, 2, 1)), axis=-1)
-    return flipped
+        flipped[..., lo // 8:(lo + _CHUNK) // 8] = np.packbits(
+            np.ascontiguousarray(block.transpose(0, 2, 1)), axis=-1)
+    return layers, flipped, np.full(n, k, dtype=np.int64)

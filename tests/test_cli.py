@@ -416,16 +416,78 @@ def test_memory_guard_refuses_before_any_cell(command, patch, tmp_path,
     assert not captured.out
 
 
+_TWO_CELLS = {"sweep": {"n_list": [8], "seeds": 2, "presets": ["polylog"]},
+              "coin-stats": {"n": 8, "seeds": 2}}
+
+
+@pytest.mark.parametrize("command", list(_TWO_CELLS))
+def test_memory_guard_counts_cells_at_once(command, tmp_path, monkeypatch,
+                                           capsys):
+    """With room for one cell's estimated peak but not two (a limit and an
+    estimate monkeypatched, so that nothing large is allocated), two cells
+    run at --jobs 1 and exit 2 at --jobs 2 with one ``error:`` line before
+    any cell runs."""
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 3 << 30)
+    monkeypatch.setattr(cli, "_peak_bytes", lambda n, k, counting: 2 << 30)
+    cfg = write_cfg(tmp_path, "c.json", _TWO_CELLS[command])
+    out = str(tmp_path / "o")
+    assert main([command, "--config", cfg, "--jobs", "1", "--out", out]) == 0
+
+    def never(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(cli, "run_consensus", never)
+    monkeypatch.setattr(cli, "run_coin", never)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", never)
+    assert main([command, "--config", cfg, "--jobs", "2",
+                 "--out", out]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: n = 8 needs about 4.0 GiB of memory for 2 cells at once, "
+        "more than the 3.0 GiB of this machine"]
+    assert not captured.out
+
+
+@pytest.mark.parametrize("command", list(_TWO_CELLS))
+def test_dead_worker_is_one_error_line(command, tmp_path, monkeypatch,
+                                       capsys):
+    """A worker killed by the operating system (here a pool whose map
+    raises what a dead worker makes it raise) exits 2 with one ``error:``
+    line, not a traceback."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    class DeadPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            raise BrokenProcessPool("a process terminated abruptly")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", DeadPool)
+    cfg = write_cfg(tmp_path, "c.json", _TWO_CELLS[command])
+    assert main([command, "--config", cfg, "--jobs", "2"]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: a worker process died: a process terminated abruptly"]
+    assert not captured.out
+
+
 def test_memory_estimate_covers_measured_peaks():
     """The estimate is at or above the peak RSS measured for crash-free
     polylog coins at n = 4096 and 8192 and constant-preset consensus runs
     at n = 2048 and 4096, and within a quarter of it; it is arithmetic
     only."""
     mib = 1 << 20
-    for n, k, counting, measured in ((4096, 3, False, 191),
-                                     (8192, 3, False, 639),
-                                     (2048, 2, True, 84),
-                                     (4096, 2, True, 222)):
+    for n, k, counting, measured in ((4096, 3, False, 175),
+                                     (8192, 3, False, 574),
+                                     (2048, 2, True, 83),
+                                     (4096, 2, True, 268)):
         assert measured <= cli._peak_bytes(n, k, counting) / mib \
             <= 1.25 * measured
 

@@ -13,8 +13,8 @@ from qconsim.counting import level_graph, partition, partition_levels
 from qconsim.engine import EMPTY_DECISION, CrashDecision, SimContext
 from qconsim.exchange import (KeyCarrier, RumorCarrier, Window, _adapt_vec,
                               _diameter_within, clog2, end_epoch_update,
-                              flip_layers, layer_count, run_relay,
-                              shared_group_layers, private_layers)
+                              layer_count, run_relay, shared_group_layers,
+                              private_layers)
 from qconsim.rng import Restream, substream
 
 
@@ -117,8 +117,12 @@ def adapt_case(draw):
 
 
 def _check_adapt(ad, delivered, delta, k_max):
+    """The per-recipient loop's levels; ``ad`` itself exactly when no level
+    fell, a new read-only array otherwise."""
     out = _adapt_vec(ad, delivered, delta, np.arange(k_max + 1)[:, None])
     assert out.dtype == ad.dtype
+    assert (out is ad) == np.array_equal(out, ad)
+    assert out is ad or not out.flags.writeable
     for q in range(ad.size):
         levels = ad[delivered[:, q]].tolist()  # q's own responders
         assert out[q] == adapt_degree(levels, int(ad[q]), delta)
@@ -387,7 +391,7 @@ def test_default_blocks_match_reference():
 
 def test_private_layers_marginals():
     n, d, alpha = 400, 8, 4
-    layers, k_caps = private_layers(n, d, alpha, seed=1, tag="t")
+    layers, _, k_caps = private_layers(n, d, alpha, seed=1, tag="t")
     layers = unpack_layers(layers, n)
     assert (k_caps == k_caps[0]).all()
     deg0 = layers[0].sum(axis=1).mean()
@@ -446,7 +450,9 @@ def test_private_layers_match_per_process_oracle(shape, seed, tag):
     n, d, alpha = shape
     got = private_layers(n, d, alpha, seed, tag)
     layers, k_caps = private_layers_oracle(n, d, alpha, seed, tag)
-    want = np.packbits(layers, axis=-1), k_caps
+    want = (np.packbits(layers, axis=-1),
+            np.packbits(layers.transpose(0, 2, 1), axis=-1), k_caps)
+    assert len(got) == 3
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
@@ -454,17 +460,16 @@ def test_private_layers_match_per_process_oracle(shape, seed, tag):
 def test_private_layers_are_packed_oracle_layers(n):
     """The stack is the oracle's bool stack packed along its last axis: pad
     bits zero and the diagonal cleared, in every chunk of processes (n =
-    1025 ends in a chunk of one process).  Its flipped stack is the packed
-    transpose, C-ordered."""
+    1025 ends in a chunk of one process).  The flipped stack built beside
+    it is the packed transpose, C-ordered, pad bits zero too."""
     d = alpha = max(2, clog2(n))
-    got, _ = private_layers(n, d, alpha, 5, "pin")
+    got, flipped, _ = private_layers(n, d, alpha, 5, "pin")
     want, _ = private_layers_oracle(n, d, alpha, 5, "pin")
     assert got.dtype == np.uint8 and got.shape == want.shape[:2] + (
         -(-n // 8),)
     assert np.array_equal(got, np.packbits(want, axis=-1))
     assert not np.unpackbits(got, axis=-1)[..., n:].any()  # pad bits
     assert not want[:, np.arange(n), np.arange(n)].any()
-    flipped = flip_layers(got)
     assert flipped.flags.c_contiguous
     assert np.array_equal(flipped,
                           np.packbits(want.transpose(0, 2, 1), axis=-1))
@@ -557,12 +562,6 @@ def test_shared_layers_oracle_example_resamples():
 
 # -- relay schedule ---------------------------------------------------------
 
-def _flip(layers):
-    """The packed transposed layer stack ``run_relay`` takes, as the coin
-    builds it."""
-    return flip_layers(layers)
-
-
 def test_window_round_count():
     w = Window.for_size(16, 2, 2)
     assert (w.k, w.gamma, w.delta) == (3, 4, 2)
@@ -573,11 +572,11 @@ def test_window_round_count():
 def test_relay_consumes_exact_rounds_and_propagates_max():
     n = 12
     ctx = SimContext(n, 4, Adversary(), seed=3)
-    layers, k_caps = private_layers(n, 4, 2, ctx.seed, "t")
+    stacks = private_layers(n, 4, 2, ctx.seed, "t")
     window = Window.for_size(n, 4, 2)
     keys = np.arange(n, dtype=np.int64) * 10
     carrier = KeyCarrier(keys, bits=4, qubits=8)
-    run_relay(ctx, layers, _flip(layers), k_caps, window, carrier)
+    run_relay(ctx, *stacks, window, carrier)
     assert ctx.round == window.rounds
     assert (carrier.keys == 110).all()  # everyone holds the max
 
@@ -594,10 +593,10 @@ def test_relay_charges_inquiry_and_response_costs(make, response_keys):
     n = 6
     adversary = DrawnCrasher([], seed=0)  # records payloads, crashes nobody
     ctx = SimContext(n, 2, adversary, seed=1)
-    layers, k_caps = private_layers(n, 2, 2, ctx.seed, "t")
+    layers, flipped, k_caps = private_layers(n, 2, 2, ctx.seed, "t")
     carrier = make(n)
     one_iteration = Window(k=-1, gamma=0, delta=2)  # 1 epoch of 1 iteration
-    run_relay(ctx, layers, _flip(layers), k_caps, one_iteration, carrier)
+    run_relay(ctx, layers, flipped, k_caps, one_iteration, carrier)
     inquiries = int(np.unpackbits(layers[0]).sum())  # pad bits are zero
     k_max = int(k_caps.max())
     assert ctx.ledger.total_bits == inquiries * (1 + 7 + clog2(k_max + 1))
@@ -643,10 +642,9 @@ def _relay_setup(kind, n, seed, x):
     rng = np.random.default_rng(seed)
     d = alpha = max(2, clog2(n))
     if kind == "key":
-        layers, k_caps = private_layers(n, d, alpha, seed, "oracle")
         window = Window.for_size(n, d, alpha)
         keys = rng.integers(0, 4, n) * n + np.arange(n)
-        return (layers, _flip(layers), k_caps, window,
+        return (*private_layers(n, d, alpha, seed, "oracle"), window,
                 KeyCarrier(keys, bits=3, qubits=5))
     bounds = partition([0, n], x)
     window = Window.for_size(np.diff(bounds).max(), d, alpha)
@@ -738,9 +736,10 @@ def test_relay_skips_a_delivery_only_after_a_merge_left_it_unchanged(make):
     carrier.merge = counted
     layers = np.zeros((1, 3, 3), dtype=bool)
     layers[0, 1, 0] = layers[0, 2, 1] = True  # 1 asks 0, 2 asks 1
+    flipped = np.packbits(layers.transpose(0, 2, 1), axis=-1)
     layers = np.packbits(layers, axis=-1)
     ctx = SimContext(3, 1, Adversary(), seed=0)
-    run_relay(ctx, layers, _flip(layers), np.zeros(3, dtype=np.int64),
+    run_relay(ctx, layers, flipped, np.zeros(3, dtype=np.int64),
               Window(k=-1, gamma=3, delta=1), carrier)
     held = (carrier.keys if isinstance(carrier, KeyCarrier)
             else carrier.matrices[0].ravel())
