@@ -201,17 +201,17 @@ def _peak_bytes(n: int, k: int, counting: bool) -> int:
     float32 block of ``_adapt_vec``.  Counting adds its rumor merge as two
     (n, n) matrices, the mask and its edge lists (about 50 bytes per useful
     edge, up to 0.02 n^2 edges at n = 4096 under the constant preset), and
-    three for the heap holes, each a little smaller than a matrix, that
+    two for the heap holes, each a little smaller than a matrix, that
     glibc's heap leaves between phases.  Its level-0 build, the bool stack
     and about six (n, n) matrices, is the peak only for large k.
     Calibrated on the peak RSS of crash-free coins at n = 4096 and 8192
-    (175 and 574 MiB) and of constant-preset consensus runs at n = 2048
-    and 4096 (83 and 268 MiB, the largest of seeds 1 to 3)."""
+    (177 and 558 MiB) and of constant-preset consensus runs at n = 2048
+    and 4096 (82 and 212 MiB, the largest of seeds 1 to 3)."""
     square = n * n
     peak = (2 * (k + 1) * n * -(-n // 8) + 9 * square
             + 4 * n * min(n, block_rows(n)))
     if counting:
-        peak = max(peak + 5 * square, (k + 7) * square)
+        peak = max(peak + 4 * square, (k + 7) * square)
     return _BASE_BYTES + peak
 
 

@@ -25,33 +25,35 @@ that crash in it, plus what those senders deliver.
 The engine keeps a running SHA-256 digest over canonical per-round bytes so
 that two runs of the same configuration can be compared exactly.  The byte
 layout is versioned by ``DIGEST_VERSION``; a digest made under another
-version (such as a v2 digest in an older transcript) will not match.
-Version 3 feeds, in order:
+version (such as a v3 digest in an older transcript) will not match.
+Version 4 feeds, in order:
 
 * the header ``f"v{DIGEST_VERSION}|{n}|{t}|{seed}"`` (UTF-8);
-* per round: the round number (4 bytes, little-endian); the delivered
-  (n, n) matrix as ``np.packbits`` of its row-major bits, eight to a byte
-  with the first bit highest and the last byte padded with zero bits; the
-  newly crashed ids, then the round's bits and qubits per message (each
-  int64 in native byte order, two words in all); and the ``alive`` and
-  ``halted`` masks (one byte per process);
+* per round, one bytes object: the round number (4 bytes, little-endian);
+  the 32-byte SHA-256 of the delivered (n, n) matrix as ``np.packbits`` of
+  its row-major bits, eight to a byte with the first bit highest and the
+  last byte padded with zero bits; the newly crashed ids, then the round's
+  bits and qubits per message (each int64 in native byte order, two words
+  in all); and the ``alive`` and ``halted`` masks (one byte per process);
 * at ``finish``: the outputs and then the ledger summary, each as
   ``json.dumps(..., sort_keys=True)`` (outputs with ``default=str``).
 
-n is in the header, so the packed bytes still determine the matrix exactly.
+n is in the header, so the packed bytes determine the matrix and their
+SHA-256 identifies it.  Each delivery is hashed once, when it is built: a
+round that reuses a cached delivery feeds its stored SHA-256 again.
 
 Prepared rounds.  ``SimContext.prepare`` copies a round's targets C-ordered
 into a ``PreparedRound``, clears the diagonal, counts each row's attempts
 and clears the rows of the senders outside the active mask, which the
 round keeps with the attempts' total.  A caller sending the same targets
 again passes the round back; it caches its delivery when nobody crashes
-(exactly ``targets & active``) with that delivery's digest bytes.  Each halt and crash makes a
-new active mask, so ``exchange`` finds a round masked with an older one
-stale and clears, with the same helper, the rows of the senders that left,
-which also drops that cache.  Deliveries, active masks and attempt counts
-are read-only and never written once shown: a returned matrix's identity
-stands for its contents, and an active mask or attempt counts taken
-earlier keep their values.
+(exactly ``targets & active``) with that delivery's SHA-256.  Each halt
+and crash makes a new active mask, so ``exchange`` finds a round masked
+with an older one stale and clears, with the same helper, the rows of the
+senders that left, which also drops that cache.  Deliveries, active masks
+and attempt counts are read-only and never written once shown: a returned
+matrix's identity stands for its contents, and an active mask or attempt
+counts taken earlier keep their values.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-DIGEST_VERSION = 3
+DIGEST_VERSION = 4
 ROUND_CAP = 5_000_000  # default round cap of every run
 
 
@@ -220,11 +222,17 @@ class Transcript:
         return json.dumps(body, sort_keys=True, indent=2) + "\n"
 
 
+def _sha(delivered: np.ndarray) -> bytes:
+    """The SHA-256 of a delivery's row-major bits, packed eight to a byte
+    with zero pad bits: what the digest feeds for it (module docstring)."""
+    return hashlib.sha256(np.packbits(delivered)).digest()
+
+
 class PreparedRound:
     """One round's targets as ``exchange`` uses them (see module docstring)."""
 
     __slots__ = ("active", "targets", "sent", "messages", "delivered",
-                 "packed")
+                 "sha")
 
 
 class SimContext:
@@ -311,7 +319,7 @@ class SimContext:
         prep.sent.flags.writeable = False
         prep.messages = int(prep.sent.sum())
         prep.active = self._active
-        prep.delivered = prep.packed = None
+        prep.delivered = prep.sha = None
 
     # -- the one communication primitive --------------------------------
 
@@ -373,21 +381,18 @@ class SimContext:
             messages += (int(np.count_nonzero(delivered[newly]))
                          - int(prep.sent[newly].sum()))
             delivered.flags.writeable = False
-            packed = np.packbits(delivered)  # row-major, zero-padded bytes
+            sha = _sha(delivered)
         else:
             if prep.delivered is None:
                 prep.delivered = prep.targets & self._active[None, :]
                 prep.delivered.flags.writeable = False
-                prep.packed = np.packbits(prep.delivered)
-            delivered, packed = prep.delivered, prep.packed
+                prep.sha = _sha(prep.delivered)
+            delivered, sha = prep.delivered, prep.sha
         self.ledger.charge(messages, self._n_active, bits, qubits)
 
-        h = self._hash
-        h.update(self.round.to_bytes(4, "little"))
-        h.update(packed)
-        h.update(newly.tobytes())
-        h.update(struct.pack("=2q", bits, qubits))
-        h.update(self._mask_bytes)
+        self._hash.update(b"".join((
+            self.round.to_bytes(4, "little"), sha, newly.tobytes(),
+            struct.pack("=2q", bits, qubits), self._mask_bytes)))
 
         if self.round_records is not None:
             self.round_records.append({

@@ -35,8 +35,9 @@ ends there; otherwise only the masked edges are listed and max-merged,
 rumors one block of edges (``block_rows``) at a time.
 Responder counts for degree adaptation are a float32 BLAS product, exact
 below 2**24 processes, converted to float32 one block of about 256 KB of
-responder rows at a time; the diameter certificate of the shared layers ORs
-packed rows.
+responder rows at a time; the diameter certificate of the shared layers
+runs one breadth-first search and ORs packed rows only when the search
+leaves the answer open.
 
 The relay's round matrices stay dense (n, n) bool on purpose.  At the sizes
 the protocol runs, the top layers it climbs to are dense: at n = 384 under
@@ -53,6 +54,7 @@ transposed (an F-to-C copy that misses cache at large n).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -342,14 +344,28 @@ def run_relay(ctx: SimContext, layers: np.ndarray, flipped: np.ndarray,
 def _diameter_within(adj: np.ndarray, limit: int) -> bool:
     """True iff the graph is connected with diameter <= limit.
 
-    Each hop ORs every node's packed reach row with its neighbours' rows
-    (``bitwise_or.reduceat`` over the edges, each node its own neighbour)
-    until the rows stop changing, as full rows do.
+    One breadth-first search from node 0 first: its eccentricity e bounds
+    the diameter, e <= diameter <= 2e, so 2e <= limit certifies and e >
+    limit refutes, and a hop that reaches no new node before the search
+    covers the graph shows it disconnected.  Only when limit/2 < e <= limit
+    does the exact loop run: each hop ORs every node's packed reach row
+    with its neighbours' rows (``bitwise_or.reduceat`` over the edges, each
+    node its own neighbour) until the rows stop changing, as full rows do.
     """
     m = adj.shape[0]
-    closed = adj | np.eye(m, dtype=bool)
-    if closed.all():
+    seen = np.arange(m) == 0
+    front, e = seen, 0  # e: the hops so far, seen: the nodes within e hops
+    while not seen.all():
+        if e >= limit:  # a node lies more than limit hops from node 0
+            return False
+        front = adj[front].any(axis=0) & ~seen
+        if not front.any():  # disconnected
+            return False
+        seen |= front
+        e += 1
+    if 2 * e <= limit:
         return True
+    closed = adj | np.eye(m, dtype=bool)
     src, dst = np.divmod(np.flatnonzero(closed), m)
     starts = np.searchsorted(src, np.arange(m))
     rows = np.zeros((m, -(-m // 64) * 64), dtype=bool)
@@ -362,6 +378,16 @@ def _diameter_within(adj: np.ndarray, limit: int) -> bool:
         reach = grown
     rows[0, :m] = True  # now the packed row of everyone
     return bool((reach == np.packbits(rows[0]).view(np.uint64)).all())
+
+
+@functools.lru_cache(maxsize=4)
+def _upper(m: int) -> np.ndarray:
+    """The read-only (m, m) mask of the pairs above the diagonal: it fills
+    them in the row-major order of np.triu_indices at an eighth of its
+    memory.  Each counting level has one or two group sizes."""
+    upper = np.triu(np.ones((m, m), dtype=bool), k=1)
+    upper.flags.writeable = False
+    return upper
 
 
 def shared_group_layers(n: int, bounds, d: int, alpha: int,
@@ -386,7 +412,9 @@ def shared_group_layers(n: int, bounds, d: int, alpha: int,
     0 above it, and those are the attempt's last draws, so they are not
     drawn: the edges are set or kept.  A group with m <= d (k_g = 0, base
     probability 1) would draw nothing and certify at once, so it is made
-    complete in every layer without a stream or a certificate.
+    complete in every layer without a stream or a certificate.  A group's
+    pairs are the read-only upper-triangle mask of its size (``_upper``,
+    cached), and every attempt draws them into one float64 buffer.
     """
     b = np.asarray(bounds).tolist()
     k_caps = np.zeros(n, dtype=np.int64)
@@ -400,10 +428,9 @@ def shared_group_layers(n: int, bounds, d: int, alpha: int,
         if k_g == 0:  # m <= d: complete in every layer, nothing drawn
             group[:] = ~np.eye(m, dtype=bool)
             continue
-        # a boolean mask fills the pairs in the row-major order of
-        # np.triu_indices at an eighth of its memory
-        upper = np.triu(np.ones((m, m), dtype=bool), k=1)
+        upper = _upper(m)
         pairs = m * (m - 1) // 2
+        draws = np.empty(pairs)
         streams = streams or Restream()
         for attempt in range(1000):
             rng = streams.at(seed, "shared-layers", tag, d, alpha, lo,
@@ -416,7 +443,7 @@ def shared_group_layers(n: int, bounds, d: int, alpha: int,
                     edges[:] = True
                 else:
                     top_up = (prob - prev_prob) / (1.0 - prev_prob)
-                    edges |= rng.random(pairs) < top_up
+                    edges |= rng.random(out=draws) < top_up
                 prev_prob = prob
                 # both triangles: a failed attempt's pairs are all rewritten
                 group[i][upper] = edges
@@ -448,9 +475,12 @@ def private_layers(n: int, d: int, alpha: int, seed: int, tag
     layer.  Probabilities grow with the layer, so the layers with
     probability 1 come last in each stream; a [0, 1) double is always below
     1, so those rows are all True and are set without drawing.  The rows of
-    up to _CHUNK processes are drawn into one bool block, packed into their
-    rows of ``layers`` and, copied transposed to C order (a strided view
-    packs several times slower), into their byte columns of ``flipped``.
+    up to _CHUNK processes are drawn into one bool block laid out per
+    process, (rows, k + 1, n), so that each process's comparison writes one
+    contiguous run against thresholds of the draws' own shape.  The block
+    is packed into its rows of ``layers`` and, copied transposed to C order
+    (a strided view packs several times slower), into its byte columns of
+    ``flipped``.
     """
     k = layer_count(n, d, alpha)
     probs = np.array([min(1.0, d * alpha ** i / n) for i in range(k + 1)])
@@ -458,15 +488,17 @@ def private_layers(n: int, d: int, alpha: int, seed: int, tag
     layers = np.empty((k + 1, n, -(-n // 8)), dtype=np.uint8)
     flipped = np.empty_like(layers)
     draws = np.empty((drawn, n))
+    below = np.repeat(probs[:drawn, None], n, axis=1)  # draws' shape
     streams = Restream().each(seed, ("private-layers", tag, ...), range(n))
     for lo in range(0, n, _CHUNK):
-        block = np.ones((k + 1, min(_CHUNK, n - lo), n), dtype=bool)
-        for row, rng in zip(block.transpose(1, 0, 2), streams):
+        block = np.ones((min(_CHUNK, n - lo), k + 1, n), dtype=bool)
+        for rows, rng in zip(block, streams):
             rng.random(out=draws)
-            np.less(draws, probs[:drawn, None], out=row[:drawn])
-        own = np.arange(block.shape[1])
-        block[:, own, own + lo] = False
-        layers[:, lo:lo + _CHUNK] = np.packbits(block, axis=-1)
+            np.less(draws, below, out=rows[:drawn])
+        own = np.arange(block.shape[0])
+        block[own, :, own + lo] = False
+        layers[:, lo:lo + _CHUNK] = np.packbits(block, axis=-1).transpose(
+            1, 0, 2)
         flipped[..., lo // 8:(lo + _CHUNK) // 8] = np.packbits(
-            np.ascontiguousarray(block.transpose(0, 2, 1)), axis=-1)
+            np.ascontiguousarray(block.transpose(1, 2, 0)), axis=-1)
     return layers, flipped, np.full(n, k, dtype=np.int64)

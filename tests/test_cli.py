@@ -484,10 +484,10 @@ def test_memory_estimate_covers_measured_peaks():
     at n = 2048 and 4096, and within a quarter of it; it is arithmetic
     only."""
     mib = 1 << 20
-    for n, k, counting, measured in ((4096, 3, False, 175),
-                                     (8192, 3, False, 574),
-                                     (2048, 2, True, 83),
-                                     (4096, 2, True, 268)):
+    for n, k, counting, measured in ((4096, 3, False, 177),
+                                     (8192, 3, False, 558),
+                                     (2048, 2, True, 82),
+                                     (4096, 2, True, 212)):
         assert measured <= cli._peak_bytes(n, k, counting) / mib \
             <= 1.25 * measured
 
@@ -529,11 +529,11 @@ _PIN_JSON = ("92941498faf53dbe0f8a34533ce8f601"
              "abf408b73a38bca21d0b4928d708298c")
 _PINS = {
     "run": ("run", _PIN_RUN, [],
-            "46d8102ebde834bde51e8bbbbb272269"
-            "532ab64353fc2632aafda85cee7ee944"),
+            "45b37e5f8b6acd9833015805cf02ecdb"
+            "7c91816679684f76809b74c5bfdf3848"),
     "run-record-rounds": ("run", {**_PIN_RUN, "record_rounds": True}, [],
-                          "8201a32e8c1725707725da313b6534f7"
-                          "9a42bc870b1959b452c2c8058a9c0e59"),
+                          "7a81da5116aeb64834ada1d02a8c589a"
+                          "68812bfd2c208383b4c8342ae9b05f53"),
     "sweep-csv-jobs1": ("sweep", _PIN_SWEEP, ["--jobs", "1"], _PIN_CSV),
     "sweep-csv-jobs2": ("sweep", _PIN_SWEEP, ["--jobs", "2"], _PIN_CSV),
     "sweep-json-jobs1": ("sweep", _PIN_SWEEP,

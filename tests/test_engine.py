@@ -237,33 +237,32 @@ def _int64s(values):
     return struct.pack(f"={len(values)}q", *values)
 
 
-def _v3_digest(n, t, seed, rounds, outputs, ledger):
-    """The digest built by hand from the documented version-3 byte layout.
+def _v4_digest(n, t, seed, rounds, outputs, ledger):
+    """The digest built by hand from the documented version-4 byte layout.
 
     ``rounds`` holds one (delivered, newly, bits, qubits, alive, halted)
     tuple per round; ``bits`` and ``qubits`` are the round's two ints, the
-    other per-process fields lists of ints.
+    other per-process fields lists of ints.  Each round feeds the SHA-256 of
+    its packed delivery, not the packed bytes.
     """
-    h = hashlib.sha256(f"v3|{n}|{t}|{seed}".encode())
+    h = hashlib.sha256(f"v4|{n}|{t}|{seed}".encode())
     for r, (delivered, newly, bits, qubits, alive, halted) in enumerate(
             rounds):
-        h.update(r.to_bytes(4, "little"))
-        h.update(_packed_rows(delivered))
-        h.update(_int64s(newly))
-        h.update(_int64s([bits, qubits]))
-        h.update(bytes(alive))
-        h.update(bytes(halted))
+        h.update(r.to_bytes(4, "little")
+                 + hashlib.sha256(_packed_rows(delivered)).digest()
+                 + _int64s(newly) + _int64s([bits, qubits])
+                 + bytes(alive) + bytes(halted))
     h.update(json.dumps(outputs, sort_keys=True, default=str).encode())
     h.update(json.dumps(ledger, sort_keys=True).encode())
     return h.hexdigest()
 
 
-def test_digest_v3_layout():
-    """The transcript digest is the documented v3 byte sequence: the 9-bit
-    matrix at n = 3 packs into two bytes with seven zero pad bits, each
-    round's costs are two int64 words, and every delivered bit, the last
-    one included, reaches the digest."""
-    assert DIGEST_VERSION == 3
+def test_digest_v4_layout():
+    """The transcript digest is the documented v4 byte sequence: the 9-bit
+    matrix at n = 3 packs into two bytes with seven zero pad bits, whose
+    SHA-256 the round feeds, each round's costs are two int64 words, and
+    every delivered bit, the last one included, reaches the digest."""
+    assert DIGEST_VERSION == 4
     keep = np.array([True, False, False])
     script = [CrashDecision(), CrashDecision(np.array([1]), {1: keep})]
     ctx = SimContext(3, 2, ScriptedAdversary(script), seed=6)
@@ -278,17 +277,46 @@ def test_digest_v3_layout():
                                 [True, False, False]]
     rounds = [(full, [], 2, 1, [1, 1, 1], [0, 0, 0]),
               (partial, [1], 4, 0, [1, 0, 1], [0, 0, 0])]
-    expected = _v3_digest(3, 2, 6, rounds, outputs, transcript.ledger)
+    expected = _v4_digest(3, 2, 6, rounds, outputs, transcript.ledger)
     assert transcript.digest == expected
-    assert json.loads(transcript.to_json())["digest_version"] == 3
+    assert json.loads(transcript.to_json())["digest_version"] == 4
 
     for r in range(len(rounds)):
         for i in range(9):
             flipped = [list(rd) for rd in rounds]
             flipped[r][0] = rounds[r][0].copy()
             flipped[r][0].flat[i] ^= True
-            assert _v3_digest(3, 2, 6, flipped, outputs,
+            assert _v4_digest(3, 2, 6, flipped, outputs,
                               transcript.ledger) != expected, (r, i)
+
+
+def test_reused_delivery_does_not_show_in_the_digest():
+    """One prepared round sent again and again, whose cached delivery the
+    crash-free rounds return, gives the digest of a run that prepares equal
+    targets afresh every round: across a halt, a crash with partial
+    delivery and the rounds after it."""
+    n = 6
+    targets = substream(4, "digest-reuse").random((n, n)) < 0.6
+    keep = np.arange(n) % 2 == 0
+    script = [EMPTY_DECISION] * 3 + [CrashDecision(np.array([1]),
+                                                   {1: keep})]
+    script += [EMPTY_DECISION] * 3
+    halt = np.arange(n) == 5
+    digests = []
+    for reuse in (True, False):
+        ctx = SimContext(n, 3, ScriptedAdversary(script), seed=12)
+        prep = ctx.prepare(targets)
+        got = []
+        for r in range(len(script)):
+            if r == 2:
+                ctx.halt(halt)
+            got.append(ctx.exchange(prep if reuse else targets.copy(),
+                                    bits=2, qubits=1))
+        reused = [a is b for a, b in zip(got, got[1:])]
+        assert reused == ([True, False, False, False, True, True] if reuse
+                          else [False] * 6)
+        digests.append(ctx.finish({}, "scripted").digest)
+    assert digests[0] == digests[1]
 
 
 def test_transcript_json_uses_one_based_ids():
@@ -500,7 +528,7 @@ def test_round_costs_follow_pairs_halts_and_crashes():
     """One prepared round sent again and again: cost pairs alternate, a new
     pair comes in between, then a halt and a crash with partial delivery.
     Each view shows the round's pair as two ints, the digest is the
-    documented v3 byte sequence and the ledger's totals the sum, round by
+    documented v4 byte sequence and the ledger's totals the sum, round by
     round, of the senders' attempts (a crashed sender's delivered messages
     in its crash round) times the round's costs."""
     n = 5
@@ -552,7 +580,7 @@ def test_round_costs_follow_pairs_halts_and_crashes():
 
     assert (ctx.ledger.total_bits, ctx.ledger.total_qubits,
             ctx.ledger.process_rounds) == (bits, qubits, active_rounds)
-    assert transcript.digest == _v3_digest(n, 3, 11, rounds, {},
+    assert transcript.digest == _v4_digest(n, 3, 11, rounds, {},
                                            transcript.ledger)
 
 
@@ -630,7 +658,7 @@ def test_ledger_matches_per_round_charging(case):
     """The ledger's summary, at every read and at the end, is what charging
     each round's senders on their own gives: two prepared rounds used
     alternately, raw-matrix rounds, changing cost pairs, halts and crashes
-    with partial delivery.  The digest is the documented v3 byte sequence
+    with partial delivery.  The digest is the documented v4 byte sequence
     over the per-round ledger."""
     n, (a, b, raw), events = case
     script = [CrashDecision(np.array(e[3], dtype=np.int64), e[4])
@@ -675,7 +703,7 @@ def test_ledger_matches_per_round_charging(case):
                        halted.astype(int).tolist()))
     transcript = ctx.finish({}, "scripted")
     assert ctx.ledger.summary() == transcript.ledger == expected()
-    assert transcript.digest == _v3_digest(n, n, 2, rounds, {}, expected())
+    assert transcript.digest == _v4_digest(n, n, 2, rounds, {}, expected())
 
 
 def test_round_cap_mid_relay_carries_exact_totals():

@@ -172,8 +172,28 @@ def undirected_graph(draw):
     return adj
 
 
+def _graph(m, edges):
+    """The symmetric adjacency of m nodes with the given edges."""
+    adj = np.zeros((m, m), dtype=bool)
+    for a, b in edges:
+        adj[a, b] = adj[b, a] = True
+    return adj
+
+
+# node 0 ends a path of six nodes: its eccentricity e is 5
+_PATH6 = _graph(6, zip(range(5), range(1, 6)))
+# node 0 in the middle of a path of seven: e = 3, diameter 6
+_MIDDLE0 = _graph(7, [(3, 1), (1, 2), (2, 0), (0, 4), (4, 5), (5, 6)])
+
+
 @settings(max_examples=300, deadline=None)
 @given(undirected_graph(), st.integers(1, 8))
+@example(_PATH6, 8)  # 2e = 10 > 8 >= e: the exact loop, which certifies
+@example(_MIDDLE0, 5)  # 2e = 6 > 5 >= e: the exact loop, which refutes
+@example(_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)]), 2)  # a star: 2e <= 2
+@example(_MIDDLE0, 6)  # 2e <= limit: certified by the search alone
+@example(_PATH6, 4)  # e > limit
+@example(_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)]), 8)  # disconnected
 def test_diameter_within_matches_bfs(adj, limit):
     diameter = bfs_diameter(adj)
     assert _diameter_within(adj, limit) == (diameter is not None
@@ -456,11 +476,12 @@ def test_private_layers_match_per_process_oracle(shape, seed, tag):
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
-@pytest.mark.parametrize("n", [1, 7, 13, 64, 1025])
+@pytest.mark.parametrize("n", [1, 7, 13, 64, 256, 257, 520, 1025])
 def test_private_layers_are_packed_oracle_layers(n):
     """The stack is the oracle's bool stack packed along its last axis: pad
     bits zero and the diagonal cleared, in every chunk of processes (n =
-    1025 ends in a chunk of one process).  The flipped stack built beside
+    256 is one full chunk, 257 and 1025 end in a chunk of one process and
+    520 in one of eight).  The flipped stack built beside
     it is the packed transpose, C-ordered, pad bits zero too."""
     d = alpha = max(2, clog2(n))
     got, flipped, _ = private_layers(n, d, alpha, 5, "pin")
@@ -547,6 +568,17 @@ def test_complete_groups_draw_nothing(monkeypatch):
         for lo, hi in zip(bounds, bounds[1:]):
             blocks[lo:hi, lo:hi] = ~np.eye(hi - lo, dtype=bool)
         assert not k_caps.any() and np.array_equal(layers, blocks[None])
+
+
+def test_upper_mask_is_cached_and_read_only():
+    """The upper-triangle mask is built once per group size and cannot be
+    written, so no group's sampling can corrupt the next one's."""
+    upper = exchange._upper(9)
+    assert exchange._upper(9) is upper and upper.base is None
+    assert np.array_equal(upper, np.triu(np.ones((9, 9), dtype=bool), k=1))
+    assert not upper.flags.writeable
+    with pytest.raises(ValueError):
+        upper[0, 1] = False
 
 
 def test_shared_layers_oracle_example_resamples():

@@ -8,11 +8,12 @@ fallback triggers and the transcript digest.  A refactor that is meant to
 change nothing must leave every value here byte-identical; a change that
 alters behaviour must say so and regenerate them.
 
-The digests are DIGEST_VERSION 3 digests (see qconsim.engine): each round
-hashes its one (bits, qubits) cost pair.  They were regenerated from the
-version 2 digests with every other pinned value asserted equal first.  A
-change to the digest format alone bumps DIGEST_VERSION and regenerates the
-digests only; every other pinned value must stay as it is.
+The digests are DIGEST_VERSION 4 digests (see qconsim.engine): each round
+hashes the SHA-256 of its delivery, not the packed delivery itself.  They
+were regenerated from the version 3 digests with every other pinned value
+asserted equal first.  A change to the digest format alone bumps
+DIGEST_VERSION and regenerates the digests only; every other pinned value
+must stay as it is.
 """
 
 import numpy as np
@@ -37,8 +38,8 @@ GOLDEN = [
       "total_bits": 589255, "total_qubits": 163761,
       "crashed": [0, 1, 5, 10],
       "fallback_triggers": 0,
-      "digest": "9254a0c8a7ea07031747dbce1b5b0c0dfcb272d3"
-                "31d26ef8618dba42237c5955"}),
+      "digest": "57bf3318e98857f2a2bc0c625076744d"
+                "a45da1e8092d0468347fbe86e4d798c5"}),
     ("n32-constant-split_attacker", 32, 10, "constant", 0.5, "split_attacker",
      {}, 5, "10110111101000110110010101001000",
      {"decisions": [0, -1, 0, -1, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0,
@@ -47,8 +48,8 @@ GOLDEN = [
       "total_bits": 9079039, "total_qubits": 1372224,
       "crashed": [1, 3, 9, 16, 17, 23, 24, 25, 26],
       "fallback_triggers": 0,
-      "digest": "518b27f04587a608738cd37c26d18a852da54ab63"
-                "dc8b3c21748ea67bc6fa244"}),
+      "digest": "4b3468a1a39d3637c5c83ef6e17294f1"
+                "612120f8f06dcbdeba6222d784bdbc36"}),
     # t = n lets the crasher take all but one process, so the survivor
     # count drops under the fallback threshold and the fallback window runs.
     ("n64-constant-random_crasher-fallback", 64, 64, "constant", 0.5,
@@ -59,8 +60,8 @@ GOLDEN = [
       "total_bits": 2707852, "total_qubits": 63821,
       "crashed": [p for p in range(64) if p != 6],
       "fallback_triggers": 1,
-      "digest": "462270cd4152966e6c9169eb77243fbd90909691"
-                "f3df8fde87d3b3c0fba059af"}),
+      "digest": "ff5180048cacde20aaef28a8f9b86d18"
+                "2fb490c9c9837ca32e3ea49fcbb35dc1"}),
     ("n24-polylog-degree_targeter", 24, 8, "polylog", None, "degree_targeter",
      {}, 11, "000011101010110110110101",
      {"decisions": [-1, -1, 1, -1, -1, 1, -1, -1, 1, -1, 1, 1, 1, 1, 1, 1,
@@ -69,37 +70,37 @@ GOLDEN = [
       "total_bits": 1193742, "total_qubits": 321552,
       "crashed": [0, 1, 3, 4, 6, 7, 9],
       "fallback_triggers": 0,
-      "digest": "350fb5d455cc909a207d8c30c39ca1f38230140dd"
-                "3df9720b56bb18b9e9ef056"}),
+      "digest": "f740ff7bd0f1ca71f8ac677a3100c316"
+                "947b0bea09611b4667f879e69ebfd001"}),
     # n = 1 takes the early return: no phase, no round
     ("n1-polylog-none", 1, 0, "polylog", None, "none", {}, 4, "1",
      {"decisions": [1], "phases": 0, "rounds": 0,
       "total_bits": 0, "total_qubits": 0, "crashed": [],
       "fallback_triggers": 0,
-      "digest": "0bee5d64fe3b4eb2df75e60db2205fd860b78529f"
-                "abca8cf59f3fc09daff07d4"}),
+      "digest": "5adffb3a46b096cca03df7c77799cec6"
+                "ebef4de12cb64f81e3d913570911722b"}),
     ("n2-constant-random_crasher", 2, 2, "constant", 0.5, "random_crasher",
      {"rate": 0.01}, 9, "01",
      {"decisions": [-1, 0], "phases": 2, "rounds": 72,
       "total_bits": 175, "total_qubits": 28, "crashed": [0],
       "fallback_triggers": 1,
-      "digest": "cf40a8bfac0b4e6b00a8ea0550a25976cb4dd2178"
-                "870d80636455e120a89f650"}),
+      "digest": "4b1f6a0fada1e8b23fbdadcee865eda6"
+                "18607b23e6c395498d91cec51735ef58"}),
     ("n8-polylog-split_attacker", 8, 2, "polylog", None, "split_attacker",
      {}, 6, "01101001",
      {"decisions": [-1, 0, 0, 0, 0, 0, 0, 0], "phases": 5, "rounds": 910,
       "total_bits": 125548, "total_qubits": 27780, "crashed": [0],
       "fallback_triggers": 0,
-      "digest": "54e712005dd7c05bdc82627616fdd3afb8d3ee75b"
-                "53c0ae2d20764a33b85c585"}),
+      "digest": "7cdb0696b9c46d605f67b635ac8dc276"
+                "783c8cda24cc765bdb18b845e30f2c78"}),
     # unanimous inputs: every process decides by the phase rule in phase 1
     ("n16-constant-none-all-zero", 16, 5, "constant", 0.5, "none", {}, 8,
      "0" * 16,
      {"decisions": [0] * 16, "phases": 4, "rounds": 512,
       "total_bits": 794928, "total_qubits": 179946, "crashed": [],
       "fallback_triggers": 0,
-      "digest": "4820b05b8ad1841eb38e4407d2744f56c839eb8c1c"
-                "3e82db0ec7ac0050c88e65"}),
+      "digest": "ec78bbfd370becd5dd91ebc0a5c07258"
+                "aa9364b250f0878de42df040fff891b2"}),
     ("n16-polylog-random_crasher-all-one", 16, 5, "polylog", None,
      "random_crasher", {"rate": 0.01}, 12, "1" * 16,
      {"decisions": [1, -1, 1, 1, -1, 1, 1, 1, -1, 1, 1, 1, 1, 1, 1, -1],
@@ -107,8 +108,8 @@ GOLDEN = [
       "total_bits": 556916, "total_qubits": 169650,
       "crashed": [1, 4, 8, 15],
       "fallback_triggers": 0,
-      "digest": "07885091968fb50629ab8c296c5c33c16b43dcaf2a"
-                "80696ce336ba924cd5acdd"}),
+      "digest": "7e3c1800a6801a338976f84aaf62664b"
+                "a1767004fa85afdc52a74fe5c5ac608e"}),
     ("n32-constant-degree_targeter", 32, 10, "constant", 0.5,
      "degree_targeter", {}, 17, "11000110000010110100100100111100",
      {"decisions": [-1] * 8 + [0] * 4 + [-1] + [0] * 19,
@@ -116,8 +117,8 @@ GOLDEN = [
       "total_bits": 9345220, "total_qubits": 1376496,
       "crashed": [0, 1, 2, 3, 4, 5, 6, 7, 12],
       "fallback_triggers": 0,
-      "digest": "9cffe7ca895a81601e61a0d8c730bd8f307bc156c4"
-                "b6d9a637d1c2e066523dfc"}),
+      "digest": "3c55597f29aba9d2133052254ecfdee1"
+                "0be6aa3f3a8dde4e67846fd7a32bbdc2"}),
     # the preset and adversary of the consensus-large benchmark at a quarter
     # of its size; the crasher spends its whole budget
     ("n96-constant-random_crasher", 96, 32, "constant", 0.5, "random_crasher",
@@ -136,8 +137,8 @@ GOLDEN = [
                   54, 55, 58, 60, 61, 63, 66, 67, 70, 71, 73, 75, 78, 81,
                   88, 91],
       "fallback_triggers": 0,
-      "digest": "93ba38b8a380f7b4eb01d20c4433aea7f4fdd5f374bb639552ddf9d"
-                "8ee93e3f7"}),
+      "digest": "f4770f75b4a31508ca00e6917590232d"
+                "9f2f563f23bece8715c522fbfda5e915"}),
     # the constant preset away from its default exponent: x = alpha = 3
     # (epsilon 0.3) and x = alpha = 15 (epsilon 0.7) at n = 48
     ("n48-constant-eps0.3-random_crasher", 48, 16, "constant", 0.3,
@@ -150,8 +151,8 @@ GOLDEN = [
       "total_bits": 4973700, "total_qubits": 1357740,
       "crashed": [1, 2, 3, 5, 11, 16, 18, 21, 24, 25, 31, 39, 43, 45, 46],
       "fallback_triggers": 0,
-      "digest": "e0691866992c17345ffc976d47ca0af875ba93a57359f0577d3a968"
-                "b5bc1e94a"}),
+      "digest": "22147dd74310acc9aff4ec68137dee61"
+                "e16f9195f0289b30e365b225cedea8ad"}),
     ("n48-constant-eps0.7-random_crasher", 48, 16, "constant", 0.7,
      "random_crasher", {"rate": 0.01}, 31,
      "001111010001111011110010011110101101001000010001",
@@ -162,8 +163,8 @@ GOLDEN = [
       "total_bits": 25316669, "total_qubits": 1956297,
       "crashed": [2, 6, 9, 10, 15, 17, 19, 26, 27, 30, 31, 35, 36, 38, 40],
       "fallback_triggers": 0,
-      "digest": "c4bd48a594be2e8941a1d59ee44758e29f8eff664cd9929ccb47e42"
-                "7a646b6c5"}),
+      "digest": "6f626af0897fcbf01dcd748e31c5b2d4"
+                "e96134e5587c7437a5e4533180175ef8"}),
     # both presets against the two structured adversaries at n = 64, and
     # split inputs (alternating 0 and 1) at n = 8
     ("n64-polylog-degree_targeter", 64, 21, "polylog", None, "degree_targeter",
@@ -179,8 +180,8 @@ GOLDEN = [
       "crashed": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16,
                  17, 20, 24],
       "fallback_triggers": 0,
-      "digest": "80f27f87e9a27ced5c1330827befe1cf0b186df9"
-                "a5fd90d141729c8e9667c916"}),
+      "digest": "26858ce63ebc15cd4f9c374dbc8054f2"
+                "88f5adce0e541c108a1c8f021b3afee1"}),
     ("n64-constant-degree_targeter", 64, 21, "constant", 0.5,
      "degree_targeter", {}, 43,
      "111100011110010001000001001001100111010000101001111010011110"
@@ -194,8 +195,8 @@ GOLDEN = [
       "crashed": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 16, 17, 25, 28, 32, 33,
                  40, 48, 56],
       "fallback_triggers": 0,
-      "digest": "0156cdc737fdaf55964afe0cd829491c5563a4ac"
-                "900a45bdec23b2aa7a4c8aeb"}),
+      "digest": "71c486af0d88fb8a31c855374d15a215"
+                "a99f7c793477ffb339f3ed5ece33e32c"}),
     ("n64-polylog-split_attacker", 64, 21, "polylog", None, "split_attacker",
      {}, 47,
      "010100001110011001111111000100001001000000111011011101000101"
@@ -209,8 +210,8 @@ GOLDEN = [
       "crashed": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16,
                  17, 18, 19],
       "fallback_triggers": 0,
-      "digest": "a04511e45c0b78e5d6389d410ed454a042fab6f1"
-                "63e1bb5d5293bd628c429f1b"}),
+      "digest": "8ab547adf1212325d1a012190c57ee45"
+                "1ab51eecb0097957d6886c7da83647b9"}),
     ("n64-constant-split_attacker", 64, 21, "constant", 0.5, "split_attacker",
      {}, 53,
      "011110111100110001000111011001101110000000110011111110101000"
@@ -224,8 +225,8 @@ GOLDEN = [
       "crashed": [0, 1, 3, 4, 5, 6, 7, 11, 12, 14, 15, 17, 18, 20, 30, 31, 34,
                  40, 43, 45],
       "fallback_triggers": 0,
-      "digest": "ea565f2b3a48049ba3b2f93d7cd03a250c902377"
-                "6059ef3378ed84743d6de105"}),
+      "digest": "4a12573865b2cdc193ed0dec7cf12e75"
+                "aaf0c167114846dac152926a5e86de5b"}),
     ("n8-polylog-random_crasher-split", 8, 2, "polylog", None,
      "random_crasher", {"rate": 0.02}, 59,
      "01010101",
@@ -234,8 +235,8 @@ GOLDEN = [
       "total_bits": 118059, "total_qubits": 34590,
       "crashed": [5],
       "fallback_triggers": 0,
-      "digest": "1554cfd0cd04b382d74e81b5293417e0c2b62631"
-                "ab61107fcb30af3830d47b70"}),
+      "digest": "1a3818f00f8e1f96b5c86deed2f215b4"
+                "94058c9a21fdb3bfa6354f9582d0d04b"}),
     ("n8-constant-none-split", 8, 2, "constant", 0.5, "none",
      {}, 61,
      "01010101",
@@ -244,8 +245,8 @@ GOLDEN = [
       "total_bits": 109684, "total_qubits": 19440,
       "crashed": [],
       "fallback_triggers": 0,
-      "digest": "414b4f164a9b8d315f7cb0acbe248a237a7a61e5"
-                "7fa0262948c03f2a5c4c981f"}),
+      "digest": "a16bd655a9c2e3051cb052e8ff394650"
+                "d04e278c7acf265cfa6b018da8efdae9"}),
     # runs that stop and restart the reuse of a relay round: one burst of
     # split_attacker crashes at n = 128; steady crashes under all-one
     # inputs; a crash budget of 3 spent in the first counting window
@@ -258,8 +259,8 @@ GOLDEN = [
       "total_bits": 70179114, "total_qubits": 15296248,
       "crashed": list(range(41)),
       "fallback_triggers": 0,
-      "digest": "6377a0ea7dadf469273fb15706c75bab"
-                "06acce96a820d44c68ba34b68b2b3b3e"}),
+      "digest": "439f37786f0aa2915df8c3fd445097dd"
+                "79a125277972b73f552a8983095da3d1"}),
     ("n48-constant-random_crasher-all-one", 48, 16, "constant", 0.5,
      "random_crasher", {"rate": 0.01}, 73, "1" * 48,
      {"decisions": [1, 1, 1, -1, 1, -1, 1, 1, 1, 1, 1, 1, 1, -1, 1, 1, 1, -1,
@@ -269,8 +270,8 @@ GOLDEN = [
       "total_bits": 21047004, "total_qubits": 3199011,
       "crashed": [3, 5, 13, 17, 20, 26, 28, 30, 31, 36, 38, 40, 41, 43, 45],
       "fallback_triggers": 0,
-      "digest": "beedadd4e245a2292fef58fee5962952"
-                "df00d825e308b587094d90013d10bc45"}),
+      "digest": "465327a7e88a8a41c9254b953d4b84c7"
+                "1e3124738659b79e1e64526543696f4b"}),
     ("n128-constant-random_crasher-budget3", 128, 4, "constant", 0.5,
      "random_crasher", {"rate": 0.002}, 79,
      "01101100101000101011111100101110010100011100010110100111001101110111"
@@ -280,8 +281,8 @@ GOLDEN = [
       "total_bits": 444693476, "total_qubits": 37163984,
       "crashed": [18, 39, 82],
       "fallback_triggers": 0,
-      "digest": "66498820dfb93c67df53c5bb88276b72"
-                "ed48698e1c359388b3cde40a710b5482"}),
+      "digest": "857063d521677ebfce61b55dc4dbee61"
+                "b05052d46bf4a569698038bd998c4a79"}),
     # halts: the lone survivor decides in the phase-2 fallback window and
     # halts, and the coin after it runs with nobody active; all-zero inputs
     # halt at the phase-4 stop check, before that phase's coin
@@ -293,8 +294,8 @@ GOLDEN = [
       "total_bits": 138194, "total_qubits": 0,
       "crashed": [p for p in range(40) if p != 17],
       "fallback_triggers": 1,
-      "digest": "def9d6e337b69df5ebc3d001de181cfa"
-                "95cca29f480ff10d60333fc657b2114f"}),
+      "digest": "679fbd75502acc44185c9b119f8db00e"
+                "ca94bac2d2733a975b886de4d15656e4"}),
     ("n32-polylog-random_crasher-all-zero", 32, 10, "polylog", None,
      "random_crasher", {"rate": 0.01}, 101, "0" * 32,
      {"decisions": [-1 if p in (2, 4, 9, 10, 17, 20, 23, 24, 31) else 0
@@ -303,8 +304,8 @@ GOLDEN = [
       "total_bits": 5200592, "total_qubits": 1522496,
       "crashed": [2, 4, 9, 10, 17, 20, 23, 24, 31],
       "fallback_triggers": 0,
-      "digest": "5f8d05f8974b2f9a93a0ad847479810c"
-                "2f9949c903fb8f57d2922c3fb51d5e67"}),
+      "digest": "e76ee76110cb564d8e179e019d72bdbd"
+                "ca72962692ab640d8043dbf4ee569fde"}),
     # degree_targeter past n = 64; it spends its whole budget of 41 crashes
     ("n128-constant-degree_targeter", 128, 42, "constant", 0.5,
      "degree_targeter", {}, 107,
@@ -315,8 +316,8 @@ GOLDEN = [
       "total_bits": 270779080, "total_qubits": 24005608,
       "crashed": _N128_DT_CRASHED,
       "fallback_triggers": 0,
-      "digest": "2b0bf4b069b43f1d1c61b98853890cb1"
-                "5aa7138620d5da283d0ff94ebebde620"}),
+      "digest": "702852f8f6aea1224e278e828bd9564e"
+                "1025a46ade454b085d5a729240c29385"}),
     # crashes chosen from view.state: the oracles' StateReader takes the
     # lowest-id undecided holder of b = 1 every 61st round
     ("n32-polylog-state_reader-split", 32, 11, "polylog", None,
@@ -326,8 +327,8 @@ GOLDEN = [
       "total_bits": 6816109, "total_qubits": 2128000,
       "crashed": [1, 3, 5, 7, 9],
       "fallback_triggers": 0,
-      "digest": "6fa1f154f173dd1116c13a462597c822"
-                "a830a6aa658312b22bbaa75be5bcf1b4"}),
+      "digest": "4cb9afa954ee1144d25f5a15f25f4f2d"
+                "2e4ac4cdf7c5620f70b36ff6ba76fe85"}),
     ("n32-constant-state_reader-split", 32, 11, "constant", 0.5,
      "state_reader", {}, 5, "01" * 16,
      {"decisions": [0, -1] * 3 + [0] * 26,
@@ -335,15 +336,15 @@ GOLDEN = [
       "total_bits": 8359327, "total_qubits": 1505424,
       "crashed": [1, 3, 5],
       "fallback_triggers": 0,
-      "digest": "8bf5638545cbed2dea612b3589f8a313"
-                "7b2c0d684fba9d30f3aa79f82890d4f4"}),
+      "digest": "e5a1f8dc8f1cd245994531b82cd99532"
+                "ce00b5be1396280b2d43688ca97f649c"}),
 ]
 
 
-def test_digests_are_version_3():
+def test_digests_are_version_4():
     """The pinned digests are only valid for the byte layout they were made
     under."""
-    assert DIGEST_VERSION == 3
+    assert DIGEST_VERSION == 4
 
 
 @pytest.mark.parametrize(
@@ -380,14 +381,14 @@ GOLDEN_COIN = [
       "rounds": 128, "total_bits": 548225, "total_qubits": 1099226,
       "crashed": [2, 5, 6, 7, 8, 10, 17, 18, 22, 25, 29, 31, 36, 41, 44, 48,
                   54, 57, 62, 63],
-      "digest": "7a5cff345459d240cdcf21185c4c4fe2c5344f259bf2b0004044b24"
-                "44f0b8b16"}),
+      "digest": "f65d346e802c5394f4d4809becc5345a"
+                "bbab4d39e166c17099b6b464d4d5c53b"}),
     ("coin-n48-random_crasher", 48, 16, "random_crasher", {"rate": 0.02}, 21,
      {"bits": [0] * 18 + [1] + [0] * 29,
       "rounds": 128, "total_bits": 394748, "total_qubits": 796062,
       "crashed": [1, 4, 5, 11, 16, 17, 18, 23, 24, 32, 34, 36, 38, 40, 45],
-      "digest": "266e49049f71e81808e4fa9f34e7bc08396efbf89234c5577817e9b"
-                "e901bd395"}),
+      "digest": "4613e0b9cc3015fc3ef21ba882cd35e4"
+                "f8631bb3707b4dcb6b66144570a88ff4"}),
     # the coin-stats benchmark shape: d = alpha = 9, so the top layer
     # (729/512) saturates
     ("coin-n512-degree_targeter", 512, 170, "degree_targeter", {}, 67,
@@ -404,8 +405,8 @@ GOLDEN_COIN = [
                  348, 350, 359, 362, 363, 369, 372, 375, 380, 383, 387, 389,
                  395, 404, 405, 406, 409, 412, 414, 425, 426, 429, 434, 447,
                  448, 455, 457, 461, 463, 473, 477, 487, 488, 492, 495, 497],
-      "digest": "daf95535bd42589f52794c6799fb4c6b65ea91430237f65a745cf5e"
-                "2b190652b"}),
+      "digest": "1496c4614d0382153e19879df8b3386f"
+                "a63ad85c4b17123ff57dd3089c111d8d"}),
     # crash budgets that run out inside the relay (last crashes in rounds
     # 47 and 28 of 128), so the rounds after them repeat
     ("coin-n64-random_crasher-budget7", 64, 8, "random_crasher",
@@ -413,15 +414,15 @@ GOLDEN_COIN = [
      {"bits": [0, 0, 1] + [0] * 61,
       "rounds": 128, "total_bits": 606593, "total_qubits": 1263766,
       "crashed": [2, 3, 27, 39, 41, 58, 63],
-      "digest": "2513ca3512f4703f5fa9c3ca040213d5"
-                "e10b76d0d3bc87b231c606c0368e948c"}),
+      "digest": "3091731535d31fc8a8fc0d93e8c7bec2"
+                "9a28fb4af9051e91f3cc1eb176e345a2"}),
     ("coin-n96-random_crasher-budget5", 96, 6, "random_crasher",
      {"rate": 0.002}, 89,
      {"bits": [1] * 96,
       "rounds": 128, "total_bits": 2485001, "total_qubits": 5440490,
       "crashed": [18, 23, 65, 78, 85],
-      "digest": "91af6cc8da4f72d10e0c082b25b5dbee"
-                "aa98b6e00a71141633431f10662144fb"}),
+      "digest": "10a147aa645b5511742622dbdbfb5ad3"
+                "bc3b8bf5e9cb63dc9c1f257cc3da10e0"}),
 ]
 
 
