@@ -103,11 +103,15 @@ class DegreeTargeter(Adversary):
         if eligible.size == 0:
             return EMPTY_DECISION
         take = min(self.per_round, budget, eligible.size)
-        # stable top-`take` by degree, lowest id wins ties (attempts are
-        # unsigned, so widen before negating)
-        order = np.lexsort((eligible, -deg[eligible].astype(np.int64)))
-        hit = np.sort(eligible[order[:take]])
-        return CrashDecision(hit)
+        # top-`take` by degree, lowest id wins ties: the ids increase, and
+        # argmax returns the first maximum and a stable sort keeps equal
+        # degrees in id order (attempts are unsigned: widen, then negate)
+        degs = deg[eligible]
+        if take == 1:
+            first = int(np.argmax(degs))
+            return CrashDecision(eligible[first:first + 1])
+        order = np.argsort(-degs.astype(np.int64), kind="stable")
+        return CrashDecision(np.sort(eligible[order[:take]]))
 
 
 class SplitAttacker(Adversary):

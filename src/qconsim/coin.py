@@ -1,11 +1,12 @@
 """Weak global coin via hidden leader registers.
 
-Each process privately draws a register holding a uniform leader value of
-3*ceil(log2 n) bits and a uniform coin bit.  Registers propagate through the
-adaptive inquiry/response relay; on contact a process keeps the register with
-the lexicographically larger (leader_value, origin) pair, so the tie-break is
-exact and the surviving register is the max over every relay path.  The final
-output of a process is the coin bit of the register it holds.
+Each process active when the coin starts privately draws a register
+holding a uniform leader value of 3*ceil(log2 n) bits and a uniform coin
+bit.  Registers propagate through the adaptive inquiry/response relay; on
+contact a process keeps the register with the lexicographically larger
+(leader_value, origin) pair, so the tie-break is exact and the surviving
+register is the max over every relay path.  The final output of a process
+is the coin bit of the register it holds.
 
 Registers are decoded from two raw Philox words per process
 (``draw_registers``), exactly as ``integers(0, 2**b)`` then ``integers(0,
@@ -66,16 +67,21 @@ class CoinParams:
         return clog2(self.n)  # a register's; the relay adds the degree's
 
 
-def draw_registers(n: int, seed: int, tag) -> tuple[np.ndarray, np.ndarray]:
+def draw_registers(n: int, seed: int, tag, ids
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """(leader values, coin bits) of every process, each decoded from the
     first two words w0, w1 of its own stream.  With b = 3*ceil(log2 n) the
     leader is 0 (b = 0), the top b bits of w0's low half (b <= 32) or of w0
     (b > 32), and the coin bit is bit 31 of w0, bit 63 of w0 or bit 31 of
-    w1 in the same three cases."""
+    w1 in the same three cases.  Only the processes in ``ids`` get a
+    stream; the others' words, and so their leader values and coin bits,
+    are 0."""
     b = 3 * clog2(n)
-    streams = Restream().each(seed, ("proc", ..., tag, "register"), range(n))
-    w0, w1 = np.array([rng.bit_generator.random_raw(2) for rng in streams],
-                      dtype=np.uint64).T
+    streams = Restream().each(seed, ("proc", ..., tag, "register"), ids)
+    w0, w1 = np.zeros((2, n), dtype=np.uint64)
+    w0[ids], w1[ids] = np.array(
+        [rng.bit_generator.random_raw(2) for rng in streams],
+        dtype=np.uint64).reshape(-1, 2).T
     if b > 32:
         leaders, coins = w0 >> (64 - b), w1 >> 31
     else:
@@ -86,15 +92,22 @@ def draw_registers(n: int, seed: int, tag) -> tuple[np.ndarray, np.ndarray]:
 def run_coin(ctx: SimContext, params: CoinParams, tag="coin") -> np.ndarray:
     """One coin invocation; returns the per-process output bit array.
 
-    Registers are decoded from raw Philox words (``draw_registers``).
-    Output bits of crashed/halted processes are whatever register they last
-    held; callers ignore them.
+    Registers are decoded from raw Philox words (``draw_registers``).  Only
+    the processes active when the coin starts draw a register and private
+    layers: crash and halt are final, so no other process sends in the
+    window, and every delivery, view, cost and digest, and every bit of a
+    process active at the start, is the one a draw for all n gives.  The
+    output of a process that was inactive at the start is 0 (its own
+    all-zero register, which it never sends); a process that crashes or
+    halts during the window outputs the register it last held.  Callers
+    ignore both.
     """
     n = ctx.n
-    leaders, coin_bits = draw_registers(n, ctx.seed, tag)
+    live = np.flatnonzero(ctx.active)
+    leaders, coin_bits = draw_registers(n, ctx.seed, tag, live)
     # (leader_value, origin) as a single max-comparable key
     keys = leaders * n + np.arange(n)
-    stacks = private_layers(n, params.d, params.alpha, ctx.seed, tag)
+    stacks = private_layers(n, params.d, params.alpha, ctx.seed, tag, live)
     carrier = KeyCarrier(keys, params.response_bits, params.register_qubits)
     run_relay(ctx, *stacks, params.window, carrier)
     origin = carrier.keys % n

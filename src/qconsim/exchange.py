@@ -295,11 +295,16 @@ def run_relay(ctx: SimContext, layers: np.ndarray, flipped: np.ndarray,
     delivery: ``asked`` masked to the inquirers that could send, with the
     columns of those that crashed asking copied from their delivered rows;
     the engine's masking does the rest.  Degrees are told by identity: the
-    payload is rebuilt only for a new degree array, and the degrees are
-    adapted unless the same response matrix just left that array as it was;
-    the carrier merges unless the same response matrix was just merged
-    without a change (a fixed point of it).  The engine re-masks after a
-    halt or crash and reuses a delivery while nobody crashes.
+    payload is rebuilt only for a new degree array, and ``falls`` records
+    the falls computed on the current response matrix, each degree array
+    in with the array ``_adapt_vec`` gave out.  A repeated (response,
+    degrees) pair, such as the same fall after an epoch resets the degrees
+    to unchanged start levels, takes the recorded array, and a new response
+    matrix starts a new record.  This is exact because deliveries and
+    degree arrays are never written in place.  The carrier merges unless
+    the same response matrix was just merged without a change (a fixed
+    point of it).  The engine re-masks after a halt or crash and reuses a
+    delivery while nobody crashes.
     """
     n = ctx.n
     rows = np.arange(n)
@@ -307,7 +312,8 @@ def run_relay(ctx: SimContext, layers: np.ndarray, flipped: np.ndarray,
     k_max = int(k_caps.max(initial=0))
     levels = np.arange(k_max + 1)[:, None]
     resp_bits = carrier.bits + clog2(k_max + 1)
-    ask = ask_lvl = heard = answer = idle = ad = None
+    ask = ask_lvl = heard = answer = idle = fell_in = None
+    falls = {}  # id(degrees in): (degrees in, _adapt_vec on fell_in)
     payload = {"adaptive_degree": None}  # rebuilt when ad changes
     for _ in range(window.epochs):
         if lvl is not ask_lvl:  # end_epoch_update returns the same array
@@ -317,8 +323,7 @@ def run_relay(ctx: SimContext, layers: np.ndarray, flipped: np.ndarray,
             asked = _unpack_rows(
                 np.bitwise_or.reduce(flipped & picks, axis=0), n)
             start = read_only(lvl)  # levels, degrees never written in place
-        if ad is not start:  # the degrees fell or the levels grew
-            ad, steady = start, None  # steady: the response that left ad as is
+        ad = start
         for _ in range(window.iterations):
             got_inq = ctx.exchange(ask, 1)
             if got_inq is not heard:
@@ -334,9 +339,13 @@ def run_relay(ctx: SimContext, layers: np.ndarray, flipped: np.ndarray,
                                     payload=payload)
             if got_resp is not idle:
                 idle = None if carrier.merge(got_resp) else got_resp
-            if got_resp is not steady:
-                after = _adapt_vec(ad, got_resp, window.delta, levels)
-                steady, ad = (got_resp if after is ad else None), after
+            if got_resp is not fell_in:
+                fell_in, falls = got_resp, {}
+            fell = falls.get(id(ad))  # held in the record, so ids stay unique
+            if fell is None:
+                fell = falls[id(ad)] = (ad, _adapt_vec(ad, got_resp,
+                                                       window.delta, levels))
+            ad = fell[1]
         lvl = end_epoch_update(lvl, ad, k_caps)
     return lvl
 
@@ -466,7 +475,7 @@ def _unpack_rows(packed: np.ndarray, n: int) -> np.ndarray:
 _CHUNK = 256  # processes per chunk: a multiple of 8, so columns are bytes
 
 
-def private_layers(n: int, d: int, alpha: int, seed: int, tag
+def private_layers(n: int, d: int, alpha: int, seed: int, tag, ids
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-process private directed layers over all n processes (coin
     style): (layers, flipped, k_caps), packed as ``run_relay`` takes them.
@@ -481,22 +490,33 @@ def private_layers(n: int, d: int, alpha: int, seed: int, tag
     is packed into its rows of ``layers`` and, copied transposed to C order
     (a strided view packs several times slower), into its byte columns of
     ``flipped``.
+
+    Only the processes in ``ids`` get a stream.  The rows of the others
+    are all False in every layer, and so are their bits in ``flipped``;
+    each drawn row is the row a call for every process draws.  A chunk
+    without one of ``ids`` is skipped.
     """
     k = layer_count(n, d, alpha)
     probs = np.array([min(1.0, d * alpha ** i / n) for i in range(k + 1)])
     drawn = int((probs < 1.0).sum())
-    layers = np.empty((k + 1, n, -(-n // 8)), dtype=np.uint8)
-    flipped = np.empty_like(layers)
+    live = np.zeros(n, dtype=bool)
+    live[ids] = True
+    layers = np.zeros((k + 1, n, -(-n // 8)), dtype=np.uint8)
+    flipped = np.zeros_like(layers)
     draws = np.empty((drawn, n))
     below = np.repeat(probs[:drawn, None], n, axis=1)  # draws' shape
-    streams = Restream().each(seed, ("private-layers", tag, ...), range(n))
+    streams = Restream().each(seed, ("private-layers", tag, ...),
+                              np.flatnonzero(live).tolist())
     for lo in range(0, n, _CHUNK):
-        block = np.ones((min(_CHUNK, n - lo), k + 1, n), dtype=bool)
-        for rows, rng in zip(block, streams):
+        mine = np.flatnonzero(live[lo:lo + _CHUNK])
+        if not mine.size:
+            continue  # its rows and columns stay all False
+        block = np.zeros((min(_CHUNK, n - lo), k + 1, n), dtype=bool)
+        block[mine, drawn:] = True
+        for p, rng in zip(mine.tolist(), streams):
             rng.random(out=draws)
-            np.less(draws, below, out=rows[:drawn])
-        own = np.arange(block.shape[0])
-        block[own, :, own + lo] = False
+            np.less(draws, below, out=block[p, :drawn])
+        block[mine, :, mine + lo] = False
         layers[:, lo:lo + _CHUNK] = np.packbits(block, axis=-1).transpose(
             1, 0, 2)
         flipped[..., lo // 8:(lo + _CHUNK) // 8] = np.packbits(

@@ -13,9 +13,11 @@ from typing import Any
 import numpy as np
 
 from qconsim.adversaries import Adversary
+from qconsim.coin import draw_registers
 from qconsim.consensus import PhaseAction
 from qconsim.engine import EMPTY_DECISION, CrashDecision
-from qconsim.exchange import clog2, end_epoch_update, layer_count
+from qconsim.exchange import (KeyCarrier, clog2, end_epoch_update,
+                              layer_count, private_layers, run_relay)
 
 
 def philox_stream(seed: int, *coords) -> np.random.Generator:
@@ -78,6 +80,29 @@ def adapt_degree(responder_levels: list[int], current: int, delta: int) -> int:
     while x >= 0 and sum(1 for r in responder_levels if r >= x) < delta:
         x -= 1
     return x
+
+
+def run_coin_drawing_all(ctx, params, tag="coin") -> np.ndarray:
+    """``coin.run_coin`` with every process drawing its register and its
+    private layers, whether or not it is active when the coin starts."""
+    n = ctx.n
+    everyone = range(n)
+    leaders, coin_bits = draw_registers(n, ctx.seed, tag, everyone)
+    carrier = KeyCarrier(leaders * n + np.arange(n), params.response_bits,
+                         params.register_qubits)
+    run_relay(ctx, *private_layers(n, params.d, params.alpha, ctx.seed, tag,
+                                   everyone), params.window, carrier)
+    return coin_bits[carrier.keys % n]
+
+
+def degree_targets(attempts: np.ndarray, alive: np.ndarray, min_degree: int,
+                   take: int) -> np.ndarray:
+    """``DegreeTargeter``'s victims, sorted: of the alive senders that
+    attempt at least ``min_degree`` messages, the ``take`` with the most,
+    the lowest id first among equal counts, by one lexsort."""
+    eligible = np.nonzero((attempts >= min_degree) & alive)[0]
+    order = np.lexsort((eligible, -attempts[eligible].astype(np.int64)))
+    return np.sort(eligible[order[:take]])
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import degree_targets
 from qconsim.adversaries import (DegreeTargeter, RandomCrasher, SplitAttacker,
                                  make_adversary)
-from qconsim.engine import SimContext
+from qconsim.engine import AdversaryView, SimContext
 
 
 def _full(n):
@@ -54,6 +57,41 @@ def test_degree_targeter_tie_breaks_low_id():
     targets[3, 0:2] = True
     ctx.exchange(targets, bits=1)
     assert not ctx.alive[1] and ctx.alive[3]
+
+
+@st.composite
+def _targeter_case(draw):
+    """Attempt counts in a narrow range (so ties are common) of the
+    unsigned type views use, an alive mask, the strategy's params and the
+    crashes already used of a budget t - 1."""
+    n = draw(st.integers(1, 40))
+    attempts = np.array(draw(st.lists(st.integers(0, min(n - 1, 4)),
+                                      min_size=n, max_size=n)),
+                        dtype=np.min_scalar_type(n))
+    alive = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    t = draw(st.integers(1, n))
+    return (attempts, alive, draw(st.integers(1, 6)), draw(st.integers(0, 3)),
+            t, draw(st.integers(0, t - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_targeter_case())
+@example((np.array([3, 0, 3, 3], dtype=np.uint8), np.ones(4, dtype=bool),
+          2, 1, 4, 0))  # a tie across the cut
+@example((np.array([2, 2, 0], dtype=np.uint8), np.array([False, True, True]),
+          1, 0, 3, 0))  # one victim: the lowest alive id of the top degree
+def test_degree_targeter_matches_lexsort_oracle(case):
+    """``decide`` crashes exactly the oracle's victims: the highest attempt
+    counts among the eligible, the lowest id winning ties, up to
+    ``per_round`` and the budget, whether it takes one victim or more."""
+    attempts, alive, per_round, min_degree, t, used = case
+    n = attempts.size
+    view = AdversaryView(0, n, t, alive, ~alive, np.zeros((n, n), dtype=bool),
+                         attempts, 1, 0, None, None, used)
+    hit = DegreeTargeter(per_round, min_degree).decide(view).newly_crashed
+    take = min(per_round, view.crash_budget_left)
+    assert hit.tolist() == degree_targets(attempts, alive, min_degree,
+                                          take).tolist()
 
 
 def test_degree_targeter_skips_silent_rounds():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (HiddenRegister, draw_register, merge_registers,
-                     unpack_layers)
+                     run_coin_drawing_all, unpack_layers)
 from qconsim import coin
 from qconsim.adversaries import Adversary, RandomCrasher
 from qconsim.coin import CoinParams, draw_registers, run_coin
@@ -61,10 +61,65 @@ def test_registers_decode_as_numpy_draws(n):
     """Registers decoded from raw words equal the oracle's integers draws
     for leader widths 3*ceil(log2 n) = 0, 3, 6, 18, 30, 33 and 33: no
     leader, 32-bit draws, and a 64-bit draw followed by a 32-bit one."""
-    leaders, coins = draw_registers(n, 5, ("coin", 2))
+    leaders, coins = draw_registers(n, 5, ("coin", 2), range(n))
     regs = [draw_register(5, p, n, ("coin", 2)) for p in range(n)]
     assert leaders.tolist() == [r.leader_value for r in regs]
     assert coins.tolist() == [r.coin_bit for r in regs]
+
+
+@pytest.mark.parametrize("n", [1, 3, 64, 1025])
+def test_registers_for_some_ids_are_the_full_draws(n):
+    """Given ``ids``, each of them gets the register the full call draws
+    for it, and every other process a 0 leader and a 0 coin bit."""
+    full = draw_registers(n, 5, ("coin", 2), range(n))
+    ids = np.arange(n)[np.arange(n) % 3 != 1]
+    some = draw_registers(n, 5, ("coin", 2), ids)
+    for got, want in zip(some, full):
+        assert np.array_equal(got[ids], want[ids])
+        assert not np.delete(got, ids).any()
+    none = draw_registers(n, 5, ("coin", 2), np.zeros(0, dtype=np.int64))
+    assert not any(a.any() for a in none)
+
+
+class _CrashFirst(RandomCrasher):
+    """Crashes ``first`` in round 0, then crashes as ``RandomCrasher``."""
+
+    name = "crash_first"
+
+    def __init__(self, first, rate):
+        super().__init__(rate)
+        self.first = np.array(first, dtype=np.int64)
+
+    def decide(self, view):
+        if view.round == 0:
+            return CrashDecision(self.first)
+        return super().decide(view)
+
+
+@pytest.mark.parametrize("n,first,halted,rate", [
+    (16, [3], [0, 9], 0.01),
+    (40, [1, 2, 30], list(range(10, 20)), 0.005),
+    (24, [5], list(range(24)), 0.01),  # nobody active: an empty window
+    (64, [], list(range(0, 64, 2)), 0.003),
+])
+def test_coin_drawing_for_active_processes_only(n, first, halted, rate):
+    """A coin after crashes and halts, and with more crashes during it,
+    matches the coin in which every process draws: the same digest,
+    rounds, ledger and crashes, and the same bit for every process active
+    at its start.  A process inactive at the start outputs 0."""
+    runs = []
+    for run in (run_coin, run_coin_drawing_all):
+        ctx = SimContext(n, n, _CrashFirst(first, rate), seed=n)
+        ctx.exchange(~np.eye(n, dtype=bool), 1)
+        ctx.halt(np.isin(np.arange(n), halted))
+        active = ctx.active
+        bits = run(ctx, CoinParams.make(n), tag=("coin", 1))
+        runs.append((bits, ctx.round, ctx.ledger.summary(),
+                     ctx.alive.tolist(), ctx.finish({}, "x").digest))
+    (bits, *rest), (want, *want_rest) = runs
+    assert rest == want_rest
+    assert np.array_equal(bits[active], want[active])
+    assert not bits[~active].any()
 
 
 def test_merge_keeps_lexicographic_max():

@@ -411,7 +411,7 @@ def test_default_blocks_match_reference():
 
 def test_private_layers_marginals():
     n, d, alpha = 400, 8, 4
-    layers, _, k_caps = private_layers(n, d, alpha, seed=1, tag="t")
+    layers, _, k_caps = private_layers(n, d, alpha, 1, "t", range(n))
     layers = unpack_layers(layers, n)
     assert (k_caps == k_caps[0]).all()
     deg0 = layers[0].sum(axis=1).mean()
@@ -468,7 +468,7 @@ def _layer_shapes(draw):
 @example(shape=(27, 3, 3), seed=1, tag="t")  # layer 2: 3 * 3**2 / 27 == 1.0
 def test_private_layers_match_per_process_oracle(shape, seed, tag):
     n, d, alpha = shape
-    got = private_layers(n, d, alpha, seed, tag)
+    got = private_layers(n, d, alpha, seed, tag, range(n))
     layers, k_caps = private_layers_oracle(n, d, alpha, seed, tag)
     want = (np.packbits(layers, axis=-1),
             np.packbits(layers.transpose(0, 2, 1), axis=-1), k_caps)
@@ -484,7 +484,7 @@ def test_private_layers_are_packed_oracle_layers(n):
     520 in one of eight).  The flipped stack built beside
     it is the packed transpose, C-ordered, pad bits zero too."""
     d = alpha = max(2, clog2(n))
-    got, flipped, _ = private_layers(n, d, alpha, 5, "pin")
+    got, flipped, _ = private_layers(n, d, alpha, 5, "pin", range(n))
     want, _ = private_layers_oracle(n, d, alpha, 5, "pin")
     assert got.dtype == np.uint8 and got.shape == want.shape[:2] + (
         -(-n // 8),)
@@ -494,6 +494,34 @@ def test_private_layers_are_packed_oracle_layers(n):
     assert flipped.flags.c_contiguous
     assert np.array_equal(flipped,
                           np.packbits(want.transpose(0, 2, 1), axis=-1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([1, 9, 64, 300, 520]), seed=st.integers(0, 2 ** 16),
+       data=st.data())
+@example(n=520, seed=3, data=None)  # the middle chunk draws nobody
+def test_private_layers_for_some_ids_are_the_full_rows(n, seed, data):
+    """Given ``ids``, every drawn row of ``layers`` and every bit of
+    ``flipped`` in a drawn column equals the full call's; the rest is all
+    False, in chunks with and without an id (n = 300 and 520 span two and
+    three chunks)."""
+    if data is None:
+        live = np.isin(np.arange(n), [0, 255, 519])
+    else:
+        live = np.array(data.draw(st.lists(st.booleans(), min_size=n,
+                                           max_size=n)))
+    d = alpha = max(2, clog2(n))
+    full = private_layers(n, d, alpha, seed, ("coin", 2), range(n))
+    some = private_layers(n, d, alpha, seed, ("coin", 2),
+                          np.flatnonzero(live))
+    assert np.array_equal(some[2], full[2])
+    layers, flipped = (unpack_layers(a, n) for a in some[:2])
+    want_layers, want_flipped = (unpack_layers(a, n) for a in full[:2])
+    assert np.array_equal(layers[:, live], want_layers[:, live])
+    assert not layers[:, ~live].any()
+    assert np.array_equal(flipped[..., live], want_flipped[..., live])
+    assert not flipped[..., ~live].any()
+    assert not np.unpackbits(some[1], axis=-1)[..., n:].any()  # pad bits
 
 
 def _outcome(build, *args, **kwargs):
@@ -604,7 +632,7 @@ def test_window_round_count():
 def test_relay_consumes_exact_rounds_and_propagates_max():
     n = 12
     ctx = SimContext(n, 4, Adversary(), seed=3)
-    stacks = private_layers(n, 4, 2, ctx.seed, "t")
+    stacks = private_layers(n, 4, 2, ctx.seed, "t", range(n))
     window = Window.for_size(n, 4, 2)
     keys = np.arange(n, dtype=np.int64) * 10
     carrier = KeyCarrier(keys, bits=4, qubits=8)
@@ -625,7 +653,7 @@ def test_relay_charges_inquiry_and_response_costs(make, response_keys):
     n = 6
     adversary = DrawnCrasher([], seed=0)  # records payloads, crashes nobody
     ctx = SimContext(n, 2, adversary, seed=1)
-    layers, flipped, k_caps = private_layers(n, 2, 2, ctx.seed, "t")
+    layers, flipped, k_caps = private_layers(n, 2, 2, ctx.seed, "t", range(n))
     carrier = make(n)
     one_iteration = Window(k=-1, gamma=0, delta=2)  # 1 epoch of 1 iteration
     run_relay(ctx, layers, flipped, k_caps, one_iteration, carrier)
@@ -676,8 +704,8 @@ def _relay_setup(kind, n, seed, x):
     if kind == "key":
         window = Window.for_size(n, d, alpha)
         keys = rng.integers(0, 4, n) * n + np.arange(n)
-        return (*private_layers(n, d, alpha, seed, "oracle"), window,
-                KeyCarrier(keys, bits=3, qubits=5))
+        stacks = private_layers(n, d, alpha, seed, "oracle", range(n))
+        return (*stacks, window, KeyCarrier(keys, bits=3, qubits=5))
     bounds = partition([0, n], x)
     window = Window.for_size(np.diff(bounds).max(), d, alpha)
     layers, k_caps = shared_group_layers(
@@ -717,9 +745,12 @@ def relay_case(draw):
 @example(("rumor", 40, 9, 3, [3, 60, 275], np.arange(40) == 7))
 @example(("key", 24, 5, 2, list(range(0, 54, 2)), np.arange(24) == 3))
 @example(("rumor", 40, 9, 3, list(range(0, 54, 2)), np.arange(40) == 7))
+@example(("key", 24, 5, 2, [1, 2, 101], np.arange(24) % 3 == 0))
+@example(("rumor", 40, 9, 3, [0, 61, 160], np.arange(40) >= 20))
+@example(("key", 24, 5, 2, [1, 40], np.ones(24, dtype=bool)))  # all halted
 def test_relay_reuse_matches_per_round_oracle(case):
     """Reusing prepared rounds, deliveries, digest bytes, idle carrier merges
-    and settled degree adaptations, and building response rounds from the
+    and recorded degree falls, and building response rounds from the
     transposed layers, changes nothing: same digest, ledger, crashes,
     payload in every round, carrier state and final degree levels as the
     loop that rebuilds every round and answers ``got_inq.T``."""
@@ -777,3 +808,54 @@ def test_relay_skips_a_delivery_only_after_a_merge_left_it_unchanged(make):
             else carrier.matrices[0].ravel())
     assert held.tolist() == [5, 5, 5]
     assert merges == [True, True, False]
+
+
+def _recorded_falls(monkeypatch):
+    """Replace ``_adapt_vec`` with a recorder of its (response, degrees)
+    arguments; the objects are held, so their ids stay distinct."""
+    calls = []
+
+    def recorded(ad, delivered, delta, levels):
+        calls.append((delivered, ad))
+        return _adapt_vec(ad, delivered, delta, levels)
+
+    monkeypatch.setattr(exchange, "_adapt_vec", recorded)
+    return calls
+
+
+def test_relay_computes_a_capped_fall_once(monkeypatch):
+    """A path 0 - 1 - 2 at its only layer: with delta = 2 nobody has enough
+    responders, so every degree falls to -1 in every one of the 9 epochs,
+    and the capped levels never grow.  The response round is one matrix
+    throughout.  The ends fall first, then the middle, whose responders now
+    report -1, and -1 is a fixed point: three calls in the first epoch and
+    none in the other eight (27 if each epoch computed its falls again)."""
+    calls = _recorded_falls(monkeypatch)
+    path = np.zeros((1, 3, 3), dtype=bool)
+    path[0, [0, 1, 1, 2], [1, 0, 2, 1]] = True
+    layers = np.packbits(path, axis=-1)  # symmetric: its own transpose
+    ctx = SimContext(3, 1, Adversary(), seed=0)
+    window = Window(k=1, gamma=2, delta=2)
+    lvl = run_relay(ctx, layers, layers, np.zeros(3, dtype=np.int64), window,
+                    KeyCarrier(np.arange(3), bits=1, qubits=0))
+    assert (window.epochs, window.iterations) == (9, 3)
+    assert lvl.tolist() == [0, 0, 0]
+    assert all(resp is calls[0][0] for resp, _ in calls)
+    assert [ad.tolist() for _, ad in calls] == [[0, 0, 0], [-1, 0, -1],
+                                                [-1, -1, -1]]
+
+
+@pytest.mark.parametrize("kind,crash_rounds", [
+    ("key", []), ("key", [1, 40, 121]), ("rumor", []), ("rumor", [3, 60])])
+def test_relay_computes_each_fall_once(kind, crash_rounds, monkeypatch):
+    """Over whole windows, with and without crashes, ``_adapt_vec`` never
+    sees the same (response, degrees) pair of objects twice (the oracle
+    test above checks the outcome)."""
+    n, seed, x = 40, 9, 3
+    calls = _recorded_falls(monkeypatch)
+    ctx = SimContext(n, n, DrawnCrasher(crash_rounds, seed), seed)
+    layers, flipped, k_caps, window, carrier = _relay_setup(kind, n, seed, x)
+    run_relay(ctx, layers, flipped, k_caps, window, carrier)
+    pairs = {(id(resp), id(ad)) for resp, ad in calls}
+    assert len(pairs) == len(calls)
+    assert len(calls) < window.epochs * window.iterations

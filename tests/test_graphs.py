@@ -47,7 +47,7 @@ def _random_adj(n, p, seed):
 
 def _private_bool_layers(n, d, alpha, seed, tag):
     """``private_layers`` with its stack unpacked to bool."""
-    layers, _, k_caps = private_layers(n, d, alpha, seed=seed, tag=tag)
+    layers, _, k_caps = private_layers(n, d, alpha, seed, tag, range(n))
     return unpack_layers(layers, n), k_caps
 
 
