@@ -103,15 +103,15 @@ class DegreeTargeter(Adversary):
         if eligible.size == 0:
             return EMPTY_DECISION
         take = min(self.per_round, budget, eligible.size)
-        # top-`take` by degree, lowest id wins ties: the ids increase, and
-        # argmax returns the first maximum and a stable sort keeps equal
-        # degrees in id order (attempts are unsigned: widen, then negate)
-        degs = deg[eligible]
-        if take == 1:
+        # top-`take` by degree, lowest id wins ties: argmax returns the
+        # first maximum, and each pick is then marked -1 (attempts are
+        # unsigned, so widen first).  A run picks at most t - 1 in all.
+        degs = deg[eligible].astype(np.int64)
+        hit = np.empty(take, dtype=eligible.dtype)
+        for i in range(take):
             first = int(np.argmax(degs))
-            return CrashDecision(eligible[first:first + 1])
-        order = np.argsort(-degs.astype(np.int64), kind="stable")
-        return CrashDecision(np.sort(eligible[order[:take]]))
+            hit[i], degs[first] = eligible[first], -1
+        return CrashDecision(np.sort(hit))
 
 
 class SplitAttacker(Adversary):

@@ -67,19 +67,20 @@ class CoinParams:
         return clog2(self.n)  # a register's; the relay adds the degree's
 
 
-def draw_registers(n: int, seed: int, tag, ids
+def draw_registers(n: int, seed: int, tag, live: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
     """(leader values, coin bits) of every process, each decoded from the
     first two words w0, w1 of its own stream.  With b = 3*ceil(log2 n) the
     leader is 0 (b = 0), the top b bits of w0's low half (b <= 32) or of w0
     (b > 32), and the coin bit is bit 31 of w0, bit 63 of w0 or bit 31 of
-    w1 in the same three cases.  Only the processes in ``ids`` get a
-    stream; the others' words, and so their leader values and coin bits,
-    are 0."""
+    w1 in the same three cases.  Only the processes where the bool mask
+    ``live`` is True get a stream; the others' words, and so their leader
+    values and coin bits, are 0."""
     b = 3 * clog2(n)
-    streams = Restream().each(seed, ("proc", ..., tag, "register"), ids)
+    streams = Restream().each(seed, ("proc", ..., tag, "register"),
+                              np.flatnonzero(live).tolist())
     w0, w1 = np.zeros((2, n), dtype=np.uint64)
-    w0[ids], w1[ids] = np.array(
+    w0[live], w1[live] = np.array(
         [rng.bit_generator.random_raw(2) for rng in streams],
         dtype=np.uint64).reshape(-1, 2).T
     if b > 32:
@@ -103,11 +104,11 @@ def run_coin(ctx: SimContext, params: CoinParams, tag="coin") -> np.ndarray:
     ignore both.
     """
     n = ctx.n
-    live = np.flatnonzero(ctx.active)
-    leaders, coin_bits = draw_registers(n, ctx.seed, tag, live)
+    leaders, coin_bits = draw_registers(n, ctx.seed, tag, ctx.active)
     # (leader_value, origin) as a single max-comparable key
     keys = leaders * n + np.arange(n)
-    stacks = private_layers(n, params.d, params.alpha, ctx.seed, tag, live)
+    stacks = private_layers(n, params.d, params.alpha, ctx.seed, tag,
+                            ctx.active)
     carrier = KeyCarrier(keys, params.response_bits, params.register_qubits)
     run_relay(ctx, *stacks, params.window, carrier)
     origin = carrier.keys % n

@@ -475,7 +475,8 @@ def _unpack_rows(packed: np.ndarray, n: int) -> np.ndarray:
 _CHUNK = 256  # processes per chunk: a multiple of 8, so columns are bytes
 
 
-def private_layers(n: int, d: int, alpha: int, seed: int, tag, ids
+def private_layers(n: int, d: int, alpha: int, seed: int, tag,
+                   live: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-process private directed layers over all n processes (coin
     style): (layers, flipped, k_caps), packed as ``run_relay`` takes them.
@@ -491,16 +492,14 @@ def private_layers(n: int, d: int, alpha: int, seed: int, tag, ids
     (a strided view packs several times slower), into its byte columns of
     ``flipped``.
 
-    Only the processes in ``ids`` get a stream.  The rows of the others
-    are all False in every layer, and so are their bits in ``flipped``;
-    each drawn row is the row a call for every process draws.  A chunk
-    without one of ``ids`` is skipped.
+    Only the processes where the bool mask ``live`` is True get a stream.
+    The rows of the others are all False in every layer, and so are their
+    bits in ``flipped``; each drawn row is the row a call for every
+    process draws.  A chunk without a live process is skipped.
     """
     k = layer_count(n, d, alpha)
     probs = np.array([min(1.0, d * alpha ** i / n) for i in range(k + 1)])
     drawn = int((probs < 1.0).sum())
-    live = np.zeros(n, dtype=bool)
-    live[ids] = True
     layers = np.zeros((k + 1, n, -(-n // 8)), dtype=np.uint8)
     flipped = np.zeros_like(layers)
     draws = np.empty((drawn, n))

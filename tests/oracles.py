@@ -86,7 +86,7 @@ def run_coin_drawing_all(ctx, params, tag="coin") -> np.ndarray:
     """``coin.run_coin`` with every process drawing its register and its
     private layers, whether or not it is active when the coin starts."""
     n = ctx.n
-    everyone = range(n)
+    everyone = np.ones(n, dtype=bool)
     leaders, coin_bits = draw_registers(n, ctx.seed, tag, everyone)
     carrier = KeyCarrier(leaders * n + np.arange(n), params.response_bits,
                          params.register_qubits)

@@ -80,6 +80,8 @@ def _targeter_case(draw):
           2, 1, 4, 0))  # a tie across the cut
 @example((np.array([2, 2, 0], dtype=np.uint8), np.array([False, True, True]),
           1, 0, 3, 0))  # one victim: the lowest alive id of the top degree
+@example((np.array([0, 2, 0, 0], dtype=np.uint8), np.ones(4, dtype=bool),
+          3, 0, 4, 0))  # min_degree 0: silent senders fill the cut
 def test_degree_targeter_matches_lexsort_oracle(case):
     """``decide`` crashes exactly the oracle's victims: the highest attempt
     counts among the eligible, the lowest id winning ties, up to

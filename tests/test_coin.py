@@ -61,7 +61,8 @@ def test_registers_decode_as_numpy_draws(n):
     """Registers decoded from raw words equal the oracle's integers draws
     for leader widths 3*ceil(log2 n) = 0, 3, 6, 18, 30, 33 and 33: no
     leader, 32-bit draws, and a 64-bit draw followed by a 32-bit one."""
-    leaders, coins = draw_registers(n, 5, ("coin", 2), range(n))
+    leaders, coins = draw_registers(n, 5, ("coin", 2),
+                                    np.ones(n, dtype=bool))
     regs = [draw_register(5, p, n, ("coin", 2)) for p in range(n)]
     assert leaders.tolist() == [r.leader_value for r in regs]
     assert coins.tolist() == [r.coin_bit for r in regs]
@@ -69,15 +70,16 @@ def test_registers_decode_as_numpy_draws(n):
 
 @pytest.mark.parametrize("n", [1, 3, 64, 1025])
 def test_registers_for_some_ids_are_the_full_draws(n):
-    """Given ``ids``, each of them gets the register the full call draws
-    for it, and every other process a 0 leader and a 0 coin bit."""
-    full = draw_registers(n, 5, ("coin", 2), range(n))
-    ids = np.arange(n)[np.arange(n) % 3 != 1]
-    some = draw_registers(n, 5, ("coin", 2), ids)
+    """Given a ``live`` mask, each live process gets the register the full
+    call draws for it, and every other process a 0 leader and a 0 coin
+    bit."""
+    full = draw_registers(n, 5, ("coin", 2), np.ones(n, dtype=bool))
+    live = np.arange(n) % 3 != 1
+    some = draw_registers(n, 5, ("coin", 2), live)
     for got, want in zip(some, full):
-        assert np.array_equal(got[ids], want[ids])
-        assert not np.delete(got, ids).any()
-    none = draw_registers(n, 5, ("coin", 2), np.zeros(0, dtype=np.int64))
+        assert np.array_equal(got[live], want[live])
+        assert not got[~live].any()
+    none = draw_registers(n, 5, ("coin", 2), np.zeros(n, dtype=bool))
     assert not any(a.any() for a in none)
 
 

@@ -411,7 +411,8 @@ def test_default_blocks_match_reference():
 
 def test_private_layers_marginals():
     n, d, alpha = 400, 8, 4
-    layers, _, k_caps = private_layers(n, d, alpha, 1, "t", range(n))
+    layers, _, k_caps = private_layers(n, d, alpha, 1, "t",
+                                       np.ones(n, dtype=bool))
     layers = unpack_layers(layers, n)
     assert (k_caps == k_caps[0]).all()
     deg0 = layers[0].sum(axis=1).mean()
@@ -468,7 +469,7 @@ def _layer_shapes(draw):
 @example(shape=(27, 3, 3), seed=1, tag="t")  # layer 2: 3 * 3**2 / 27 == 1.0
 def test_private_layers_match_per_process_oracle(shape, seed, tag):
     n, d, alpha = shape
-    got = private_layers(n, d, alpha, seed, tag, range(n))
+    got = private_layers(n, d, alpha, seed, tag, np.ones(n, dtype=bool))
     layers, k_caps = private_layers_oracle(n, d, alpha, seed, tag)
     want = (np.packbits(layers, axis=-1),
             np.packbits(layers.transpose(0, 2, 1), axis=-1), k_caps)
@@ -484,7 +485,8 @@ def test_private_layers_are_packed_oracle_layers(n):
     520 in one of eight).  The flipped stack built beside
     it is the packed transpose, C-ordered, pad bits zero too."""
     d = alpha = max(2, clog2(n))
-    got, flipped, _ = private_layers(n, d, alpha, 5, "pin", range(n))
+    got, flipped, _ = private_layers(n, d, alpha, 5, "pin",
+                                     np.ones(n, dtype=bool))
     want, _ = private_layers_oracle(n, d, alpha, 5, "pin")
     assert got.dtype == np.uint8 and got.shape == want.shape[:2] + (
         -(-n // 8),)
@@ -501,7 +503,7 @@ def test_private_layers_are_packed_oracle_layers(n):
        data=st.data())
 @example(n=520, seed=3, data=None)  # the middle chunk draws nobody
 def test_private_layers_for_some_ids_are_the_full_rows(n, seed, data):
-    """Given ``ids``, every drawn row of ``layers`` and every bit of
+    """Given a ``live`` mask, every drawn row of ``layers`` and every bit of
     ``flipped`` in a drawn column equals the full call's; the rest is all
     False, in chunks with and without an id (n = 300 and 520 span two and
     three chunks)."""
@@ -511,9 +513,9 @@ def test_private_layers_for_some_ids_are_the_full_rows(n, seed, data):
         live = np.array(data.draw(st.lists(st.booleans(), min_size=n,
                                            max_size=n)))
     d = alpha = max(2, clog2(n))
-    full = private_layers(n, d, alpha, seed, ("coin", 2), range(n))
-    some = private_layers(n, d, alpha, seed, ("coin", 2),
-                          np.flatnonzero(live))
+    full = private_layers(n, d, alpha, seed, ("coin", 2),
+                          np.ones(n, dtype=bool))
+    some = private_layers(n, d, alpha, seed, ("coin", 2), live)
     assert np.array_equal(some[2], full[2])
     layers, flipped = (unpack_layers(a, n) for a in some[:2])
     want_layers, want_flipped = (unpack_layers(a, n) for a in full[:2])
@@ -632,7 +634,7 @@ def test_window_round_count():
 def test_relay_consumes_exact_rounds_and_propagates_max():
     n = 12
     ctx = SimContext(n, 4, Adversary(), seed=3)
-    stacks = private_layers(n, 4, 2, ctx.seed, "t", range(n))
+    stacks = private_layers(n, 4, 2, ctx.seed, "t", np.ones(n, dtype=bool))
     window = Window.for_size(n, 4, 2)
     keys = np.arange(n, dtype=np.int64) * 10
     carrier = KeyCarrier(keys, bits=4, qubits=8)
@@ -653,7 +655,8 @@ def test_relay_charges_inquiry_and_response_costs(make, response_keys):
     n = 6
     adversary = DrawnCrasher([], seed=0)  # records payloads, crashes nobody
     ctx = SimContext(n, 2, adversary, seed=1)
-    layers, flipped, k_caps = private_layers(n, 2, 2, ctx.seed, "t", range(n))
+    layers, flipped, k_caps = private_layers(n, 2, 2, ctx.seed, "t",
+                                             np.ones(n, dtype=bool))
     carrier = make(n)
     one_iteration = Window(k=-1, gamma=0, delta=2)  # 1 epoch of 1 iteration
     run_relay(ctx, layers, flipped, k_caps, one_iteration, carrier)
@@ -704,7 +707,8 @@ def _relay_setup(kind, n, seed, x):
     if kind == "key":
         window = Window.for_size(n, d, alpha)
         keys = rng.integers(0, 4, n) * n + np.arange(n)
-        stacks = private_layers(n, d, alpha, seed, "oracle", range(n))
+        stacks = private_layers(n, d, alpha, seed, "oracle",
+                                np.ones(n, dtype=bool))
         return (*stacks, window, KeyCarrier(keys, bits=3, qubits=5))
     bounds = partition([0, n], x)
     window = Window.for_size(np.diff(bounds).max(), d, alpha)

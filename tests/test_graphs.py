@@ -47,7 +47,8 @@ def _random_adj(n, p, seed):
 
 def _private_bool_layers(n, d, alpha, seed, tag):
     """``private_layers`` with its stack unpacked to bool."""
-    layers, _, k_caps = private_layers(n, d, alpha, seed, tag, range(n))
+    layers, _, k_caps = private_layers(n, d, alpha, seed, tag,
+                                       np.ones(n, dtype=bool))
     return unpack_layers(layers, n), k_caps
 
 
